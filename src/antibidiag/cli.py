@@ -5,7 +5,8 @@ from inline comma-separated values or a JSON/CSV file; reports are emitted as
 JSON (canonical machine format), CSV, or aligned human-readable text.
 
 Exit statuses: 0 success, 1 input validation rejection, 2 numerical breakdown,
-3 usage error.
+3 usage error.  Each package error carries its own status (see ``errors``); any
+other arithmetic or value error escaping the numeric core is a breakdown.
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ from .matrixkit import (
     build_jacobi_special,
     matmul,
 )
-from .poly import from_roots, poly_eval
+from .poly import poly_eval
 from .recurrence import forward_p, forward_q, forward_q_squared
 from .sampling import (
     case_rng,
-    random_coefficients,
     random_positive_tuple,
     random_rational_coefficients,
     random_rational_spectrum,
@@ -48,38 +48,15 @@ from .spectral import (
     check_class_plus,
     classify_sign_regular,
     eigensolve_tridiagonal,
+    relative_spectrum_error,
     signature_sequence,
 )
 
 EXIT_OK = 0
-EXIT_REJECTED = 1
-EXIT_BREAKDOWN = 2
-EXIT_USAGE = 3
+EXIT_BREAKDOWN = err.NumericalBreakdown.exit_code
+EXIT_USAGE = err.UsageError.exit_code
 
 GAP_WARN_THRESHOLD = 1e-6
-
-_REJECTION_ERRORS = (
-    err.SpectrumError,
-    err.NonPositiveEntry,
-    err.NotDecreasing,
-    err.NonPositive,
-    err.DuplicateRoots,
-    err.TooSmall,
-)
-_BREAKDOWN_ERRORS = (
-    err.NonPositiveA,
-    err.TerminalMismatch,
-    err.InterlaceViolation,
-    err.NoSignChange,
-    err.NotTridiagonal,
-    err.StructuralZero,
-)
-_USAGE_ERRORS = (
-    err.BackendUnsupported,
-    err.TooLarge,
-    err.SizeMismatch,
-    err.IndexOutOfRange,
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,15 +109,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_backend(args) -> Backend:
-    policy = TolerancePolicy(args.tol_abs, args.tol_rel, args.root_tol)
+    try:
+        policy = TolerancePolicy(args.tol_abs, args.tol_rel, args.root_tol)
+    except ValueError as exc:
+        raise err.UsageError(str(exc)) from exc
     return rational(policy) if args.backend == "rational" else float64(policy)
 
 
 def _parse_token(tok: str, backend: Backend):
     tok = tok.strip()
-    if backend.exact:
-        return Fraction(tok)
-    return float(Fraction(tok)) if "/" in tok else float(tok)
+    try:
+        if backend.exact:
+            return Fraction(tok)
+        return float(Fraction(tok)) if "/" in tok else float(tok)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise err.UsageError(f"cannot read {tok!r} as a number: {exc}") from exc
 
 
 def _parse_inline(text: str, backend: Backend):
@@ -150,17 +133,19 @@ def _parse_inline(text: str, backend: Backend):
 
 
 def _load_input(path: Path, backend: Backend, keys=("spectrum", "a", "mus")):
-    text = path.read_text()
-    if path.suffix == ".json" or text.lstrip().startswith("{"):
-        doc = json.loads(text)
-        for key in keys:
-            if key in doc:
-                return key, tuple(_parse_token(str(v), backend) for v in doc[key])
-        raise err.SizeMismatch(f"input file has none of the keys {keys}")
-    values = tuple(
+    try:
+        text = path.read_text()
+        if path.suffix == ".json" or text.lstrip().startswith("{"):
+            doc = json.loads(text)
+            for key in keys:
+                if key in doc:
+                    return tuple(_parse_token(str(v), backend) for v in doc[key])
+            raise err.SizeMismatch(f"input file has none of the keys {keys}")
+    except (OSError, ValueError, TypeError) as exc:
+        raise err.UsageError(f"cannot read {path}: {exc}") from exc
+    return tuple(
         _parse_token(line, backend) for line in text.splitlines() if line.strip()
     )
-    return None, values
 
 
 def _values_from(args, backend, flag: str):
@@ -168,15 +153,20 @@ def _values_from(args, backend, flag: str):
     if inline is not None:
         return _parse_inline(inline, backend)
     if args.input is not None:
-        _, values = _load_input(args.input, backend)
-        return values
+        return _load_input(args.input, backend)
     raise err.SizeMismatch(f"provide {flag} or --input")
 
 
 def _num(x, backend: Backend):
-    if backend.exact:
+    if not backend.exact:
+        return float(x)
+    # Exact values outgrow the int-to-str digit limit; lift it only to render.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
         return str(x)
-    return float(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _nums(seq, backend):
@@ -265,8 +255,7 @@ def _solve_report(values, backend: Backend, want_roundtrip: bool) -> dict:
     if backend.exact:
         A = B = None
         reproduced = forward_q_squared(trace.a1, trace.a_squared, backend).top
-        target = from_roots(spectrum.lambdas, backend)
-        residual = 0 if reproduced.coeffs == target.coeffs else 1
+        residual = 0 if reproduced.coeffs == trace.qs[-1].coeffs else 1
         max_residual = _num(Fraction(residual), backend)
         roundtrip_error = None
     else:
@@ -277,11 +266,8 @@ def _solve_report(values, backend: Backend, want_roundtrip: bool) -> dict:
         max_residual = max(abs(poly_eval(pn, lam)) for lam in spectrum.lambdas)
         roundtrip_error = None
         if want_roundtrip:
-            roundtrip_error = eigensolve_tridiagonal(B, backend)
-            expected = sorted(spectrum.lambdas)
-            roundtrip_error = max(
-                abs(e - x) / abs(x) for e, x in zip(roundtrip_error, expected)
-            )
+            eig = eigensolve_tridiagonal(B, backend)
+            roundtrip_error = relative_spectrum_error(eig, spectrum.lambdas)
     return {
         "input": _nums(spectrum.lambdas, backend),
         "a": None if trace.a is None else _nums(trace.a, backend),
@@ -314,8 +300,6 @@ def _cmd_forward(args, backend, out) -> int:
     )
     eig = None
     if args.eigs:
-        if backend.exact:
-            raise err.BackendUnsupported("--eigs needs --backend float64")
         eig = list(eigensolve_tridiagonal(build_jacobi_special(cv, backend), backend))
     report = {
         "a": _nums(cv.a, backend),
@@ -355,9 +339,7 @@ def _cmd_sqrt(args, backend, out) -> int:
     values = _values_from(args, backend, "--mus")
     result = jacobi_sqrt(PositiveTuple(values), backend)
     eig = eigensolve_tridiagonal(result.jacobi, backend)
-    spec_err = max(
-        abs(e - m) / m for e, m in zip(eig, sorted(values))
-    )
+    spec_err = relative_spectrum_error(eig, values)
     report = {
         "mus": _nums(values, backend),
         "spectrum": _nums(result.spectrum.lambdas, backend),
@@ -487,14 +469,17 @@ def _battery_sqrt(seed, sizes, cases, backend):
                     if abs(r - c) > 1 and abs(B.entries[r][c]) > 1e-10 * scale:
                         return False, f"off-tridiagonal mass at n={n} case {i}"
             eig = eigensolve_tridiagonal(B, backend)
-            worst = max(abs(e - m) / m for e, m in zip(eig, sorted(mus)))
+            worst = relative_spectrum_error(eig, mus)
             if worst > 1e-8:
                 return False, f"square spectrum error {worst:.3e} at n={n}"
     return True, "squares are Jacobi with the prescribed spectrum"
 
 
 def _cmd_verify_all(args, backend, out) -> int:
-    sizes = [int(t) for t in args.sizes.split(",") if t.strip()]
+    try:
+        sizes = [int(t) for t in args.sizes.split(",") if t.strip()]
+    except ValueError as exc:
+        raise err.UsageError(f"--sizes: {exc}") from exc
     seed, cases = args.seed, args.cases
     fb = backend if not backend.exact else float64(backend.policy)
     results = [
@@ -543,18 +528,12 @@ def main(argv=None, out=None) -> int:
     try:
         backend = _make_backend(args)
         return _COMMANDS[args.command](args, backend, out)
-    except _REJECTION_ERRORS as exc:
-        print(f"rejected [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_REJECTED
-    except _BREAKDOWN_ERRORS as exc:
-        print(f"numerical breakdown [{type(exc).__name__}]: {exc}", file=sys.stderr)
+    except err.AntibidiagError as exc:
+        print(f"{exc.label} [{type(exc).__name__}]: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except (ArithmeticError, ValueError) as exc:
+        print(f"{err.NumericalBreakdown.label} [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_BREAKDOWN
-    except _USAGE_ERRORS as exc:
-        print(f"usage error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"usage error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def entry() -> None:

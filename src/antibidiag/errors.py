@@ -1,44 +1,68 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules.  Every error derives from exactly
+one of ``RejectedInput``, ``NumericalBreakdown`` and ``UsageError``, which carry
+the command-line exit status (1, 2, 3) and its label."""
 
 
 class AntibidiagError(Exception):
     """Base class for all package errors."""
 
 
-class BackendUnsupported(AntibidiagError):
+class RejectedInput(AntibidiagError):
+    """The input violates a hypothesis of the operation."""
+
+    exit_code, label = 1, "rejected"
+
+
+class NumericalBreakdown(AntibidiagError):
+    """A valid input could not be carried through in the chosen arithmetic."""
+
+    exit_code, label = 2, "numerical breakdown"
+
+
+class UsageError(AntibidiagError):
+    """The request is malformed or asks for something unsupported."""
+
+    exit_code, label = 3, "usage error"
+
+
+class BackendUnsupported(UsageError):
     """Operation requires a capability the active scalar backend lacks."""
 
 
-class IndexOutOfRange(AntibidiagError):
+class IndexOutOfRange(UsageError):
     pass
 
 
-class DuplicateRoots(AntibidiagError):
+class DuplicateRoots(NumericalBreakdown):
     """Roots closer than the separation threshold."""
 
 
-class NoSignChange(AntibidiagError):
+class NoSignChange(NumericalBreakdown):
     """A bisection bracket does not straddle a root."""
 
 
-class NonPositiveEntry(AntibidiagError):
+class NonPositiveEntry(RejectedInput):
     """A coefficient vector entry is not strictly positive."""
 
 
-class SizeMismatch(AntibidiagError):
+class SizeMismatch(UsageError):
     pass
 
 
-class StructuralZero(AntibidiagError):
+class StructuralZero(NumericalBreakdown):
     """A required structural entry of an anti-bidiagonal pattern is zero."""
 
 
-class SpectrumError(AntibidiagError):
+class SpectrumError(RejectedInput):
     """Base class for spectrum validation rejections."""
 
 
 class EmptyInput(SpectrumError):
     pass
+
+
+class NonFiniteValue(SpectrumError):
+    """A spectrum element is infinite or NaN."""
 
 
 class NonPositiveLead(SpectrumError):
@@ -53,33 +77,37 @@ class NotStrictlyDecreasingModulus(SpectrumError):
     """Absolute values fail to decrease strictly."""
 
 
-class TooSmall(AntibidiagError):
+class TooSmall(RejectedInput):
     """Input dimension below the operation's minimum."""
 
 
-class NonPositiveA(AntibidiagError):
+class NonPositiveA(NumericalBreakdown):
     """A squared codiagonal entry came out non-positive during reconstruction."""
 
 
-class TerminalMismatch(AntibidiagError):
+class NonFiniteA(NumericalBreakdown):
+    """A squared codiagonal entry overflowed the floating range."""
+
+
+class TerminalMismatch(NumericalBreakdown):
     """Reconstruction did not terminate at the expected degree-1/degree-0 polynomials."""
 
 
-class InterlaceViolation(AntibidiagError):
+class InterlaceViolation(NumericalBreakdown):
     """Strict root interlacing certificate failed."""
 
 
-class NotTridiagonal(AntibidiagError):
+class NotTridiagonal(NumericalBreakdown):
     pass
 
 
-class TooLarge(AntibidiagError):
+class TooLarge(UsageError):
     """Combinatorial guard on minor enumeration exceeded."""
 
 
-class NotDecreasing(AntibidiagError):
+class NotDecreasing(RejectedInput):
     """Positive tuple is not strictly decreasing."""
 
 
-class NonPositive(AntibidiagError):
+class NonPositive(RejectedInput):
     """Positive tuple contains a non-positive element."""

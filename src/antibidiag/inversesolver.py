@@ -12,11 +12,14 @@ must be strictly positive for any admissible spectrum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import (
     BackendUnsupported,
     EmptyInput,
+    NonFiniteA,
+    NonFiniteValue,
     NonPositive,
     NonPositiveA,
     NonPositiveLead,
@@ -46,7 +49,7 @@ from .poly import (
     with_parity,
 )
 from .scalars import Backend
-from .spectral import eigensolve_tridiagonal, interlaces
+from .spectral import eigensolve_tridiagonal, interlaces, relative_spectrum_error
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,8 @@ def validate_spectrum(values) -> Spectrum:
     if not values[0] > 0:
         raise NonPositiveLead(f"lambda_1 = {values[0]} must be > 0")
     for k, v in enumerate(values, start=1):
+        if not -math.inf < v < math.inf:
+            raise NonFiniteValue(f"lambda_{k} = {v} is not finite")
         want_positive = k % 2 == 1
         if v == 0 or (v > 0) != want_positive:
             raise NotAlternating(
@@ -167,8 +172,9 @@ def solve(
     """Backward pass from the prescribed spectrum to the coefficient vector.
 
     Raises NonPositiveA if a squared entry fails to be positive (invalid input
-    or catastrophic roundoff) and TerminalMismatch if the pass does not land on
-    the degree-1 and degree-0 boundary polynomials.  Interlacing certificate
+    or catastrophic roundoff), NonFiniteA if one overflows float64, and
+    TerminalMismatch if the pass does not land on the degree-1 and degree-0
+    boundary polynomials.  Interlacing certificate
     failures are warnings unless ``strict_interlacing`` is set.
     """
     lam = tuple(backend.convert(v) for v in spectrum.lambdas)
@@ -227,6 +233,8 @@ def solve(
     qs_by_degree = tuple(reversed(qs))
     a_vec = None
     if not backend.exact:
+        if max(a_sq) == math.inf:
+            raise NonFiniteA("a squared codiagonal entry overflows float64")
         a_vec = (a1,) + tuple(backend.sqrt(v) for v in a_sq)
 
     certificates = None
@@ -298,9 +306,7 @@ def solve_roundtrip(spectrum: Spectrum, backend: Backend, **kw) -> RoundtripResu
     trace = solve(spectrum, backend, **kw)
     B = build_jacobi_special(trace.coefficient_vector, backend)
     eig = eigensolve_tridiagonal(B, backend)
-    expected = tuple(sorted(spectrum.lambdas))
-    err = max(abs(e - x) / abs(x) for e, x in zip(eig, expected))
-    return RoundtripResult(trace, eig, err)
+    return RoundtripResult(trace, eig, relative_spectrum_error(eig, spectrum.lambdas))
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,11 @@ stay small (a few dozen), so no sparse or FFT machinery is warranted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 from .errors import BackendUnsupported, DuplicateRoots, IndexOutOfRange, NoSignChange
-from .scalars import Backend
-
-BISECT_MAX_ITER = 200
+from .scalars import Backend, bisect
 
 EVEN = "even"
 ODD = "odd"
@@ -135,19 +134,7 @@ def roots_bracketed(p: MonicPoly, brackets, backend: Backend):
             continue
         if (flo > 0) == (fhi > 0):
             raise NoSignChange(f"no sign change on [{lo}, {hi}]")
-        for _ in range(BISECT_MAX_ITER):
-            mid = 0.5 * (lo + hi)
-            if hi - lo <= tol or mid == lo or mid == hi:
-                break
-            fm = poly_eval(p, mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if (fm > 0) == (flo > 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        out.append(0.5 * (lo + hi))
+        out.append(bisect(partial(poly_eval, p), lo, hi, tol, rising=flo < 0))
     return tuple(sorted(out))
 
 

@@ -15,6 +15,8 @@ from fractions import Fraction
 
 from .errors import BackendUnsupported
 
+BISECT_MAX_ITER = 200  # for every bisection: root certificates and Sturm counts
+
 
 @dataclass(frozen=True)
 class TolerancePolicy:
@@ -39,13 +41,7 @@ class Backend:
 
     def convert(self, x):
         """Coerce a number (or numeric string) into this backend's scalar type."""
-        if self.exact:
-            if isinstance(x, float) or isinstance(x, str):
-                return Fraction(x)
-            return Fraction(x)
-        if isinstance(x, Fraction):
-            return float(x)
-        return float(x)
+        return Fraction(x) if self.exact else float(x)
 
     def approx_equal(self, x, y) -> bool:
         """Exact equality (rational) or mixed abs/rel band (floating)."""
@@ -83,8 +79,18 @@ def rational(policy: TolerancePolicy | None = None) -> Backend:
     return Backend("rational", exact=True, policy=policy or TolerancePolicy())
 
 
-def approx_equal(x, y, policy: TolerancePolicy) -> bool:
-    """Standalone comparison; exact when both operands are exact rationals."""
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x == y
-    return abs(x - y) <= policy.eq_abs + policy.eq_rel * max(abs(x), abs(y))
+def bisect(f, lo: float, hi: float, tol: float, level=0.0, rising=True) -> float:
+    """Bisect [lo, hi] to width <= tol around where f crosses ``level``, from
+    below if ``rising``; a midpoint where f equals the level is returned."""
+    for _ in range(BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= tol or mid == lo or mid == hi:
+            break
+        d = f(mid) - level
+        if d == 0.0:
+            return mid
+        if (d > 0) == rising:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)

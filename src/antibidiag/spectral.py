@@ -6,6 +6,7 @@ exhaustive minor enumeration, and a Cauchy-Binet identity checker.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from math import comb
 
@@ -16,10 +17,9 @@ from .errors import (
     TooLarge,
 )
 from .matrixkit import StructuredMatrix, check_index_set, matmul, minor
-from .scalars import Backend, TolerancePolicy
+from .scalars import Backend, TolerancePolicy, bisect
 
 MINOR_ENUM_GUARD = 10**7
-BISECT_MAX_ITER = 200
 
 # Pivot-underflow guard for the Sturm count (zero pivots become a tiny
 # negative, the conventional limiting choice).
@@ -71,29 +71,22 @@ def gershgorin_bounds(diag, off):
 
 
 def eigensolve_tridiagonal(T: StructuredMatrix, backend: Backend):
-    """All eigenvalues of a symmetric tridiagonal matrix, ascending, each
-    bisected on the Sturm count to width <= root_tol."""
+    """All eigenvalues of a symmetric tridiagonal matrix, ascending; the k-th is
+    where the Sturm count steps from k-1 to k, bisected to width <= root_tol."""
     if backend.exact:
         raise BackendUnsupported("eigensolver needs the floating backend")
     diag, off = _extract_tridiagonal(T, backend.policy)
-    n = len(diag)
-    glo, ghi = gershgorin_bounds(diag, off)
-    glo -= backend.policy.root_tol
-    ghi += backend.policy.root_tol
     tol = backend.policy.root_tol
-    out = []
-    for k in range(1, n + 1):
-        lo, hi = glo, ghi
-        for _ in range(BISECT_MAX_ITER):
-            mid = 0.5 * (lo + hi)
-            if hi - lo <= tol or mid == lo or mid == hi:
-                break
-            if sturm_count(diag, off, mid) >= k:
-                hi = mid
-            else:
-                lo = mid
-        out.append(0.5 * (lo + hi))
-    return tuple(out)
+    glo, ghi = gershgorin_bounds(diag, off)
+    count = partial(sturm_count, diag, off)
+    return tuple(
+        bisect(count, glo - tol, ghi + tol, tol, level=k - 0.5) for k in range(1, len(diag) + 1)
+    )
+
+
+def relative_spectrum_error(eigenvalues, target) -> float:
+    """Worst relative error of ascending eigenvalues against the target values."""
+    return max(abs(e - x) / abs(x) for e, x in zip(eigenvalues, sorted(target)))
 
 
 def interlaces(inner, outer) -> bool:

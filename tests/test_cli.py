@@ -1,9 +1,11 @@
 import io
 import json
+import sys
 
 import pytest
 
 from antibidiag.cli import main
+from antibidiag.sampling import case_rng, random_rational_spectrum
 
 
 def run(args):
@@ -138,3 +140,48 @@ def test_verify_all_deterministic():
     assert code1 == code2 == 0
     assert text1 == text2
     assert json.loads(text1)["passed"]
+
+
+@pytest.mark.parametrize(
+    "args, status",
+    [
+        (["solve", "--spectrum", "inf,-1"], 1),  # rejected by validation
+        (["solve", "--spectrum", "3,-nan"], 1),
+        (["solve", "--spectrum", "1e200,-1e199"], 2),  # a_2^2 overflows
+        (["forward", "--a", "1e200,1e200,1e200"], 2),  # a_k^2 overflows
+        # roots that float64 cannot separate, though the input is admissible
+        (["solve", "--spectrum", "1.0000000000002,-1.0000000000001,1"], 2),
+        (["sqrt", "--mus", "1e-300,1e-301"], 2),
+        (["solve", "--spectrum", "1/0,-1"], 3),  # unreadable input
+        (["solve", "--spectrum", "1/0,-1", "--backend", "rational"], 3),
+        (["solve", "--spectrum", "3,-two,1"], 3),
+        (["solve", "--spectrum", "3,-2,1", "--tol-abs", "-1"], 3),
+        (["verify-all", "--sizes", "1,x"], 3),
+    ],
+)
+def test_exit_status_classes(args, status):
+    assert run(args)[0] == status
+
+
+def test_unreadable_input_files_are_usage_errors(tmp_path):
+    assert run(["solve", "--input", str(tmp_path / "missing.json")])[0] == 3
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert run(["solve", "--input", str(bad)])[0] == 3
+    scalar = tmp_path / "scalar.json"
+    scalar.write_text("3")
+    assert run(["solve", "--input", str(scalar)])[0] == 3
+
+
+def test_exact_report_renders_past_the_int_str_limit():
+    spectrum = random_rational_spectrum(case_rng(0, "render", 64), 64, max_num=4000)
+    limit = sys.get_int_max_str_digits()
+    code, text = run(
+        ["solve", "--backend", "rational", "--spectrum=" + ",".join(map(str, spectrum))]
+    )
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    report = json.loads(text)
+    assert len(report["a_squared"]) == 64
+    assert max(len(v) for v in report["a_squared"]) > limit
+    assert report["diagnostics"]["max_residual"] == "0"

@@ -22,6 +22,8 @@ from antibidiag import (
 from antibidiag.errors import (
     BackendUnsupported,
     EmptyInput,
+    NonFiniteA,
+    NonFiniteValue,
     NonPositive,
     NonPositiveLead,
     NotAlternating,
@@ -56,6 +58,12 @@ class TestValidateSpectrum:
             validate_spectrum(())
         with pytest.raises(NotAlternating):
             validate_spectrum((3.0, -2.0, 0.0))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(NonFiniteValue):
+            validate_spectrum((math.inf, -1.0))
+        with pytest.raises(NonFiniteValue):
+            validate_spectrum((3.0, -math.nan))
 
 
 class TestSigmaInequality:
@@ -102,6 +110,11 @@ class TestSolve:
         assert trace.a1 == 2
         assert trace.a_squared == (Fraction(2), Fraction(3))
         assert trace.a is None
+
+    def test_overflowing_square_is_breakdown(self, fb):
+        # a_2^2 = lambda_1 * |lambda_2| = 1e399 is beyond float64.
+        with pytest.raises(NonFiniteA):
+            solve(validate_spectrum((1e200, -1e199)), fb)
 
     def test_one_by_one(self, fb):
         trace = solve(validate_spectrum((4.5,)), fb)
