@@ -36,6 +36,7 @@ from .matrixkit import (
 from .poly import poly_eval
 from .recurrence import forward_p, forward_q, forward_q_squared
 from .sampling import (
+    MAX_DEFAULT_N,
     case_rng,
     random_positive_tuple,
     random_rational_coefficients,
@@ -480,6 +481,9 @@ def _cmd_verify_all(args, backend, out) -> int:
         sizes = [int(t) for t in args.sizes.split(",") if t.strip()]
     except ValueError as exc:
         raise err.UsageError(f"--sizes: {exc}") from exc
+    for n in sizes:
+        if not 1 <= n <= MAX_DEFAULT_N:
+            raise err.UsageError(f"--sizes: {n} is outside 1..{MAX_DEFAULT_N}")
     seed, cases = args.seed, args.cases
     fb = backend if not backend.exact else float64(backend.policy)
     results = [

@@ -45,6 +45,10 @@ class NonPositiveEntry(RejectedInput):
     """A coefficient vector entry is not strictly positive."""
 
 
+class NonFiniteEntry(RejectedInput):
+    """A coefficient vector entry is infinite or NaN."""
+
+
 class SizeMismatch(UsageError):
     pass
 
@@ -87,6 +91,10 @@ class NonPositiveA(NumericalBreakdown):
 
 class NonFiniteA(NumericalBreakdown):
     """A squared codiagonal entry overflowed the floating range."""
+
+
+class SquareOutOfRange(NumericalBreakdown):
+    """The square of a positive entry underflows to zero or overflows float64."""
 
 
 class TerminalMismatch(NumericalBreakdown):

@@ -270,24 +270,31 @@ def _descend(r, deg, divisor, backend):
 
 
 def _certify_interlacing(qs_by_degree, lam, backend):
-    """Bracketed roots of each q_k between consecutive roots of q_{k+1}."""
+    """Bracketed roots of each q_k between consecutive roots of q_{k+1}.
+
+    For k < n, q_k has the parity of k, so its roots come in exact +- pairs,
+    plus 0.0 when k is odd.  Only the upper floor(k/2) brackets are bisected;
+    their roots are mirrored, 0.0 is added for odd k, and the full set is
+    checked against the outer roots.  The parity evaluation of ``poly_eval``
+    makes q_k(-x) = +-q_k(x) exact, so a mirrored root marks a sign change of
+    q_k just as the bisected one does."""
     n = len(lam)
     certs = []
     warns = []
-    roots = {n: tuple(sorted(lam))}
+    outer = tuple(sorted(lam))
     for k in range(n - 1, 0, -1):
-        outer = roots[k + 1]
-        brackets = [(outer[i], outer[i + 1]) for i in range(len(outer) - 1)]
+        brackets = [(outer[i], outer[i + 1]) for i in range(k - k // 2, k)]
         try:
-            inner = roots_bracketed(qs_by_degree[k], brackets, backend)
+            upper = roots_bracketed(qs_by_degree[k], brackets, backend)
         except NoSignChange as exc:
             warns.append(f"level {k}: {exc}")
             break
+        inner = tuple(-r for r in reversed(upper)) + (0.0,) * (k % 2) + upper
         if not interlaces(inner, outer):
             warns.append(f"level {k}: interlacing violated")
             break
-        roots[k] = inner
         certs.append((k, inner, outer))
+        outer = inner
     return tuple(certs), warns
 
 

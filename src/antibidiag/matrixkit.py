@@ -8,9 +8,10 @@ sets), matching the a_1..a_n labelling of the structures; internal storage is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import EmptyInput, NonPositiveEntry, SizeMismatch, StructuralZero
+from .errors import EmptyInput, NonFiniteEntry, NonPositiveEntry, SizeMismatch, StructuralZero
 from .scalars import Backend
 
 ANTI_BIDIAGONAL = "anti_bidiagonal"
@@ -21,7 +22,7 @@ GENERAL = "general"
 
 @dataclass(frozen=True)
 class CoefficientVector:
-    """Strictly positive entries a_1..a_n defining both structured families."""
+    """Strictly positive finite entries a_1..a_n defining both structured families."""
 
     a: tuple
 
@@ -29,6 +30,8 @@ class CoefficientVector:
         if len(self.a) == 0:
             raise EmptyInput("coefficient vector must have n >= 1 entries")
         for k, v in enumerate(self.a, start=1):
+            if not -math.inf < v < math.inf:
+                raise NonFiniteEntry(f"a_{k} = {v} is not finite")
             if not v > 0:
                 raise NonPositiveEntry(f"a_{k} = {v} is not strictly positive")
 

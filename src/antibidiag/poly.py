@@ -84,12 +84,26 @@ def reflect_negate(p: MonicPoly) -> MonicPoly:
     return MonicPoly(coeffs, p.parity)
 
 
-def poly_eval(p: MonicPoly, x):
-    """Horner evaluation."""
-    acc = p.coeffs[-1]
-    for c in reversed(p.coeffs[:-1]):
+def _horner(coeffs, x):
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
         acc = acc * x + c
     return acc
+
+
+def poly_eval(p: MonicPoly, x):
+    """Horner evaluation.
+
+    A parity-tagged polynomial is evaluated by Horner in x*x over its allowed
+    coefficients (times x when odd), which halves the multiply-adds and makes
+    p(-x) = p(x) (even) or -p(x) (odd) hold exactly; the forbidden
+    coefficients are taken as zero, as the tag states.  An untagged
+    polynomial takes plain Horner in x."""
+    if p.parity is None:
+        return _horner(p.coeffs, x)
+    if p.parity == EVEN:
+        return _horner(p.coeffs[::2], x * x)
+    return _horner(p.coeffs[1::2], x * x) * x
 
 
 def with_parity(p: MonicPoly, parity: str, backend: Backend) -> MonicPoly:

@@ -16,9 +16,10 @@ Both accept either a full positive coefficient vector or the pair
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import NonPositiveEntry
+from .errors import NonPositiveEntry, SquareOutOfRange
 from .matrixkit import CoefficientVector
 from .poly import MonicPoly, lin_comb, parity_of_degree, shift_up, with_parity
 from .scalars import Backend
@@ -44,9 +45,17 @@ class CharPolySequence:
 
 
 def _squares(a: CoefficientVector, backend: Backend):
+    """a_1 and the squared tail.  The entries are positive, so a square that
+    float64 rounds to 0.0 or to inf is a breakdown, not a rejection."""
     a1 = backend.convert(a.a[0])
-    tail = tuple(backend.convert(v) ** 2 for v in a.a[1:])
-    return a1, tail
+    tail = []
+    for k, v in enumerate(a.a[1:], start=2):
+        v = backend.convert(v)
+        sq = v * v
+        if not 0 < sq < math.inf:
+            raise SquareOutOfRange(f"a_{k}^2 = ({v})^2 is {sq} in {backend.name}")
+        tail.append(sq)
+    return a1, tuple(tail)
 
 
 def _check_positive(a1, tail_sq):

@@ -15,6 +15,10 @@ def case_rng(seed: int, label: str, index: int) -> random.Random:
     return random.Random(f"{seed}:{label}:{index}")
 
 
+# The largest n that random_moduli can fill at its default gaps and range.
+MAX_DEFAULT_N = 99
+
+
 def random_moduli(rng: random.Random, n: int, min_gap=0.1, lo=0.1, hi=10.0):
     """n strictly decreasing moduli in [lo, hi] with pairwise gaps >= min_gap."""
     span = hi - lo - (n - 1) * min_gap

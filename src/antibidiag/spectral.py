@@ -43,19 +43,28 @@ def _extract_tridiagonal(T: StructuredMatrix, policy: TolerancePolicy):
     return diag, off
 
 
+def _zero_pivot(diag, off) -> float:
+    """The value an exactly-zero pivot is replaced with: -_TINY times the
+    largest entry modulus, at least 1."""
+    return -_TINY * max(1.0, max(abs(d) for d in diag), max((abs(e) for e in off), default=0.0))
+
+
 def sturm_count(diag, off, x: float) -> int:
-    """Number of eigenvalues strictly below x, from the shifted LDL^T pivot signs."""
-    scale = max(1.0, max(abs(d) for d in diag), max((abs(e) for e in off), default=0.0))
+    """Number of eigenvalues strictly below x, from the shifted LDL^T pivot signs.
+
+    The scale of the zero-pivot replacement is computed only when a pivot is
+    exactly 0.0, so the common call does no O(n) ``max``; the counts are
+    bit-identical to computing the scale on every call."""
     count = 0
     d = diag[0] - x
     if d == 0.0:
-        d = -_TINY * scale
+        d = _zero_pivot(diag, off)
     if d < 0:
         count += 1
-    for i in range(1, len(diag)):
-        d = (diag[i] - x) - off[i - 1] * off[i - 1] / d
+    for a, b in zip(diag[1:], off):
+        d = (a - x) - b * b / d
         if d == 0.0:
-            d = -_TINY * scale
+            d = _zero_pivot(diag, off)
         if d < 0:
             count += 1
     return count
@@ -72,16 +81,38 @@ def gershgorin_bounds(diag, off):
 
 def eigensolve_tridiagonal(T: StructuredMatrix, backend: Backend):
     """All eigenvalues of a symmetric tridiagonal matrix, ascending; the k-th is
-    where the Sturm count steps from k-1 to k, bisected to width <= root_tol."""
+    where the Sturm count steps from k-1 to k, bisected to width <= root_tol
+    from the Gershgorin interval.
+
+    Each eigenvalue keeps its own bracket (Barth, Martin & Wilkinson 1967): a
+    Sturm count at x also moves every later bracket that is still the interval
+    being bisected into the half the count points to.  Every bisection visits
+    the midpoints of plain bisection from the Gershgorin interval, so the
+    eigenvalues are bit-identical to it, but a midpoint shared by several
+    paths is counted once."""
     if backend.exact:
         raise BackendUnsupported("eigensolver needs the floating backend")
     diag, off = _extract_tridiagonal(T, backend.policy)
     tol = backend.policy.root_tol
     glo, ghi = gershgorin_bounds(diag, off)
-    count = partial(sturm_count, diag, off)
-    return tuple(
-        bisect(count, glo - tol, ghi + tol, tol, level=k - 0.5) for k in range(1, len(diag) + 1)
-    )
+    n = len(diag)
+    lo, hi = [glo - tol] * n, [ghi + tol] * n
+
+    def count(k, x):
+        c = sturm_count(diag, off, x)
+        # Brackets only ever halve, so two of them are equal or disjoint, and
+        # the later ones equal to the bracket being bisected (those holding x
+        # strictly inside) are a run k+1, k+2, ...
+        j = k + 1
+        while j < n and lo[j] < x < hi[j]:
+            if c > j:
+                hi[j] = x
+            else:
+                lo[j] = x
+            j += 1
+        return c
+
+    return tuple(bisect(partial(count, k), lo[k], hi[k], tol, level=k + 0.5) for k in range(n))
 
 
 def relative_spectrum_error(eigenvalues, target) -> float:

@@ -120,3 +120,47 @@ def rational_op_oracle(a, b, c, d, op):
 
 def frac_equal(num, den, f: Fraction) -> bool:
     return num * f.denominator == den * f.numerator
+
+
+def plain_sturm_bisection(diag, off, tol, max_iter=200):
+    """Eigenvalues of the symmetric tridiagonal matrix with diagonal ``diag``
+    and codiagonal ``off``, ascending, each bisected on its own from the
+    Gershgorin interval to width <= tol, with no bracket shared between
+    eigenvalues.  The Sturm count, the zero-pivot rule and the midpoints use
+    the same float64 operations as the library's, so the results are
+    comparable bit for bit.  Returns the eigenvalues and the list of every
+    midpoint a count was taken at."""
+    n = len(diag)
+    scale = max(1.0, max(abs(d) for d in diag), max((abs(e) for e in off), default=0.0))
+
+    def count(x):
+        c = 0
+        d = diag[0] - x
+        for i in range(n):
+            if i:
+                d = (diag[i] - x) - off[i - 1] * off[i - 1] / d
+            if d == 0.0:
+                d = -1e-300 * scale
+            if d < 0:
+                c += 1
+        return c
+
+    glo = ghi = diag[0]
+    for i in range(n):
+        r = (abs(off[i - 1]) if i > 0 else 0.0) + (abs(off[i]) if i < n - 1 else 0.0)
+        glo = min(glo, diag[i] - r)
+        ghi = max(ghi, diag[i] + r)
+    eigs, mids = [], []
+    for k in range(1, n + 1):
+        lo, hi = glo - tol, ghi + tol
+        for _ in range(max_iter):
+            mid = 0.5 * (lo + hi)
+            if hi - lo <= tol or mid == lo or mid == hi:
+                break
+            mids.append(mid)
+            if count(mid) >= k:
+                hi = mid
+            else:
+                lo = mid
+        eigs.append(0.5 * (lo + hi))
+    return tuple(eigs), mids

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from antibidiag.cli import main
-from antibidiag.sampling import case_rng, random_rational_spectrum
+from antibidiag.sampling import MAX_DEFAULT_N, case_rng, random_moduli, random_rational_spectrum
 
 
 def run(args):
@@ -185,3 +185,27 @@ def test_exact_report_renders_past_the_int_str_limit():
     assert len(report["a_squared"]) == 64
     assert max(len(v) for v in report["a_squared"]) > limit
     assert report["diagnostics"]["max_residual"] == "0"
+
+
+@pytest.mark.parametrize(
+    "args, status",
+    [
+        (["forward", "--a", "inf,1"], 1),
+        (["forward", "--a", "1,nan"], 1),
+        (["signreg", "--a", "inf,1"], 1),
+        (["forward", "--a", "1e300,1e-300"], 2),  # a_2^2 underflows to 0.0
+        (["forward", "--a", "1e200,1e200"], 2),  # a_2^2 overflows
+        (["verify-all", "--sizes", "100"], 3),
+        (["verify-all", "--sizes", "0"], 3),
+        (["verify-all", "--sizes", "3,-2"], 3),
+    ],
+)
+def test_entry_range_and_size_range_statuses(args, status):
+    assert run(args)[0] == status
+
+
+def test_verify_all_size_limit_is_the_samplers():
+    rng = case_rng(0, "limit", 0)
+    assert len(random_moduli(rng, MAX_DEFAULT_N)) == MAX_DEFAULT_N
+    with pytest.raises(ValueError):
+        random_moduli(rng, MAX_DEFAULT_N + 1)

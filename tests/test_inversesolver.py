@@ -15,6 +15,7 @@ from antibidiag import (
     from_roots,
     interlaces,
     jacobi_sqrt,
+    roots_bracketed,
     solve,
     solve_roundtrip,
     validate_spectrum,
@@ -272,3 +273,29 @@ class TestJacobiSqrt:
             eig = eigensolve_tridiagonal(B, fb)
             for e, m in zip(eig, sorted(mus)):
                 assert abs(e - m) <= 1e-8 * m
+
+
+class TestParityHalvedCertificates:
+    @staticmethod
+    def _traces(fb, sizes, per_size=3):
+        rng = random.Random(3303)
+        for n in sizes:
+            for _ in range(per_size):
+                yield n, solve(validate_spectrum(random_spectrum(rng, n)), fb)
+
+    def test_roots_are_exactly_symmetric_and_odd_levels_hold_zero(self, fb):
+        for n, trace in self._traces(fb, (2, 3, 4, 7, 12, 24, 48)):
+            assert [k for k, _, _ in trace.certificates] == list(range(n - 1, 0, -1))
+            for k, inner, outer in trace.certificates:
+                assert len(inner) == k
+                assert inner == tuple(-r for r in reversed(inner))
+                if k % 2:
+                    assert inner[k // 2] == 0.0
+                assert interlaces(inner, outer)
+
+    def test_roots_agree_with_full_bracket_bisection(self, fb):
+        for n, trace in self._traces(fb, range(2, 13)):
+            for k, inner, outer in trace.certificates:
+                brackets = [(outer[i], outer[i + 1]) for i in range(k)]
+                full = roots_bracketed(trace.qs[k], brackets, fb)
+                assert max(abs(x - y) for x, y in zip(inner, full)) <= 1e-9

@@ -16,6 +16,7 @@ from antibidiag import (
 )
 from antibidiag.errors import (
     EmptyInput,
+    NonFiniteEntry,
     NonPositiveEntry,
     SizeMismatch,
     StructuralZero,
@@ -219,3 +220,12 @@ def test_sign_normalize_rejects_wrong_sparsity(fb):
     M = StructuredMatrix(3, tuple(tuple(1.0 for _ in range(3)) for _ in range(3)))
     with pytest.raises(SizeMismatch):
         sign_normalize(M, fb)
+
+
+def test_non_finite_entries_rejected():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(NonFiniteEntry):
+            cv(bad, 1.0)
+        with pytest.raises(NonFiniteEntry):
+            cv(1.0, bad)
+    assert CoefficientVector((Fraction(1, 3), Fraction(10**400))).n == 2

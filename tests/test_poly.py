@@ -17,6 +17,7 @@ from antibidiag.errors import (
     IndexOutOfRange,
     NoSignChange,
 )
+from antibidiag.poly import parity_of_degree, with_parity
 from antibidiag.sampling import random_spectrum
 
 from oracles import brute_sigma, expand_roots
@@ -142,3 +143,35 @@ def test_roots_bracketed_recovers_spectrum(fb):
         got = roots_bracketed(p, brackets, fb)
         for g, want in zip(got, lam):
             assert abs(g - want) <= 10 * fb.policy.root_tol * max(1.0, abs(want))
+
+
+def _plain_horner(coeffs, x):
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+def test_parity_eval_agrees_with_plain_horner(fb, rb):
+    rng = random.Random(2024)
+    for deg in range(0, 25):
+        roots = [rng.uniform(0.1, 10.0) for _ in range(deg // 2)]
+        sym = roots + [-r for r in roots] + [0.0] * (deg % 2)
+        p = with_parity(from_roots(sym, fb), parity_of_degree(deg), fb)
+        assert p.parity is not None and p.degree == deg
+        for _ in range(20):
+            x = rng.uniform(-12.0, 12.0)
+            scale = sum(abs(c) * abs(x) ** k for k, c in enumerate(p.coeffs))
+            assert abs(poly_eval(p, x) - _plain_horner(p.coeffs, x)) <= 1e-12 * scale
+            sign = 1.0 if deg % 2 == 0 else -1.0
+            assert poly_eval(p, -x) == sign * poly_eval(p, x)
+    q = with_parity(MonicPoly((Fraction(-4), Fraction(0), Fraction(3, 7), Fraction(0), Fraction(1))), "even", rb)
+    for x in (Fraction(1, 3), Fraction(-5, 2), Fraction(0)):
+        assert poly_eval(q, x) == _plain_horner(q.coeffs, x)
+
+
+def test_untagged_eval_is_plain_horner(fb):
+    p = from_roots((3.0, -2.0, 1.0, 0.5), fb)
+    assert p.parity is None
+    for x in (-3.3, 0.1, 2.7):
+        assert poly_eval(p, x) == _plain_horner(p.coeffs, x)

@@ -12,7 +12,7 @@ from antibidiag import (
     forward_q,
     forward_q_squared,
 )
-from antibidiag.errors import NonPositiveEntry
+from antibidiag.errors import NonPositiveEntry, SquareOutOfRange
 from antibidiag.sampling import random_rational_coefficients
 
 from oracles import charpoly_cofactor
@@ -95,3 +95,16 @@ def test_q_parity_is_exact(rb):
             for i, c in enumerate(qs[k].coeffs):
                 if i % 2 == forbidden:
                     assert c == 0
+
+
+@pytest.mark.parametrize("a", [(1e300, 1e-300), (1.0, 1e200, 2.0), (1e200, 1e200)])
+def test_square_out_of_float_range_is_breakdown(fb, a):
+    cv = CoefficientVector(a)
+    for forward in (forward_p, forward_q):
+        with pytest.raises(SquareOutOfRange):
+            forward(cv, fb)
+
+
+def test_tiny_and_huge_exact_entries_square_exactly(rb):
+    cv = CoefficientVector((Fraction(10**300), Fraction(1, 10**300)))
+    assert forward_p(cv, rb).top.coeffs[0] == -Fraction(1, 10**600)

@@ -29,7 +29,10 @@ from antibidiag.errors import (
 )
 from antibidiag.matrixkit import StructuredMatrix
 from antibidiag.sampling import random_coefficients, random_rational_coefficients, random_spectrum
+from antibidiag import spectral
 from antibidiag.spectral import gershgorin_bounds, sturm_count
+
+from oracles import plain_sturm_bisection
 
 SQ2, SQ3 = math.sqrt(2.0), math.sqrt(3.0)
 
@@ -197,3 +200,70 @@ def test_cauchy_binet_exact_random(rb):
         cols = tuple(sorted(rng.sample(range(1, n + 1), k)))
         lhs, rhs, equal = cauchy_binet_check(J, B, rows, cols, rb)
         assert equal and lhs == rhs
+
+
+# --- shared-bracket eigensolve against plain per-eigenvalue bisection ---
+
+
+def _tridiagonal(diag, off):
+    n = len(diag)
+    rows = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = diag[i]
+    for i in range(n - 1):
+        rows[i][i + 1] = rows[i + 1][i] = off[i]
+    return StructuredMatrix(n, tuple(tuple(r) for r in rows))
+
+
+def _random_jacobi(rng, n):
+    return [rng.uniform(-5.0, 5.0) for _ in range(n)], [rng.uniform(0.05, 3.0) for _ in range(n - 1)]
+
+
+def _assert_plain(diag, off, fb):
+    want, _ = plain_sturm_bisection(diag, off, fb.policy.root_tol)
+    assert eigensolve_tridiagonal(_tridiagonal(diag, off), fb) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 48])
+def test_shared_brackets_match_plain_bisection_exactly(fb, n):
+    rng = random.Random(4100 + n)
+    for _ in range(4):
+        _assert_plain(*_random_jacobi(rng, n), fb)
+
+
+def test_shared_brackets_match_plain_bisection_on_repeated_eigenvalues(fb):
+    _assert_plain([2.0, 1.0, 2.0, 1.0, 1.0, 3.0, 2.0], [0.0] * 6, fb)
+    _assert_plain([0.0] * 5, [0.0] * 4, fb)
+    # decoupled blocks with equal spectra
+    _assert_plain([1.0, 2.0, 1.0, 2.0, 1.0, 2.0], [0.5, 0.0, 0.5, 0.0, 0.5], fb)
+
+
+def test_shared_brackets_match_plain_bisection_on_wilkinson_w21(fb):
+    # W21+: eigenvalues in pairs that agree to many digits at the top
+    diag = [float(abs(10 - i)) for i in range(21)]
+    _assert_plain(diag, [1.0] * 20, fb)
+
+
+def test_shared_brackets_count_each_midpoint_once(fb, monkeypatch):
+    """The shared-bracket eigensolve takes exactly one Sturm count per
+    distinct midpoint of the plain bisection paths, fewer than one per step."""
+    calls = []
+    real = spectral.sturm_count
+
+    def counted(diag, off, x):
+        calls.append(x)
+        return real(diag, off, x)
+
+    monkeypatch.setattr(spectral, "sturm_count", counted)
+    rng = random.Random(4848)
+    for n in (8, 48):
+        for _ in range(3):
+            lam = validate_spectrum(random_spectrum(rng, n))
+            B = build_jacobi_special(solve(lam, fb, with_certificates=False).coefficient_vector, fb)
+            diag = [B.entries[i][i] for i in range(n)]
+            off = [B.entries[i][i + 1] for i in range(n - 1)]
+            _, mids = plain_sturm_bisection(diag, off, fb.policy.root_tol)
+            calls.clear()
+            eigensolve_tridiagonal(B, fb)
+            assert sorted(calls) == sorted(set(mids))
+            assert len(calls) < len(mids)
