@@ -397,7 +397,10 @@ def _battery_roundtrip(seed, sizes, cases, backend):
         for i in range(cases):
             rng = case_rng(seed, f"roundtrip{n}", i)
             spec = validate_spectrum(random_spectrum(rng, n))
-            res = solve_roundtrip(spec, backend)
+            try:
+                res = solve_roundtrip(spec, backend)
+            except err.NumericalBreakdown as exc:
+                return False, f"breakdown at n={n} case {i}: {type(exc).__name__}: {exc}"
             worst = max(worst, res.max_error)
             if res.trace.certificates is not None and n > 1:
                 if len(res.trace.certificates) != n - 1:

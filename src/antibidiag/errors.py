@@ -97,14 +97,6 @@ class SquareOutOfRange(NumericalBreakdown):
     """The square of a positive entry underflows to zero or overflows float64."""
 
 
-class TerminalMismatch(NumericalBreakdown):
-    """Reconstruction did not terminate at the expected degree-1/degree-0 polynomials."""
-
-
-class InterlaceViolation(NumericalBreakdown):
-    """Strict root interlacing certificate failed."""
-
-
 class NotTridiagonal(NumericalBreakdown):
     pass
 

@@ -3,11 +3,13 @@ alternating-sign spectrum, together with the Jacobi-subclass restatement and
 the anti-bidiagonal square root of a positive-spectrum Jacobi matrix.
 
 The construction runs the q-system backwards: starting from the monic
-polynomial with the prescribed roots, it peels off one polynomial per level.
-Each squared codiagonal entry appears as the leading coefficient of the
-residual x*q_{k-1} - q_k, whose two top terms cancel exactly; this is the
-sum-of-squares difference of the positive roots of consecutive levels, so it
-must be strictly positive for any admissible spectrum.
+polynomial with the prescribed roots, it peels off one polynomial per level
+with one three-term step.  Each squared codiagonal entry appears as the
+leading coefficient of the residual x*q_{k+1} - q_{k+2}, whose two top terms
+cancel exactly; this is the sum-of-squares difference of the positive roots
+of consecutive levels, so it must be strictly positive for any admissible
+spectrum.  At the top, the part of q_n of the parity of n - 1 is -a_1 q_{n-1},
+and the rest of q_n takes the place of q_{k+2} in the first step.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from .errors import (
     NotDecreasing,
     NotStrictlyDecreasingModulus,
     NoSignChange,
-    InterlaceViolation,
-    TerminalMismatch,
     TooSmall,
 )
 from .matrixkit import (
@@ -157,83 +157,54 @@ class ReconstructionTrace:
         return CoefficientVector(self.a)
 
 
-def _sigma_from_coeffs(qn: MonicPoly, j: int):
-    """sigma_j read off the monic coefficients: c_{n-j} = (-1)**j sigma_j."""
-    n = qn.degree
-    return (-1) ** j * qn.coeffs[n - j]
-
-
 def solve(
     spectrum: Spectrum,
     backend: Backend,
     with_certificates: bool = True,
-    strict_interlacing: bool = False,
 ) -> ReconstructionTrace:
     """Backward pass from the prescribed spectrum to the coefficient vector.
 
-    Raises NonPositiveA if a squared entry fails to be positive (invalid input
-    or catastrophic roundoff), NonFiniteA if one overflows float64, and
-    TerminalMismatch if the pass does not land on the degree-1 and degree-0
-    boundary polynomials.  Interlacing certificate
-    failures are warnings unless ``strict_interlacing`` is set.
+    q_n = (x - a_1) q_{n-1} - a_2^2 q_{n-2}, and q_{n-1} has the parity of
+    n - 1, so the part of q_n of the other parity is -a_1 q_{n-1}: q_{n-1} is
+    that part divided by -a_1, and the rest of q_n, x q_{n-1} - a_2^2 q_{n-2},
+    is the top of the plain three-term step.  Every level k = n-2, ..., 0 then
+    takes the same step: r = x q_{k+1} - (the level above), a_{n-k}^2 = r[k],
+    and q_k is r[:k] / a_{n-k}^2 under a leading 1, with the coefficients of
+    the wrong parity set to zero.
+
+    Raises NonPositiveA if a_1 or a squared entry fails to be positive
+    (invalid input or catastrophic roundoff) and NonFiniteA if a squared
+    entry overflows float64.  Interlacing certificate failures are warnings.
     """
     lam = tuple(backend.convert(v) for v in spectrum.lambdas)
     n = len(lam)
     warnings: list[str] = []
     qn = from_roots(lam, backend)
-    if n == 1:
-        a1 = lam[0]
-        qs = (MonicPoly((backend.one,), "even"), qn)
-        cert = () if not backend.exact else None
-        return ReconstructionTrace(spectrum, qs, a1, (), (a1,) if not backend.exact else None, cert)
-
     a1 = -qn.coeffs[n - 1]  # sigma_1
     if not a1 > 0:
         raise NonPositiveA(f"a_1 = sigma_1 = {a1} is not positive")
-    # q_{n-1}: the parity part of q_n opposite to n, divided by a_1.
-    qm1 = [backend.zero] * n
-    for k in range(n):
-        if (n + k) % 2 == 1:
-            qm1[k] = -qn.coeffs[k] / a1
-    q_prev = MonicPoly(tuple(qm1), parity_of_degree(n - 1))  # q_{n-1}
-
-    sigma2 = _sigma_from_coeffs(qn, 2)
-    sigma3 = _sigma_from_coeffs(qn, 3) if n >= 3 else backend.zero
-    a_sq = [sigma3 / a1 - sigma2]  # a_2^2
-    if not a_sq[0] > 0:
-        raise NonPositiveA(f"a_2^2 = {a_sq[0]} is not positive")
-    # q_{n-2} = ((x - a_1) q_{n-1} - q_n) / a_2^2
-    r = lin_comb(shift_up(q_prev.coeffs), q_prev.coeffs, -a1)
-    r = lin_comb(r, qn.coeffs, -backend.one)
-    q_cur, slack = _descend(r, n - 2, a_sq[0], backend)
-    qs = [qn, q_prev, q_cur]  # descending degree
-
-    # Levels n-3 down to 0 via the plain three-term step.
-    for j in range(1, n - 1):
-        deg = n - j - 2
-        r = lin_comb(shift_up(qs[-1].coeffs), qs[-2].coeffs, -backend.one)
-        asq = r[deg] if deg < len(r) else backend.zero
-        if not asq > 0:
-            raise NonPositiveA(f"a_{j + 2}^2 = {asq} is not positive")
-        a_sq.append(asq)
-        q_next, s = _descend(r, deg, asq, backend)
-        slack = max(slack, s)
-        qs.append(q_next)
-
-    # Terminal boundary: q_1 = x, q_0 = 1 (their parity-forbidden parts were
-    # measured before enforcement via the slack accumulator).
-    tol = 0.0 if backend.exact else backend.policy.eq_abs * max(
-        1.0, max(abs(float(c)) for c in qn.coeffs)
+    upper = tuple(c if (n - k) % 2 == 0 else backend.zero for k, c in enumerate(qn.coeffs))
+    q = MonicPoly(
+        tuple(-c / a1 if (n - k) % 2 else backend.zero for k, c in enumerate(qn.coeffs[:n])),
+        parity_of_degree(n - 1),
     )
-    if slack > tol:
-        raise TerminalMismatch(f"parity slack {slack} exceeds tolerance {tol}")
-    if qs[-1].coeffs != (backend.one,) or qs[-2].coeffs[-1] != backend.one:
-        raise TerminalMismatch("backward pass did not reach the boundary polynomials")
+    qs = [qn, q]  # descending degree
+    a_sq = []
+    for k in range(n - 2, -1, -1):
+        r = lin_comb(shift_up(q.coeffs), upper, -backend.one)
+        asq = r[k]  # a_{n-k}^2
+        if not asq > 0:
+            raise NonPositiveA(f"a_{n - k}^2 = {asq} is not positive")
+        a_sq.append(asq)
+        upper = q.coeffs
+        coeffs = tuple(c / asq for c in r[:k]) + (backend.one,)
+        q = with_parity(MonicPoly(coeffs), parity_of_degree(k), backend)
+        qs.append(q)
 
     qs_by_degree = tuple(reversed(qs))
     a_vec = None
     if not backend.exact:
-        if max(a_sq) == math.inf:
+        if math.inf in a_sq:
             raise NonFiniteA("a squared codiagonal entry overflows float64")
         a_vec = (a1,) + tuple(backend.sqrt(v) for v in a_sq)
 
@@ -241,8 +212,6 @@ def solve(
     if with_certificates and not backend.exact:
         certificates, cert_warn = _certify_interlacing(qs_by_degree, lam, backend)
         warnings.extend(cert_warn)
-        if strict_interlacing and cert_warn:
-            raise InterlaceViolation("; ".join(cert_warn))
 
     return ReconstructionTrace(
         spectrum,
@@ -253,20 +222,6 @@ def solve(
         certificates,
         tuple(warnings),
     )
-
-
-def _descend(r, deg, divisor, backend):
-    """Divide the residual by the extracted square, enforce parity, and report
-    the largest parity-forbidden coefficient left behind (scaled slack)."""
-    coeffs = [c / divisor for c in r[: deg + 1]]
-    coeffs[deg] = backend.one  # leading term divides to one exactly by construction
-    slack = 0.0
-    forbidden = 1 if deg % 2 == 0 else 0
-    for k in range(deg + 1):
-        if k % 2 == forbidden:
-            slack = max(slack, abs(float(coeffs[k])))
-    p = with_parity(MonicPoly(tuple(coeffs)), parity_of_degree(deg), backend)
-    return p, slack
 
 
 def _certify_interlacing(qs_by_degree, lam, backend):
@@ -305,12 +260,12 @@ class RoundtripResult:
     max_error: float
 
 
-def solve_roundtrip(spectrum: Spectrum, backend: Backend, **kw) -> RoundtripResult:
+def solve_roundtrip(spectrum: Spectrum, backend: Backend) -> RoundtripResult:
     """Solve, rebuild the Jacobi matrix, eigensolve it independently, and
     report the worst relative eigenvalue error against the input."""
     if backend.exact:
         raise BackendUnsupported("roundtrip eigensolve needs the floating backend")
-    trace = solve(spectrum, backend, **kw)
+    trace = solve(spectrum, backend)
     B = build_jacobi_special(trace.coefficient_vector, backend)
     eig = eigensolve_tridiagonal(B, backend)
     return RoundtripResult(trace, eig, relative_spectrum_error(eig, spectrum.lambdas))

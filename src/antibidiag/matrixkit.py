@@ -14,12 +14,6 @@ from dataclasses import dataclass
 from .errors import EmptyInput, NonFiniteEntry, NonPositiveEntry, SizeMismatch, StructuralZero
 from .scalars import Backend
 
-ANTI_BIDIAGONAL = "anti_bidiagonal"
-JACOBI = "jacobi"
-ANTIDIAGONAL_UNIT = "antidiagonal_unit"
-GENERAL = "general"
-
-
 @dataclass(frozen=True)
 class CoefficientVector:
     """Strictly positive finite entries a_1..a_n defining both structured families."""
@@ -44,7 +38,6 @@ class CoefficientVector:
 class StructuredMatrix:
     n: int
     entries: tuple  # tuple of n row-tuples
-    tag: str = GENERAL
 
     def entry(self, i: int, j: int):
         """1-based access."""
@@ -89,7 +82,7 @@ def build_antibidiagonal(a: CoefficientVector, backend: Backend) -> StructuredMa
         v = backend.convert(a.a[idx - 1])
         grid[i - 1][j - 1] = v
         grid[j - 1][i - 1] = v
-    return StructuredMatrix(n, _freeze(grid), ANTI_BIDIAGONAL)
+    return StructuredMatrix(n, _freeze(grid))
 
 
 def build_jacobi_special(a: CoefficientVector, backend: Backend) -> StructuredMatrix:
@@ -101,7 +94,7 @@ def build_jacobi_special(a: CoefficientVector, backend: Backend) -> StructuredMa
         v = backend.convert(a.a[k - 1])
         grid[k - 2][k - 1] = v
         grid[k - 1][k - 2] = v
-    return StructuredMatrix(n, _freeze(grid), JACOBI)
+    return StructuredMatrix(n, _freeze(grid))
 
 
 def build_antidiagonal_unit(n: int, backend: Backend) -> StructuredMatrix:
@@ -110,7 +103,7 @@ def build_antidiagonal_unit(n: int, backend: Backend) -> StructuredMatrix:
     grid = _grid(n, backend.zero)
     for i in range(n):
         grid[i][n - 1 - i] = backend.one
-    return StructuredMatrix(n, _freeze(grid), ANTIDIAGONAL_UNIT)
+    return StructuredMatrix(n, _freeze(grid))
 
 
 def check_index_set(idx, n: int):
@@ -188,39 +181,18 @@ def matmul(X: StructuredMatrix, Y: StructuredMatrix, backend: Backend) -> Struct
         tuple(sum(a * b for a, b in zip(xrow, ycol)) for ycol in yt)
         for xrow in X.entries
     ]
-    out = StructuredMatrix(n, tuple(grid), GENERAL)
-    if _is_jacobi(out, backend):
-        out = StructuredMatrix(n, out.entries, JACOBI)
-    return out
-
-
-def _is_jacobi(M: StructuredMatrix, backend: Backend) -> bool:
-    n = M.n
-    scale = M.maxnorm()
-    for i in range(n):
-        for j in range(n):
-            if abs(i - j) > 1 and not backend.is_zero(M.entries[i][j], scale):
-                return False
-    for i in range(n - 1):
-        if M.entries[i][i + 1] != M.entries[i + 1][i]:
-            if backend.exact or not backend.approx_equal(
-                M.entries[i][i + 1], M.entries[i + 1][i]
-            ):
-                return False
-        if not M.entries[i][i + 1] > 0:
-            return False
-    return True
+    return StructuredMatrix(n, tuple(grid))
 
 
 def conjugate_signs(M: StructuredMatrix, eps, backend: Backend) -> StructuredMatrix:
-    """diag(eps) * M * diag(eps) for eps in {+-1}^n; preserves the tag's sparsity."""
+    """diag(eps) * M * diag(eps) for eps in {+-1}^n; preserves the sparsity."""
     if len(eps) != M.n:
         raise SizeMismatch("sign vector length must equal dimension")
     grid = tuple(
         tuple(eps[i] * eps[j] * M.entries[i][j] for j in range(M.n))
         for i in range(M.n)
     )
-    return StructuredMatrix(M.n, grid, M.tag)
+    return StructuredMatrix(M.n, grid)
 
 
 def sign_normalize(M: StructuredMatrix, backend: Backend):

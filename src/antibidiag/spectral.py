@@ -81,8 +81,9 @@ def gershgorin_bounds(diag, off):
 
 def eigensolve_tridiagonal(T: StructuredMatrix, backend: Backend):
     """All eigenvalues of a symmetric tridiagonal matrix, ascending; the k-th is
-    where the Sturm count steps from k-1 to k, bisected to width <= root_tol
-    from the Gershgorin interval.
+    where the Sturm count steps from k-1 to k, bisected from the Gershgorin
+    interval to width <= root_tol * min(1, largest Gershgorin bound modulus),
+    so a matrix of small entries keeps its relative precision.
 
     Each eigenvalue keeps its own bracket (Barth, Martin & Wilkinson 1967): a
     Sturm count at x also moves every later bracket that is still the interval
@@ -93,8 +94,8 @@ def eigensolve_tridiagonal(T: StructuredMatrix, backend: Backend):
     if backend.exact:
         raise BackendUnsupported("eigensolver needs the floating backend")
     diag, off = _extract_tridiagonal(T, backend.policy)
-    tol = backend.policy.root_tol
     glo, ghi = gershgorin_bounds(diag, off)
+    tol = backend.policy.root_tol * min(1.0, max(-glo, ghi))
     n = len(diag)
     lo, hi = [glo - tol] * n, [ghi + tol] * n
 

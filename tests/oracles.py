@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's own code paths: symmetric
 functions by subset enumeration, polynomial expansion by pairwise products,
 determinants by Laplace cofactor expansion, and dense symmetric eigenvalues by
-cyclic Jacobi rotations.
+cyclic Jacobi rotations.  The exception is ``backward_pass_reference``, the
+first form of the solver's backward pass, which starts from the library's
+``from_roots`` as the solver does.
 """
 
 from fractions import Fraction
@@ -164,3 +166,109 @@ def plain_sturm_bisection(diag, off, tol, max_iter=200):
                 lo = mid
         eigs.append(0.5 * (lo + hi))
     return tuple(eigs), mids
+
+
+class TerminalMismatch(Exception):
+    """The reference pass did not land on the boundary polynomials."""
+
+
+def backward_pass_reference(lam, backend):
+    """The backward pass as first written, kept to compare the single-step
+    pass of ``inversesolver.solve`` against bit for bit.
+
+    The top step reads a_2^2 = sigma_3/a_1 - sigma_2 off the coefficients and
+    forms (x - a_1) q_{n-1} - q_n; every level divides its residual, records
+    the largest coefficient of the wrong parity (the "parity slack") and then
+    zeroes those coefficients; the pass ends with a slack and a boundary check.
+    ``lam`` holds the backend's scalars.  Returns (a_1, the squares, the
+    positive vector or None, the q_k coefficient tuples by degree)."""
+    import math
+
+    from antibidiag.errors import NonFiniteA, NonPositiveA
+    from antibidiag.poly import from_roots
+
+    def shift_up(coeffs):
+        return (coeffs[0] * 0,) + tuple(coeffs)
+
+    def lin_comb(c1, c2, s):
+        n = max(len(c1), len(c2))
+        z = c1[0] * 0
+        out = []
+        for k in range(n):
+            a = c1[k] if k < len(c1) else z
+            b = c2[k] if k < len(c2) else z
+            out.append(a + s * b)
+        return tuple(out)
+
+    def with_parity(coeffs, deg):
+        forbidden = 1 if deg % 2 == 0 else 0
+        coeffs = list(coeffs)
+        for k in range(len(coeffs)):
+            if k % 2 == forbidden and coeffs[k] != 0:
+                if backend.exact:
+                    raise ArithmeticError(
+                        f"parity-forbidden coefficient {k} is {coeffs[k]} != 0"
+                    )
+                coeffs[k] = backend.zero
+        return tuple(coeffs)
+
+    def descend(r, deg, divisor):
+        coeffs = [c / divisor for c in r[: deg + 1]]
+        coeffs[deg] = backend.one
+        slack = 0.0
+        forbidden = 1 if deg % 2 == 0 else 0
+        for k in range(deg + 1):
+            if k % 2 == forbidden:
+                slack = max(slack, abs(float(coeffs[k])))
+        return with_parity(coeffs, deg), slack
+
+    n = len(lam)
+    qn = from_roots(lam, backend).coeffs
+    if n == 1:
+        a1 = lam[0]
+        return a1, (), None if backend.exact else (a1,), ((backend.one,), qn)
+
+    a1 = -qn[n - 1]
+    if not a1 > 0:
+        raise NonPositiveA(f"a_1 = sigma_1 = {a1} is not positive")
+    qm1 = [backend.zero] * n
+    for k in range(n):
+        if (n + k) % 2 == 1:
+            qm1[k] = -qn[k] / a1
+    q_prev = tuple(qm1)
+
+    sigma2 = (-1) ** 2 * qn[n - 2]
+    sigma3 = (-1) ** 3 * qn[n - 3] if n >= 3 else backend.zero
+    a_sq = [sigma3 / a1 - sigma2]
+    if not a_sq[0] > 0:
+        raise NonPositiveA(f"a_2^2 = {a_sq[0]} is not positive")
+    r = lin_comb(shift_up(q_prev), q_prev, -a1)
+    r = lin_comb(r, qn, -backend.one)
+    q_cur, slack = descend(r, n - 2, a_sq[0])
+    qs = [qn, q_prev, q_cur]
+
+    for j in range(1, n - 1):
+        deg = n - j - 2
+        r = lin_comb(shift_up(qs[-1]), qs[-2], -backend.one)
+        asq = r[deg] if deg < len(r) else backend.zero
+        if not asq > 0:
+            raise NonPositiveA(f"a_{j + 2}^2 = {asq} is not positive")
+        a_sq.append(asq)
+        q_next, s = descend(r, deg, asq)
+        slack = max(slack, s)
+        qs.append(q_next)
+
+    tol = 0.0 if backend.exact else backend.policy.eq_abs * max(
+        1.0, max(abs(float(c)) for c in qn)
+    )
+    if slack > tol:
+        raise TerminalMismatch(f"parity slack {slack} exceeds tolerance {tol}")
+    if qs[-1] != (backend.one,) or qs[-2][-1] != backend.one:
+        raise TerminalMismatch("backward pass did not reach the boundary polynomials")
+
+    a_vec = None
+    if not backend.exact:
+        if max(a_sq) == math.inf:
+            raise NonFiniteA("a squared codiagonal entry overflows float64")
+        a_vec = (a1,) + tuple(backend.sqrt(v) for v in a_sq)
+    return a1, tuple(a_sq), a_vec, tuple(reversed(qs))

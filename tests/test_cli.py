@@ -209,3 +209,14 @@ def test_verify_all_size_limit_is_the_samplers():
     assert len(random_moduli(rng, MAX_DEFAULT_N)) == MAX_DEFAULT_N
     with pytest.raises(ValueError):
         random_moduli(rng, MAX_DEFAULT_N + 1)
+
+
+def test_verify_all_reports_a_roundtrip_breakdown():
+    # float64 breaks down on the n = 99 sample; the other batteries still run
+    code, text = run(["verify-all", "--sizes", "99", "--cases", "1"])
+    assert code == 2
+    results = {r["battery"]: r for r in json.loads(text)["results"]}
+    roundtrip = results.pop("roundtrip")
+    assert not roundtrip["passed"]
+    assert roundtrip["detail"].startswith("breakdown at n=99 case 0: NonPositiveA: a_14^2 = ")
+    assert len(results) == 5 and all(r["passed"] for r in results.values())

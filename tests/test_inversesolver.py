@@ -21,6 +21,7 @@ from antibidiag import (
     validate_spectrum,
 )
 from antibidiag.errors import (
+    AntibidiagError,
     BackendUnsupported,
     EmptyInput,
     NonFiniteA,
@@ -39,7 +40,7 @@ from antibidiag.sampling import (
     random_spectrum,
 )
 
-from oracles import dense_symmetric_eigs
+from oracles import TerminalMismatch, backward_pass_reference, dense_symmetric_eigs
 
 SQ2, SQ3 = math.sqrt(2.0), math.sqrt(3.0)
 
@@ -153,7 +154,8 @@ class TestSolve:
         for _ in range(20):
             n = rng.randint(2, 12)
             spec = validate_spectrum(random_spectrum(rng, n))
-            trace = solve(spec, fb, strict_interlacing=True)
+            trace = solve(spec, fb)
+            assert trace.warnings == ()
             assert len(trace.certificates) == n - 1
             for _, inner, outer in trace.certificates:
                 assert interlaces(inner, outer)
@@ -299,3 +301,59 @@ class TestParityHalvedCertificates:
                 brackets = [(outer[i], outer[i + 1]) for i in range(k)]
                 full = roots_bracketed(trace.qs[k], brackets, fb)
                 assert max(abs(x - y) for x, y in zip(inner, full)) <= 1e-9
+
+
+class TestSingleStepPass:
+    """The backward pass takes the plain three-term step at every level; it
+    reproduces the first pass (the sigma top step, the parity slack and the
+    boundary checks) bit for bit."""
+
+    @staticmethod
+    def _allowed(qs):
+        # the coefficients of q_k, k < n, that its parity allows; all of q_n
+        n = len(qs) - 1
+        return tuple(c[k % 2 :: 2] if k < n else c for k, c in enumerate(qs))
+
+    @classmethod
+    def _solve(cls, lam, backend):
+        try:
+            t = solve(validate_spectrum(lam), backend, with_certificates=False)
+        except (AntibidiagError, ArithmeticError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+        return repr((t.a1, t.a_squared, t.a, cls._allowed([q.coeffs for q in t.qs])))
+
+    @classmethod
+    def _reference(cls, lam, backend):
+        try:
+            a1, a_sq, a, qs = backward_pass_reference(lam, backend)
+        except (AntibidiagError, ArithmeticError, TerminalMismatch) as exc:
+            return f"{type(exc).__name__}: {exc}"
+        return repr((a1, a_sq, a, cls._allowed(qs)))
+
+    def test_matches_reference_on_float_spectra(self, fb):
+        rng = random.Random(5101)
+        outcomes = set()
+        for n in range(1, 65):
+            for e in (-150, -20, 0, 20, 150, 200, rng.uniform(-150, 150)):
+                lam = tuple(v * 10.0**e for v in random_spectrum(rng, n))
+                got = self._solve(lam, fb)
+                assert got == self._reference(lam, fb), (n, e)
+                outcomes.add(got.split(":")[0] if got[0] != "(" else "solved")
+        assert outcomes == {"solved", "NonPositiveA", "NonFiniteA", "DuplicateRoots"}
+
+    def test_matches_reference_on_rational_spectra(self, rb):
+        rng = random.Random(5102)
+        for n in range(1, 33):
+            lam = random_rational_spectrum(rng, n, max_num=rng.choice((64, 400, 4000)))
+            got = self._solve(lam, rb)
+            assert got[0] == "(" and got == self._reference(lam, rb), n
+
+    def test_spectrum_the_slack_check_refused_solves_with_warnings(self, fb):
+        # Clustered moduli: the first pass's top step left a parity slack of
+        # 128 here and refused the spectrum as a breakdown.
+        lam = (145.84329349754773, -145.84329330657724, 145.84329330539157)
+        with pytest.raises(TerminalMismatch, match="parity slack"):
+            backward_pass_reference(lam, fb)
+        trace = solve(validate_spectrum(lam), fb)
+        assert trace.a1 > 0 and all(v > 0 for v in trace.a_squared)
+        assert trace.warnings == ("level 2: interlacing violated",)

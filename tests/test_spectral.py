@@ -19,6 +19,7 @@ from antibidiag import (
     poly_eval,
     signature_sequence,
     solve,
+    solve_roundtrip,
     validate_spectrum,
 )
 from antibidiag.errors import (
@@ -220,7 +221,9 @@ def _random_jacobi(rng, n):
 
 
 def _assert_plain(diag, off, fb):
-    want, _ = plain_sturm_bisection(diag, off, fb.policy.root_tol)
+    # the eigensolver's width: root_tol, scaled down by a Gershgorin bound below 1
+    glo, ghi = gershgorin_bounds(diag, off)
+    want, _ = plain_sturm_bisection(diag, off, fb.policy.root_tol * min(1.0, max(-glo, ghi)))
     assert eigensolve_tridiagonal(_tridiagonal(diag, off), fb) == want
 
 
@@ -267,3 +270,16 @@ def test_shared_brackets_count_each_midpoint_once(fb, monkeypatch):
             eigensolve_tridiagonal(B, fb)
             assert sorted(calls) == sorted(set(mids))
             assert len(calls) < len(mids)
+
+
+@pytest.mark.parametrize("scale", [1e0, 1e-3, 1e-6, 1e-9])
+def test_roundtrip_precision_does_not_depend_on_units(fb, scale):
+    # moduli within a factor of 10, so root_tol relative to the largest
+    # eigenvalue is within 1e-12 of every one
+    rng = random.Random(4900)
+    spectra = [(3.0, -2.0, 1.0)] + [
+        random_spectrum(rng, n, lo=1.0) for n in (2, 5, 8) for _ in range(3)
+    ]
+    for lam in spectra:
+        spec = validate_spectrum(tuple(v * scale for v in lam))
+        assert solve_roundtrip(spec, fb).max_error <= 1e-12
