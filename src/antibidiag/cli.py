@@ -57,8 +57,6 @@ EXIT_OK = 0
 EXIT_BREAKDOWN = err.NumericalBreakdown.exit_code
 EXIT_USAGE = err.UsageError.exit_code
 
-GAP_WARN_THRESHOLD = 1e-6
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -245,13 +243,7 @@ def _emit(report: dict, fmt: str, out) -> None:
 def _solve_report(values, backend: Backend, want_roundtrip: bool) -> dict:
     spectrum = validate_spectrum(values)
     trace = solve(spectrum, backend)
-    warnings = list(trace.warnings)
     gap = spectrum.min_modulus_gap()
-    if gap is not None and float(gap) < GAP_WARN_THRESHOLD:
-        warnings.append(
-            f"minimum modulus gap {float(gap):.3e} is below {GAP_WARN_THRESHOLD}; "
-            "reconstruction is ill-conditioned, consider --backend rational"
-        )
     a_sq_report = [trace.a1] + list(trace.a_squared)
     if backend.exact:
         A = B = None
@@ -280,7 +272,7 @@ def _solve_report(values, backend: Backend, want_roundtrip: bool) -> dict:
             "roundtrip_error": roundtrip_error,
             "min_modulus_gap": None if gap is None else _num(gap, backend),
         },
-        "warnings": warnings,
+        "warnings": list(trace.warnings),
     }
 
 

@@ -51,6 +51,10 @@ from .poly import (
 from .scalars import Backend
 from .spectral import eigensolve_tridiagonal, interlaces, relative_spectrum_error
 
+# A modulus gap below this fraction of lambda_1 draws a warning.  Scaling a
+# spectrum scales a by the same factor, so the test must be relative.
+GAP_WARN_RATIO = 1e-6
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -174,7 +178,8 @@ def solve(
 
     Raises NonPositiveA if a_1 or a squared entry fails to be positive
     (invalid input or catastrophic roundoff) and NonFiniteA if a squared
-    entry overflows float64.  Interlacing certificate failures are warnings.
+    entry overflows float64.  Interlacing certificate failures are warnings,
+    and so is a minimum modulus gap below GAP_WARN_RATIO * lambda_1.
     """
     lam = tuple(backend.convert(v) for v in spectrum.lambdas)
     n = len(lam)
@@ -212,6 +217,12 @@ def solve(
     if with_certificates and not backend.exact:
         certificates, cert_warn = _certify_interlacing(qs_by_degree, lam, backend)
         warnings.extend(cert_warn)
+    gap = spectrum.min_modulus_gap()
+    if gap is not None and float(gap) < GAP_WARN_RATIO * float(spectrum.lambdas[0]):
+        warnings.append(
+            f"minimum modulus gap {float(gap):.3e} is below {GAP_WARN_RATIO} * lambda_1; "
+            "reconstruction is ill-conditioned, consider --backend rational"
+        )
 
     return ReconstructionTrace(
         spectrum,

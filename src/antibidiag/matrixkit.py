@@ -1,9 +1,13 @@
 """Structured matrices: anti-bidiagonal, the special Jacobi subclass, the
 antidiagonal unit, plus dense minors, products, and sign normalization.
 
-Index convention is 1-based throughout the public surface (``entry``, index
-sets), matching the a_1..a_n labelling of the structures; internal storage is
-0-based tuples.
+Each structured matrix is built from its index rule.  In the anti-bidiagonal
+matrix the nonzeros sit where i + j is n + 1 or n + 2 (1-based) and the entry
+there is a_{|i-j|+1}; its flip J*A by the antidiagonal unit J is therefore
+upper bidiagonal, nonzero exactly where j - i is 0 or 1.
+
+Index sets and the rules are 1-based, matching the a_1..a_n labelling of the
+structures; storage is 0-based tuples.
 """
 
 from __future__ import annotations
@@ -39,10 +43,6 @@ class StructuredMatrix:
     n: int
     entries: tuple  # tuple of n row-tuples
 
-    def entry(self, i: int, j: int):
-        """1-based access."""
-        return self.entries[i - 1][j - 1]
-
     def maxnorm(self):
         return max(abs(v) for row in self.entries for v in row)
 
@@ -50,60 +50,37 @@ class StructuredMatrix:
         return [sum(v * v for v in row) ** 0.5 for row in self.entries]
 
 
-def _grid(n, zero):
-    return [[zero] * n for _ in range(n)]
-
-
-def _freeze(grid):
-    return tuple(tuple(row) for row in grid)
-
-
-def antibidiagonal_positions(n: int):
-    """Map a-index -> canonical (i, j), i <= j, 1-based, of its structural slot."""
-    pos = {}
-    for i in range(1, n + 1):
-        j = n + 1 - i
-        idx = n + 2 - 2 * i
-        if 1 <= idx <= n:
-            pos[idx] = (min(i, j), max(i, j))
-        j = n + 2 - i
-        idx = n + 3 - 2 * i
-        if i >= 2 and j <= n and 1 <= idx <= n:
-            pos[idx] = (min(i, j), max(i, j))
-    return pos
-
-
 def build_antibidiagonal(a: CoefficientVector, backend: Backend) -> StructuredMatrix:
     """The symmetric matrix whose nonzeros fill the two central antidiagonals:
+    entry (i, j), 1-based, is a_{|i-j|+1} where i + j is n + 1 or n + 2, so
     row 1 = (0,..,0,a_n), row 2 = (0,..,0,a_{n-2},a_{n-1}), ..."""
-    n = a.n
-    grid = _grid(n, backend.zero)
-    for idx, (i, j) in antibidiagonal_positions(n).items():
-        v = backend.convert(a.a[idx - 1])
-        grid[i - 1][j - 1] = v
-        grid[j - 1][i - 1] = v
-    return StructuredMatrix(n, _freeze(grid))
+    n, zero = a.n, backend.zero
+    v = [backend.convert(x) for x in a.a]  # 0-based: the rule reads i + j in {n-1, n}
+    rows = (
+        tuple([v[abs(i - j)] if n - 1 <= i + j <= n else zero for j in range(n)])
+        for i in range(n)
+    )
+    return StructuredMatrix(n, tuple(rows))
 
 
 def build_jacobi_special(a: CoefficientVector, backend: Backend) -> StructuredMatrix:
-    """Tridiagonal matrix with diagonal (a_1, 0, ..., 0) and codiagonal a_2..a_n."""
-    n = a.n
-    grid = _grid(n, backend.zero)
-    grid[0][0] = backend.convert(a.a[0])
-    for k in range(2, n + 1):
-        v = backend.convert(a.a[k - 1])
-        grid[k - 2][k - 1] = v
-        grid[k - 1][k - 2] = v
-    return StructuredMatrix(n, _freeze(grid))
+    """Tridiagonal matrix with diagonal (a_1, 0, ..., 0) and codiagonal a_2..a_n:
+    entry (i, j), 1-based, is a_{max(i,j)} where |i - j| = 1 or i = j = 1."""
+    n, zero = a.n, backend.zero
+    v = [backend.convert(x) for x in a.a]
+    rows = (
+        tuple([v[max(i, j)] if abs(i - j) == 1 or i == j == 0 else zero for j in range(n)])
+        for i in range(n)
+    )
+    return StructuredMatrix(n, tuple(rows))
 
 
 def build_antidiagonal_unit(n: int, backend: Backend) -> StructuredMatrix:
     if n < 1:
         raise EmptyInput("n must be >= 1")
-    grid = _grid(n, backend.zero)
-    for i in range(n):
-        grid[i][n - 1 - i] = backend.one
-    return StructuredMatrix(n, _freeze(grid))
+    one, zero = backend.one, backend.zero
+    rows = (tuple([one if i + j == n - 1 else zero for j in range(n)]) for i in range(n))
+    return StructuredMatrix(n, tuple(rows))
 
 
 def check_index_set(idx, n: int):
@@ -118,39 +95,16 @@ def check_index_set(idx, n: int):
     return idx
 
 
-def determinant(rows, exact: bool):
-    """Determinant of a small dense square array (list of row lists).
-
-    Exact scalars: fraction-free Bareiss elimination (all divisions exact).
-    Floats: Gaussian elimination with partial pivoting.
-    """
+def determinant(rows):
+    """Determinant of a small dense square array (list of row lists), by
+    Gaussian elimination with partial pivoting; exact on Fractions."""
     n = len(rows)
     m = [list(r) for r in rows]
-    if n == 0:
-        return 1
-    if exact:
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for r in range(k + 1, n):
-                    if m[r][k] != 0:
-                        m[k], m[r] = m[r], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return m[0][0] * 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-                m[i][k] = m[i][k] * 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-    det = 1.0
+    det = 1
     for k in range(n):
         p = max(range(k, n), key=lambda r: abs(m[r][k]))
         if m[p][k] == 0:
-            return 0.0
+            return abs(m[p][k])  # a zero of the entries' type, never -0.0
         if p != k:
             m[k], m[p] = m[p], m[k]
             det = -det
@@ -169,7 +123,7 @@ def minor(M: StructuredMatrix, rows, cols, backend: Backend):
     if len(rows) != len(cols):
         raise SizeMismatch(f"{len(rows)} rows vs {len(cols)} cols")
     sub = [[M.entries[i - 1][j - 1] for j in cols] for i in rows]
-    return determinant(sub, backend.exact)
+    return determinant(sub)
 
 
 def matmul(X: StructuredMatrix, Y: StructuredMatrix, backend: Backend) -> StructuredMatrix:
@@ -199,48 +153,31 @@ def sign_normalize(M: StructuredMatrix, backend: Backend):
     """Recover (a, eps, global_negate) with (+-1)*diag(eps)*M*diag(eps) equal to
     the positive anti-bidiagonal matrix built from a.
 
-    The structural slots couple the indices into a single path, so a consistent
-    sign vector always exists; a_1 sits on the diagonal and can only be fixed by
-    the global negation.
+    The structural slots couple the indices into the single path
+    1, n, 2, n-1, ... (1-based): the next vertex is n+1-v after an even step
+    and n+2-v after an odd one.  The walk crosses the slots of a_n, ..., a_2
+    in turn and ends on the diagonal slot of a_1, which only the global
+    negation can fix; each step fixes the sign of the vertex it reaches.
     """
     n = M.n
-    pos = antibidiagonal_positions(n)
-    slots = set(pos.values())
     scale = M.maxnorm()
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            structural = (min(i, j), max(i, j)) in slots
-            v = M.entry(i, j)
-            if structural:
+    for i, row in enumerate(M.entries, start=1):
+        for j, v in enumerate(row, start=1):
+            if i + j in (n + 1, n + 2):
                 if backend.is_zero(v, scale):
                     raise StructuralZero(f"structural entry ({i},{j}) is zero")
             elif not backend.is_zero(v, scale):
                 raise SizeMismatch(f"entry ({i},{j}) breaks the anti-bidiagonal pattern")
-    vals = {idx: M.entry(i, j) for idx, (i, j) in pos.items()}
-    negate = vals[1] < 0
-    if negate:
-        vals = {k: -v for k, v in vals.items()}
-    # Propagate signs along the index-coupling edges.
-    eps = [0] * (n + 1)  # 1-based
-    adj = {i: [] for i in range(1, n + 1)}
-    for idx, (i, j) in pos.items():
-        if i != j:
-            want = 1 if vals[idx] > 0 else -1
-            adj[i].append((j, want))
-            adj[j].append((i, want))
-    for start in range(1, n + 1):
-        if eps[start]:
-            continue
-        eps[start] = 1
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j, want in adj[i]:
-                need = want * eps[i]
-                if eps[j] == 0:
-                    eps[j] = need
-                    stack.append(j)
-                elif eps[j] != need:
-                    raise ArithmeticError("inconsistent sign pattern")  # unreachable
-    a = CoefficientVector(tuple(abs(vals[k]) for k in range(1, n + 1)))
-    return a, tuple(eps[1:]), negate
+    centre = M.entries[n // 2][n // 2]  # a_1, up to the global sign
+    negate = centre < 0
+    eps = [1] * n
+    walked = []  # |a_n|, |a_{n-1}|, ..., |a_2|
+    v = 0  # 0-based
+    for step in range(n - 1):
+        w = n - 1 - v + step % 2
+        x = M.entries[min(v, w)][max(v, w)]
+        walked.append(abs(x))
+        eps[w] = eps[v] if (x > 0) != negate else -eps[v]
+        v = w
+    a = CoefficientVector((abs(centre),) + tuple(reversed(walked)))
+    return a, tuple(eps), negate

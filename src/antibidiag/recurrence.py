@@ -10,8 +10,8 @@ Two systems produce the same top polynomial:
   q_k is the characteristic polynomial of the trailing k x k principal
   submatrix of the Jacobi matrix, hence has the parity of k for k <= n-1.
 
-Both accept either a full positive coefficient vector or the pair
-(a_1, squared tail) so the exact backend never needs square roots.
+Both take a positive coefficient vector; the q-system also takes the pair
+(a_1, squared tail), so the exact backend never needs square roots.
 """
 
 from __future__ import annotations
@@ -21,11 +21,8 @@ from dataclasses import dataclass
 
 from .errors import NonPositiveEntry, SquareOutOfRange
 from .matrixkit import CoefficientVector
-from .poly import MonicPoly, lin_comb, parity_of_degree, shift_up, with_parity
+from .poly import EVEN, ODD, MonicPoly, lin_comb, parity_of_degree, shift_up, with_parity
 from .scalars import Backend
-
-P_SYSTEM = "p_system"
-Q_SYSTEM = "q_system"
 
 
 @dataclass(frozen=True)
@@ -33,7 +30,6 @@ class CharPolySequence:
     """polys[k] has degree k; polys[n] is the full characteristic polynomial."""
 
     polys: tuple
-    source: str
 
     @property
     def n(self) -> int:
@@ -67,20 +63,14 @@ def _check_positive(a1, tail_sq):
 
 
 def forward_p(a: CoefficientVector, backend: Backend) -> CharPolySequence:
-    a1, tail = _squares(a, backend)
-    return forward_p_squared(a1, tail, backend)
-
-
-def forward_p_squared(a1, tail_sq, backend: Backend) -> CharPolySequence:
-    """p-system from a_1 and the squared tail (a_2^2, ..., a_n^2)."""
-    _check_positive(a1, tail_sq)
-    n = 1 + len(tail_sq)
+    """p-system of a positive coefficient vector."""
+    a1, tail_sq = _squares(a, backend)
     one = backend.one
     polys = [MonicPoly((one,)), MonicPoly((-a1, one))]
-    for k in range(2, n + 1):
+    for k in range(2, a.n + 1):
         coeffs = lin_comb(shift_up(polys[k - 1].coeffs), polys[k - 2].coeffs, -tail_sq[k - 2])
         polys.append(MonicPoly(coeffs))
-    return CharPolySequence(tuple(polys), P_SYSTEM)
+    return CharPolySequence(tuple(polys))
 
 
 def forward_q(a: CoefficientVector, backend: Backend) -> CharPolySequence:
@@ -94,15 +84,15 @@ def forward_q_squared(a1, tail_sq, backend: Backend) -> CharPolySequence:
     n = 1 + len(tail_sq)
     one = backend.one
     if n == 1:
-        return CharPolySequence(
-            (MonicPoly((one,), "even"), MonicPoly((-a1, one))), Q_SYSTEM
-        )
-    polys = [MonicPoly((one,), "even"), MonicPoly((backend.zero, one), "odd")]
+        return CharPolySequence((MonicPoly((one,), EVEN), MonicPoly((-a1, one))))
+    polys = [MonicPoly((one,), EVEN), MonicPoly((backend.zero, one), ODD)]
     for k in range(2, n):
         sq = tail_sq[n - k]  # a_{n-k+2}^2
         coeffs = lin_comb(shift_up(polys[k - 1].coeffs), polys[k - 2].coeffs, -sq)
         polys.append(with_parity(MonicPoly(coeffs), parity_of_degree(k), backend))
+    # (x - a_1) q_{n-1} first, then - a_2^2 q_{n-2}: the rounding of this
+    # order is what max_residual reports.
     top = lin_comb(shift_up(polys[n - 1].coeffs), polys[n - 1].coeffs, -a1)
     top = lin_comb(top, polys[n - 2].coeffs, -tail_sq[0])
     polys.append(MonicPoly(top))
-    return CharPolySequence(tuple(polys), Q_SYSTEM)
+    return CharPolySequence(tuple(polys))

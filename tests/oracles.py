@@ -3,9 +3,12 @@
 Everything here deliberately avoids the library's own code paths: symmetric
 functions by subset enumeration, polynomial expansion by pairwise products,
 determinants by Laplace cofactor expansion, and dense symmetric eigenvalues by
-cyclic Jacobi rotations.  The exception is ``backward_pass_reference``, the
-first form of the solver's backward pass, which starts from the library's
-``from_roots`` as the solver does.
+cyclic Jacobi rotations.  The exceptions are the first forms of library code
+kept to compare the current code against bit for bit:
+``backward_pass_reference``, the solver's backward pass, which starts from the
+library's ``from_roots`` as the solver does, and the slot-map builders, the
+two-algorithm ``determinant_reference`` and the graph-search
+``sign_normalize_reference`` of ``matrixkit``.
 """
 
 from fractions import Fraction
@@ -272,3 +275,139 @@ def backward_pass_reference(lam, backend):
             raise NonFiniteA("a squared codiagonal entry overflows float64")
         a_vec = (a1,) + tuple(backend.sqrt(v) for v in a_sq)
     return a1, tuple(a_sq), a_vec, tuple(reversed(qs))
+
+
+def antibidiagonal_positions_reference(n):
+    """Map a-index -> canonical (i, j), i <= j, 1-based, of its structural
+    slot in the n x n anti-bidiagonal matrix, as first written."""
+    pos = {}
+    for i in range(1, n + 1):
+        j = n + 1 - i
+        idx = n + 2 - 2 * i
+        if 1 <= idx <= n:
+            pos[idx] = (min(i, j), max(i, j))
+        j = n + 2 - i
+        idx = n + 3 - 2 * i
+        if i >= 2 and j <= n and 1 <= idx <= n:
+            pos[idx] = (min(i, j), max(i, j))
+    return pos
+
+
+def build_antibidiagonal_reference(a, backend):
+    """Entries of the anti-bidiagonal matrix of the values ``a``, filled from
+    the slot map."""
+    n = len(a)
+    grid = [[backend.zero] * n for _ in range(n)]
+    for idx, (i, j) in antibidiagonal_positions_reference(n).items():
+        v = backend.convert(a[idx - 1])
+        grid[i - 1][j - 1] = v
+        grid[j - 1][i - 1] = v
+    return tuple(tuple(row) for row in grid)
+
+
+def build_jacobi_special_reference(a, backend):
+    """Entries of the tridiagonal matrix with diagonal (a_1, 0, ..., 0) and
+    codiagonal a_2..a_n, filled slot by slot."""
+    n = len(a)
+    grid = [[backend.zero] * n for _ in range(n)]
+    grid[0][0] = backend.convert(a[0])
+    for k in range(2, n + 1):
+        v = backend.convert(a[k - 1])
+        grid[k - 2][k - 1] = v
+        grid[k - 1][k - 2] = v
+    return tuple(tuple(row) for row in grid)
+
+
+def build_antidiagonal_unit_reference(n, backend):
+    grid = [[backend.zero] * n for _ in range(n)]
+    for i in range(n):
+        grid[i][n - 1 - i] = backend.one
+    return tuple(tuple(row) for row in grid)
+
+
+def determinant_reference(rows, exact):
+    """The determinant as first written: fraction-free Bareiss elimination
+    for exact scalars, Gaussian elimination with partial pivoting for floats."""
+    n = len(rows)
+    m = [list(r) for r in rows]
+    if n == 0:
+        return 1
+    if exact:
+        sign = 1
+        prev = 1
+        for k in range(n - 1):
+            if m[k][k] == 0:
+                for r in range(k + 1, n):
+                    if m[r][k] != 0:
+                        m[k], m[r] = m[r], m[k]
+                        sign = -sign
+                        break
+                else:
+                    return m[0][0] * 0
+            for i in range(k + 1, n):
+                for j in range(k + 1, n):
+                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
+                m[i][k] = m[i][k] * 0
+            prev = m[k][k]
+        return sign * m[n - 1][n - 1]
+    det = 1.0
+    for k in range(n):
+        p = max(range(k, n), key=lambda r: abs(m[r][k]))
+        if m[p][k] == 0:
+            return 0.0
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            for j in range(k + 1, n):
+                m[i][j] -= f * m[k][j]
+    return det
+
+
+def sign_normalize_reference(M, backend):
+    """Sign normalisation as first written: check the slot map, then fix the
+    signs by a depth-first search over the index-coupling graph.  Returns
+    (the values a_1..a_n, eps, global_negate)."""
+    from antibidiag.errors import SizeMismatch, StructuralZero
+
+    n = M.n
+    pos = antibidiagonal_positions_reference(n)
+    slots = set(pos.values())
+    scale = M.maxnorm()
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            structural = (min(i, j), max(i, j)) in slots
+            v = M.entries[i - 1][j - 1]
+            if structural:
+                if backend.is_zero(v, scale):
+                    raise StructuralZero(f"structural entry ({i},{j}) is zero")
+            elif not backend.is_zero(v, scale):
+                raise SizeMismatch(f"entry ({i},{j}) breaks the anti-bidiagonal pattern")
+    vals = {idx: M.entries[i - 1][j - 1] for idx, (i, j) in pos.items()}
+    negate = vals[1] < 0
+    if negate:
+        vals = {k: -v for k, v in vals.items()}
+    eps = [0] * (n + 1)  # 1-based
+    adj = {i: [] for i in range(1, n + 1)}
+    for idx, (i, j) in pos.items():
+        if i != j:
+            want = 1 if vals[idx] > 0 else -1
+            adj[i].append((j, want))
+            adj[j].append((i, want))
+    for start in range(1, n + 1):
+        if eps[start]:
+            continue
+        eps[start] = 1
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j, want in adj[i]:
+                need = want * eps[i]
+                if eps[j] == 0:
+                    eps[j] = need
+                    stack.append(j)
+                elif eps[j] != need:
+                    raise ArithmeticError("inconsistent sign pattern")
+    return tuple(abs(vals[k]) for k in range(1, n + 1)), tuple(eps[1:]), negate

@@ -133,6 +133,22 @@ def test_conditioning_warning():
     assert any("modulus gap" in w for w in report["warnings"])
 
 
+def test_roundtrip_reports_the_gap_warning():
+    code, text = run(["roundtrip", "--spectrum=3,-2,1.9999999"])
+    assert code == 0
+    assert any("modulus gap" in w for w in json.loads(text)["warnings"])
+
+
+def test_gap_warning_is_relative_to_lambda_1():
+    # The spectrum 3,-2,1 scaled by 1e-9: its gaps are below 1e-6 in absolute
+    # terms, but the reconstruction is as well conditioned as the unscaled one.
+    code, text = run(["solve", "--roundtrip", "--spectrum=3e-9,-2e-9,1e-9"])
+    assert code == 0
+    report = json.loads(text)
+    assert report["warnings"] == []
+    assert report["diagnostics"]["roundtrip_error"] < 1e-12
+
+
 def test_verify_all_deterministic():
     args = ["verify-all", "--sizes", "1,2,3", "--cases", "3", "--seed", "7"]
     code1, text1 = run(args)

@@ -356,4 +356,8 @@ class TestSingleStepPass:
             backward_pass_reference(lam, fb)
         trace = solve(validate_spectrum(lam), fb)
         assert trace.a1 > 0 and all(v > 0 for v in trace.a_squared)
-        assert trace.warnings == ("level 2: interlacing violated",)
+        assert trace.warnings == (
+            "level 2: interlacing violated",
+            "minimum modulus gap 1.186e-09 is below 1e-06 * lambda_1; "
+            "reconstruction is ill-conditioned, consider --backend rational",
+        )

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -24,7 +24,14 @@ from antibidiag.errors import (
 from antibidiag.matrixkit import StructuredMatrix, conjugate_signs, determinant
 from antibidiag.sampling import random_coefficients, random_rational_coefficients
 
-from oracles import charpoly_cofactor
+from oracles import (
+    build_antibidiagonal_reference,
+    build_antidiagonal_unit_reference,
+    build_jacobi_special_reference,
+    charpoly_cofactor,
+    determinant_reference,
+    sign_normalize_reference,
+)
 
 SQ2, SQ3 = math.sqrt(2.0), math.sqrt(3.0)
 
@@ -77,6 +84,23 @@ def test_builders_exactly_symmetric(fb):
             assert M.entries == tuple(zip(*M.entries))
 
 
+def test_builders_match_the_slot_map_reference(fb, rb):
+    rng = random.Random(30)
+    for n in range(1, 41):
+        for backend, values in (
+            (fb, random_coefficients(rng, n)),
+            (rb, random_rational_coefficients(rng, n)),
+        ):
+            a = cv(*values)
+            pairs = (
+                (build_antibidiagonal(a, backend), build_antibidiagonal_reference(a.a, backend)),
+                (build_jacobi_special(a, backend), build_jacobi_special_reference(a.a, backend)),
+                (build_antidiagonal_unit(n, backend), build_antidiagonal_unit_reference(n, backend)),
+            )
+            for M, want in pairs:
+                assert M.n == n and repr(M.entries) == repr(want), n
+
+
 def test_positive_entries_enforced():
     with pytest.raises(NonPositiveEntry):
         cv(1.0, -2.0)
@@ -115,13 +139,51 @@ def test_determinant_bareiss_vs_cofactor_oracle():
             [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
             for _ in range(n)
         ]
-        exact = determinant(grid, exact=True)
+        exact = determinant(grid)
         # constant term of charpoly_cofactor(-M) equals det(M) since
         # det(x*I + M) at x=0 is det(M)
         neg = [[-v for v in row] for row in grid]
         assert exact == charpoly_cofactor(neg)[0]
-        approx = determinant([[float(v) for v in row] for row in grid], exact=False)
+        approx = determinant([[float(v) for v in row] for row in grid])
         assert approx == pytest.approx(float(exact), abs=1e-9)
+
+
+def _index_sets(n):
+    for k in range(1, n + 1):
+        for rows in combinations(range(1, n + 1), k):
+            for cols in combinations(range(1, n + 1), k):
+                yield rows, cols
+
+
+def test_determinant_matches_both_reference_algorithms_on_every_minor(fb, rb):
+    """Partial pivoting gives the first form's float determinant bit for bit
+    and its Bareiss determinant exactly on Fractions, zero minors included
+    (the sign-conjugated matrix holds -0.0 entries)."""
+    rng = random.Random(31)
+    for n in range(1, 7):
+        for backend, values in (
+            (fb, random_coefficients(rng, n)),
+            (rb, random_rational_coefficients(rng, n)),
+        ):
+            a = cv(*values)
+            A = build_antibidiagonal(a, backend)
+            eps = tuple(rng.choice((1, -1)) for _ in range(n))
+            dense = [
+                StructuredMatrix(n, tuple(
+                    tuple(backend.convert(draw()) for _ in range(n)) for _ in range(n)
+                ))
+                for draw in (lambda: rng.uniform(-2, 2), lambda: rng.randint(-2, 2))
+            ]
+            matrices = [A, conjugate_signs(A, eps, backend), build_jacobi_special(a, backend)]
+            for M in matrices + dense:
+                for rows, cols in _index_sets(n):
+                    got = minor(M, rows, cols, backend)
+                    sub = [[M.entries[i - 1][j - 1] for j in cols] for i in rows]
+                    want = determinant_reference(sub, backend.exact)
+                    if backend.exact:
+                        assert got == want, (n, rows, cols)
+                    else:
+                        assert repr(got) == repr(want), (n, rows, cols)
 
 
 def test_matmul_examples(fb):
@@ -205,19 +267,29 @@ def test_sign_normalize_single_flip_matches_brute_force(fb):
 
 def test_sign_normalize_random_conjugations(fb, rb):
     rng = random.Random(8)
-    for n in range(1, 11):
+    for n in range(1, 25):
         af = cv(*random_coefficients(rng, n))
         Af = build_antibidiagonal(af, fb)
         eps = tuple(rng.choice((1, -1)) for _ in range(n))
-        gf, ef, negf = sign_normalize(conjugate_signs(Af, eps, fb), fb)
+        Mf = conjugate_signs(Af, eps, fb)
+        gf, ef, negf = sign_normalize(Mf, fb)
         assert not negf
         for x, y in zip(gf.a, af.a):
             assert fb.approx_equal(x, y)
         ar = cv(*random_rational_coefficients(rng, n))
         Ar = build_antibidiagonal(ar, rb)
-        gr, er, negr = sign_normalize(conjugate_signs(Ar, eps, rb), rb)
+        Mr = conjugate_signs(Ar, eps, rb)
+        gr, er, negr = sign_normalize(Mr, rb)
         assert gr.a == ar.a and not negr
         assert conjugate_signs(conjugate_signs(Ar, eps, rb), er, rb).entries == Ar.entries
+        # The path walk agrees with the graph search bit for bit, with and
+        # without a global negation.
+        for M, backend in ((Mf, fb), (Mr, rb)):
+            negM = StructuredMatrix(n, tuple(tuple(-v for v in row) for row in M.entries))
+            for X in (M, negM):
+                got, e, neg = sign_normalize(X, backend)
+                want_a, want_e, want_neg = sign_normalize_reference(X, backend)
+                assert (repr(got.a), e, neg) == (repr(want_a), want_e, want_neg), n
 
 
 def test_sign_normalize_structural_zero(fb):
