@@ -4,7 +4,8 @@ Constructs the unique positive coefficient vector realizing a prescribed
 alternating-sign spectrum, the equivalent Jacobi-subclass matrix, and the
 anti-bidiagonal square root of a Jacobi matrix with positive spectrum, with
 independent verification (Sturm bisection eigensolver, interlacing,
-sign-regularity by minor enumeration) in float64 or exact rational arithmetic.
+sign-regularity verdicts by minor enumeration, the class-plus power from the
+Gantmacher-Krein theorem) in float64 or exact rational arithmetic.
 """
 
 from .errors import AntibidiagError

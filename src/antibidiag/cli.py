@@ -131,29 +131,32 @@ def _parse_inline(text: str, backend: Backend):
     return tuple(_parse_token(t, backend) for t in text.split(","))
 
 
-def _load_input(path: Path, backend: Backend, keys=("spectrum", "a", "mus")):
+def _load_input(path: Path, backend: Backend, keys):
+    """(key, values) for the first of ``keys`` in a JSON document; CSV reads as the last key."""
     try:
         text = path.read_text()
         if path.suffix == ".json" or text.lstrip().startswith("{"):
             doc = json.loads(text)
             for key in keys:
                 if key in doc:
-                    return tuple(_parse_token(str(v), backend) for v in doc[key])
-            raise err.SizeMismatch(f"input file has none of the keys {keys}")
+                    return key, tuple(_parse_token(str(v), backend) for v in doc[key])
+            raise err.SizeMismatch(f"input file has no key {' or '.join(map(repr, keys))}")
     except (OSError, ValueError, TypeError) as exc:
         raise err.UsageError(f"cannot read {path}: {exc}") from exc
-    return tuple(
+    return keys[-1], tuple(
         _parse_token(line, backend) for line in text.splitlines() if line.strip()
     )
 
 
-def _values_from(args, backend, flag: str):
-    inline = getattr(args, flag.lstrip("-").replace("-", "_"), None)
-    if inline is not None:
-        return _parse_inline(inline, backend)
+def _values_from(args, backend, *keys):
+    """(key, values) for the first option of ``keys`` given inline, else from --input."""
+    for key in keys:
+        inline = getattr(args, key)
+        if inline is not None:
+            return key, _parse_inline(inline, backend)
     if args.input is not None:
-        return _load_input(args.input, backend)
-    raise err.SizeMismatch(f"provide {flag} or --input")
+        return _load_input(args.input, backend, keys)
+    raise err.SizeMismatch(f"provide {' or '.join('--' + k for k in keys + ('input',))}")
 
 
 def _num(x, backend: Backend):
@@ -277,14 +280,14 @@ def _solve_report(values, backend: Backend, want_roundtrip: bool) -> dict:
 
 
 def _cmd_solve(args, backend, out) -> int:
-    values = _values_from(args, backend, "--spectrum")
+    _, values = _values_from(args, backend, "spectrum")
     report = _solve_report(values, backend, args.roundtrip)
     _emit(report, args.format, out)
     return EXIT_OK
 
 
 def _cmd_forward(args, backend, out) -> int:
-    values = _values_from(args, backend, "--a")
+    _, values = _values_from(args, backend, "a")
     cv = CoefficientVector(values)
     ps = forward_p(cv, backend)
     qs = forward_q(cv, backend)
@@ -310,7 +313,7 @@ def _cmd_roundtrip(args, backend, out) -> int:
         raise err.BackendUnsupported(
             "roundtrip eigensolves the result; use --backend float64"
         )
-    values = _values_from(args, backend, "--spectrum")
+    _, values = _values_from(args, backend, "spectrum")
     spectrum = validate_spectrum(values)
     result = solve_roundtrip(spectrum, backend)
     report = {
@@ -329,7 +332,7 @@ def _cmd_sqrt(args, backend, out) -> int:
         raise err.BackendUnsupported(
             "the square-root construction needs --backend float64"
         )
-    values = _values_from(args, backend, "--mus")
+    _, values = _values_from(args, backend, "mus")
     result = jacobi_sqrt(PositiveTuple(values), backend)
     eig = eigensolve_tridiagonal(result.jacobi, backend)
     spec_err = relative_spectrum_error(eig, values)
@@ -346,14 +349,12 @@ def _cmd_sqrt(args, backend, out) -> int:
 
 
 def _cmd_signreg(args, backend, out) -> int:
-    if args.a is not None:
-        cv = CoefficientVector(_parse_inline(args.a, backend))
-    elif args.spectrum is not None or args.input is not None:
-        values = _values_from(args, backend, "--spectrum")
+    key, values = _values_from(args, backend, "a", "spectrum")
+    if key == "a":
+        cv = CoefficientVector(values)
+    else:
         trace = solve(validate_spectrum(values), backend, with_certificates=False)
         cv = trace.coefficient_vector
-    else:
-        raise err.SizeMismatch("provide --a, --spectrum, or --input")
     A = build_antibidiagonal(cv, backend)
     n = A.n
     report_obj = classify_sign_regular(A, n, signature_sequence(n), backend)

@@ -179,7 +179,7 @@ def solve(
     Raises NonPositiveA if a_1 or a squared entry fails to be positive
     (invalid input or catastrophic roundoff) and NonFiniteA if a squared
     entry overflows float64.  Interlacing certificate failures are warnings,
-    and so is a minimum modulus gap below GAP_WARN_RATIO * lambda_1.
+    and in float64 so is a minimum modulus gap below GAP_WARN_RATIO * lambda_1.
     """
     lam = tuple(backend.convert(v) for v in spectrum.lambdas)
     n = len(lam)
@@ -217,7 +217,7 @@ def solve(
     if with_certificates and not backend.exact:
         certificates, cert_warn = _certify_interlacing(qs_by_degree, lam, backend)
         warnings.extend(cert_warn)
-    gap = spectrum.min_modulus_gap()
+    gap = None if backend.exact else spectrum.min_modulus_gap()
     if gap is not None and float(gap) < GAP_WARN_RATIO * float(spectrum.lambdas[0]):
         warnings.append(
             f"minimum modulus gap {float(gap):.3e} is below {GAP_WARN_RATIO} * lambda_1; "

@@ -1,6 +1,6 @@
-"""Independent verification machinery: symmetric-tridiagonal eigenvalues via
-Sturm-count bisection, strict interlacing, sign-regularity classification by
-exhaustive minor enumeration, and a Cauchy-Binet identity checker.
+"""Independent verification machinery: Sturm-bisection tridiagonal eigenvalues,
+strict interlacing, sign-regularity verdicts by exhaustive minor enumeration,
+the class-plus power by the Gantmacher-Krein theorem, and a Cauchy-Binet check.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from math import comb
 
 from .errors import (
     BackendUnsupported,
+    NonPositiveEntry,
     NotTridiagonal,
     SizeMismatch,
     TooLarge,
@@ -230,28 +231,26 @@ def classify_sign_regular(
 
 def totally_positive(M: StructuredMatrix, backend: Backend) -> bool:
     """All minors of all orders strictly positive."""
-    n = M.n
-    _enum_guard(n, n)
-    for j in range(1, n + 1):
-        tol = backend.policy.eq_abs * _order_scale(M, j, backend)
-        for rows in combinations(range(1, n + 1), j):
-            for cols in combinations(range(1, n + 1), j):
-                if minor(M, rows, cols, backend) <= tol:
-                    return False
-    return True
+    return classify_sign_regular(M, M.n, (1,) * M.n, backend).strict
 
 
 def check_class_plus(A: StructuredMatrix, max_power: int, backend: Backend):
-    """Smallest m <= max_power with (A^2)^m totally positive, else None."""
-    if max_power < 1:
-        return None
-    S = matmul(A, A, backend)
-    P = S
-    for m in range(1, max_power + 1):
-        if totally_positive(P, backend):
-            return m
-        P = matmul(P, S, backend)
-    return None
+    """Smallest m <= max_power with (A^2)^m totally positive, else None.
+
+    A = J*B with B = J*A positive upper bidiagonal, so A^2 = (J*B*J)*B is an
+    oscillatory tridiagonal matrix and (A^2)^m is totally positive from
+    m = max(1, n-1) on (Gantmacher & Krein); below, its bandwidth m leaves the
+    (1, n) entry zero.  The hypotheses are checked exactly by the index rule."""
+    n = A.n
+    for i, row in enumerate(A.entries, start=1):
+        for j, v in enumerate(row, start=1):
+            if i + j not in (n + 1, n + 2):
+                if v != 0:
+                    raise SizeMismatch(f"entry ({i},{j}) breaks the anti-bidiagonal pattern")
+            elif not v > 0:
+                raise NonPositiveEntry(f"entry ({i},{j}) = {v} is not positive")
+    m = max(1, n - 1)
+    return m if m <= max_power else None
 
 
 def cauchy_binet_check(

@@ -8,7 +8,9 @@ kept to compare the current code against bit for bit:
 ``backward_pass_reference``, the solver's backward pass, which starts from the
 library's ``from_roots`` as the solver does, and the slot-map builders, the
 two-algorithm ``determinant_reference`` and the graph-search
-``sign_normalize_reference`` of ``matrixkit``.
+``sign_normalize_reference`` of ``matrixkit``, and the enumerating
+``totally_positive_reference`` and ``check_class_plus_reference`` of
+``spectral``, which use the library's ``minor`` and ``matmul``.
 """
 
 from fractions import Fraction
@@ -411,3 +413,36 @@ def sign_normalize_reference(M, backend):
                 elif eps[j] != need:
                     raise ArithmeticError("inconsistent sign pattern")
     return tuple(abs(vals[k]) for k in range(1, n + 1)), tuple(eps[1:]), negate
+
+
+def totally_positive_reference(M, backend):
+    """Total positivity as first written: every minor of every order above
+    the order's float threshold, stopping at the first that is not."""
+    from antibidiag.matrixkit import minor
+    from antibidiag.spectral import _enum_guard, _order_scale
+
+    n = M.n
+    _enum_guard(n, n)
+    for j in range(1, n + 1):
+        tol = backend.policy.eq_abs * _order_scale(M, j, backend)
+        for rows in combinations(range(1, n + 1), j):
+            for cols in combinations(range(1, n + 1), j):
+                if minor(M, rows, cols, backend) <= tol:
+                    return False
+    return True
+
+
+def check_class_plus_reference(A, max_power, backend):
+    """The class-plus power as first written: the smallest m <= max_power with
+    (A^2)^m totally positive, found by testing the powers in turn."""
+    from antibidiag.matrixkit import matmul
+
+    if max_power < 1:
+        return None
+    S = matmul(A, A, backend)
+    P = S
+    for m in range(1, max_power + 1):
+        if totally_positive_reference(P, backend):
+            return m
+        P = matmul(P, S, backend)
+    return None

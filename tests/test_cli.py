@@ -1,6 +1,8 @@
 import io
 import json
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -236,3 +238,71 @@ def test_verify_all_reports_a_roundtrip_breakdown():
     assert not roundtrip["passed"]
     assert roundtrip["detail"].startswith("breakdown at n=99 case 0: NonPositiveA: a_14^2 = ")
     assert len(results) == 5 and all(r["passed"] for r in results.values())
+
+
+def test_rational_solve_draws_no_gap_warning():
+    # an exact reconstruction is never ill-conditioned
+    code, text = run(["solve", "--backend", "rational", "--spectrum", "1.0000000001,-1"])
+    assert code == 0
+    assert json.loads(text)["warnings"] == []
+
+
+@pytest.mark.parametrize("backend", ["float64", "rational"])
+def test_signreg_class_plus_power_is_n_minus_1(backend):
+    code, text = run(["signreg", "--a", "1,2,3,4,5,6", "--backend", backend])
+    assert code == 0
+    assert json.loads(text)["class_plus_power"] == 5
+
+
+def test_signreg_max_power_below_n_minus_1_reads_null():
+    code, text = run(["signreg", "--a", "1,2,3,4,5,6", "--max-power", "4"])
+    assert code == 0
+    assert json.loads(text)["class_plus_power"] is None
+
+
+def _input_file(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_signreg_input_reads_the_coefficients(tmp_path):
+    a = [2, 1.4142135623730951, 1.7320508075688772]
+    code, text = run(["signreg", "--input", _input_file(tmp_path, {"a": a})])
+    assert code == 0
+    assert text == run(["signreg", "--a", ",".join(map(str, a))])[1]
+    code, text = run(["signreg", "--input", _input_file(tmp_path, {"spectrum": [3, -2, 1]})])
+    assert code == 0
+    assert text == run(["signreg", "--spectrum", "3,-2,1"])[1]
+
+
+def test_input_reads_the_key_of_its_command(tmp_path):
+    code, text = run(["sqrt", "--input", _input_file(tmp_path, {"mus": [9, 4, 1]})])
+    assert code == 0 and text == run(["sqrt", "--mus", "9,4,1"])[1]
+    code, text = run(["forward", "--input", _input_file(tmp_path, {"a": [2, 1, 3]})])
+    assert code == 0 and text == run(["forward", "--a", "2,1,3"])[1]
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("solve", {"mus": [9, 4, 1]}),
+        ("roundtrip", {"a": [2, 1, 3]}),
+        ("forward", {"spectrum": [3, -2, 1]}),
+        ("sqrt", {"spectrum": [3, -2, 1]}),
+        ("signreg", {"mus": [9, 4, 1]}),
+    ],
+)
+def test_input_without_the_commands_key_is_a_usage_error(tmp_path, capsys, command, doc):
+    code, text = run([command, "--input", _input_file(tmp_path, doc)])
+    assert code == 3 and text == ""
+    assert "[SizeMismatch]: input file has no key" in capsys.readouterr().err
+
+
+def test_readme_cli_examples_exit_0():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("antibidiag ")]
+    assert len(lines) >= 7
+    for line in lines:
+        assert run(shlex.split(line)[1:])[0] == 0, line

@@ -24,16 +24,17 @@ from antibidiag import (
 )
 from antibidiag.errors import (
     BackendUnsupported,
+    NonPositiveEntry,
     NotTridiagonal,
     SizeMismatch,
     TooLarge,
 )
-from antibidiag.matrixkit import StructuredMatrix
+from antibidiag.matrixkit import StructuredMatrix, conjugate_signs
 from antibidiag.sampling import random_coefficients, random_rational_coefficients, random_spectrum
 from antibidiag import spectral
 from antibidiag.spectral import gershgorin_bounds, sturm_count
 
-from oracles import plain_sturm_bisection
+from oracles import check_class_plus_reference, plain_sturm_bisection, totally_positive_reference
 
 SQ2, SQ3 = math.sqrt(2.0), math.sqrt(3.0)
 
@@ -283,3 +284,53 @@ def test_roundtrip_precision_does_not_depend_on_units(fb, scale):
     for lam in spectra:
         spec = validate_spectrum(tuple(v * scale for v in lam))
         assert solve_roundtrip(spec, fb).max_error <= 1e-12
+
+
+# --- class-plus power from the theorem against power-by-power enumeration ---
+
+
+def _identity(n, backend):
+    return StructuredMatrix(n, tuple(tuple(backend.convert(int(i == j)) for j in range(n)) for i in range(n)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_class_plus_power_matches_enumeration_on_fractions(rb, n):
+    rng = random.Random(4200 + n)
+    A = build_antibidiagonal(CoefficientVector(random_rational_coefficients(rng, n)), rb)
+    for max_power in sorted({0, n - 2, n - 1, 2 * n}):
+        assert check_class_plus(A, max_power, rb) == check_class_plus_reference(A, max_power, rb)
+
+
+def test_totally_positive_matches_early_exit_enumeration(fb, rb):
+    rng = random.Random(4300)
+    for backend in (fb, rb):
+        c = backend.convert
+        matrices = [_identity(3, backend), StructuredMatrix(2, ((c(1), c(0)), (c(0), c(-5))))]
+        for n in range(1, 6):
+            A = build_antibidiagonal(CoefficientVector(random_rational_coefficients(rng, n)), backend)
+            S = P = matmul(A, A, backend)
+            for _ in range(n):
+                matrices.append(P)
+                P = matmul(P, S, backend)
+        for M in matrices:
+            assert spectral.totally_positive(M, backend) == totally_positive_reference(M, backend)
+
+
+def test_check_class_plus_checks_the_theorem_hypotheses(fb, rb):
+    for backend in (fb, rb):
+        with pytest.raises(SizeMismatch):
+            check_class_plus(_identity(3, backend), 6, backend)
+        A = build_antibidiagonal(CoefficientVector((2, 1, 3)), backend)
+        with pytest.raises(NonPositiveEntry):
+            check_class_plus(conjugate_signs(A, (1, -1, 1), backend), 6, backend)
+
+
+def test_check_class_plus_enumerates_nothing(fb, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("check_class_plus enumerated")
+
+    monkeypatch.setattr(spectral, "minor", forbidden)
+    monkeypatch.setattr(spectral, "matmul", forbidden)
+    A = build_antibidiagonal(CoefficientVector((1.0, 2.0, 3.0, 4.0, 5.0, 6.0)), fb)
+    assert check_class_plus(A, 12, fb) == 5
+    assert check_class_plus(A, 4, fb) is None
