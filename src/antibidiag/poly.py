@@ -45,11 +45,12 @@ class MonicPoly:
 def from_roots(roots, backend: Backend) -> MonicPoly:
     """Monic polynomial with the given simple roots (empty product is 1).
 
-    Floating backend rejects roots closer than 10*root_tol; the rational
-    backend rejects exact duplicates.
+    Floating backend rejects roots closer than 10*root_tol times the largest
+    root modulus, so the test does not depend on the scale of the roots; the
+    rational backend rejects exact duplicates.
     """
     roots = [backend.convert(r) for r in roots]
-    sep = 0 if backend.exact else 10 * backend.policy.root_tol
+    sep = 0 if backend.exact else 10 * backend.policy.root_tol * max(map(abs, roots), default=0)
     for r, s in combinations(roots, 2):
         if abs(r - s) <= sep:
             raise DuplicateRoots(f"roots {r} and {s} are not separated")

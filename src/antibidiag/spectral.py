@@ -5,6 +5,7 @@ the class-plus power by the Gantmacher-Krein theorem, and a Cauchy-Binet check.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
@@ -15,6 +16,7 @@ from .errors import (
     NonPositiveEntry,
     NotTridiagonal,
     SizeMismatch,
+    SquareOutOfRange,
     TooLarge,
 )
 from .matrixkit import StructuredMatrix, check_index_set, matmul, minor
@@ -91,10 +93,16 @@ def eigensolve_tridiagonal(T: StructuredMatrix, backend: Backend):
     being bisected into the half the count points to.  Every bisection visits
     the midpoints of plain bisection from the Gershgorin interval, so the
     eigenvalues are bit-identical to it, but a midpoint shared by several
-    paths is counted once."""
+    paths is counted once.
+
+    Raises SquareOutOfRange if a nonzero codiagonal entry squares below the
+    smallest normal float64, where the Sturm pivots lose their precision."""
     if backend.exact:
         raise BackendUnsupported("eigensolver needs the floating backend")
     diag, off = _extract_tridiagonal(T, backend.policy)
+    for b in off:
+        if b != 0.0 and b * b < sys.float_info.min:
+            raise SquareOutOfRange(f"codiagonal entry {b} squares to {b * b} in float64")
     glo, ghi = gershgorin_bounds(diag, off)
     tol = backend.policy.root_tol * min(1.0, max(-glo, ghi))
     n = len(diag)

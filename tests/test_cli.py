@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import shlex
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from antibidiag import cli
 from antibidiag.cli import main
 from antibidiag.sampling import MAX_DEFAULT_N, case_rng, random_moduli, random_rational_spectrum
 
@@ -216,10 +218,115 @@ def test_exact_report_renders_past_the_int_str_limit():
         (["verify-all", "--sizes", "100"], 3),
         (["verify-all", "--sizes", "0"], 3),
         (["verify-all", "--sizes", "3,-2"], 3),
+        (["verify-all", "--sizes", "2,3", "--cases", "0"], 3),
+        (["verify-all", "--cases", "-1"], 3),
     ],
 )
 def test_entry_range_and_size_range_statuses(args, status):
     assert run(args)[0] == status
+
+
+def test_tiny_spectrum_solves_at_its_own_scale():
+    # root separation is relative to the largest modulus, not absolute
+    code, text = run(["solve", "--roundtrip", "--spectrum=3e-13,-2e-13,1e-13"])
+    assert code == 0
+    assert json.loads(text)["diagnostics"]["roundtrip_error"] < 1e-12
+
+
+def test_sqrt_whose_codiagonal_squares_underflow_is_a_breakdown(capsys):
+    code, text = run(["sqrt", "--mus", "1e-200,1e-201"])
+    assert code == 2 and text == ""
+    assert "[SquareOutOfRange]" in capsys.readouterr().err
+
+
+# Every command, with an output that holds a list of dicts (signreg's orders,
+# verify-all's results) or a field with a comma (the gap warning).
+_CSV_REQUESTS = [
+    ["solve", "--roundtrip", "--spectrum", "3,-2,1"],
+    ["solve", "--spectrum", "1.0000000001,-1"],
+    ["solve", "--backend", "rational", "--spectrum", "3,-2,1"],
+    ["forward", "--a", "2,1,3", "--eigs"],
+    ["roundtrip", "--spectrum", "3,-2,1"],
+    ["sqrt", "--mus", "9,4,1"],
+    ["signreg", "--a", "1,2,3"],
+    ["verify-all", "--sizes", "2,3", "--cases", "2"],
+]
+
+
+@pytest.mark.parametrize("args", _CSV_REQUESTS, ids=lambda a: a[0])
+def test_csv_rows_start_with_a_key(args):
+    code, text = run(args + ["--format", "csv"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows and all(row and row[0] and row[0][0].isalpha() for row in rows)
+    assert not any("{" in field for row in rows for field in row)
+
+
+def test_csv_renders_lists_of_dicts_as_indexed_keys_and_quotes_commas():
+    rows = {row[0]: row[1:] for row in csv.reader(io.StringIO(
+        run(["signreg", "--a", "1,2,3", "--format", "csv"])[1]))}
+    assert rows["orders.1.order"] == ["1"] and rows["orders.3.strict"] == ["True"]
+    text = run(["verify-all", "--sizes", "2,3", "--cases", "2", "--format", "csv"])[1]
+    rows = {row[0]: row[1:] for row in csv.reader(io.StringIO(text))}
+    assert rows["results.6.battery"] == ["jacobi-sqrt"]
+    (warning,) = json.loads(run(["solve", "--spectrum", "1.0000000001,-1"])[1])["warnings"]
+    assert "," in warning
+    text = run(["solve", "--spectrum", "1.0000000001,-1", "--format", "csv"])[1]
+    assert ["warnings", warning] in csv.reader(io.StringIO(text))
+
+
+def test_pretty_renders_lists_of_dicts_as_indexed_blocks():
+    code, text = run(["signreg", "--a", "1,2,3", "--format", "pretty"])
+    assert code == 0
+    assert "{" not in text
+    assert "orders:\n  1:\n    order: 1\n    conforming: True\n" in text
+
+
+# verify-all's report at seed 7, fixed as a reference.  n = 13 lies outside
+# the recurrence (n <= 12) and square-root (n <= 10) batteries and inside the
+# sigma battery (n >= 3).
+_VERIFY_ALL_PINNED = {
+    "seed": 7,
+    "sizes": [1, 2, 3, 4, 5, 13],
+    "results": [
+        {"battery": "roundtrip", "passed": True,
+         "detail": "worst relative eigenvalue error 2.231e-13"},
+        {"battery": "recurrence-equivalence", "passed": True,
+         "detail": "p- and q-systems agree exactly"},
+        {"battery": "sigma-inequality", "passed": True,
+         "detail": "sigma_3 > sigma_1*sigma_2 on all samples"},
+        {"battery": "sign-regularity", "passed": True,
+         "detail": "reconstructed matrices conform to the signature sequence"},
+        {"battery": "cauchy-binet", "passed": True,
+         "detail": "Cauchy-Binet identity exact on all samples"},
+        {"battery": "jacobi-sqrt", "passed": True,
+         "detail": "squares are Jacobi with the prescribed spectrum"},
+    ],
+    "passed": True,
+}
+
+
+@pytest.mark.parametrize("backend", ["float64", "rational"])
+def test_verify_all_report_is_pinned(backend):
+    code, text = run(["verify-all", "--seed", "7", "--sizes", "1,2,3,4,5,13", "--cases", "4",
+                      "--backend", backend])
+    assert code == 0
+    assert json.loads(text) == _VERIFY_ALL_PINNED
+
+
+def test_verify_all_draws_the_pinned_cases(monkeypatch):
+    # The report above cannot show which samples a passing battery drew, so
+    # pin the (seed, label, index) of every case rng as well.
+    drawn = []
+    monkeypatch.setattr(cli, "case_rng", lambda *key: drawn.append(key) or case_rng(*key))
+    sizes = (1, 2, 3, 4, 5, 13)
+    run(["verify-all", "--seed", "7", "--sizes", ",".join(map(str, sizes)), "--cases", "4"])
+    plan = [("roundtrip", sizes, 4), ("recur", [n for n in sizes if n <= 12], 4),
+            ("sigma", [n for n in sizes if n >= 3], 4), ("signreg", (2, 3, 4), 1)]
+    want = [(7, f"{label}{n}", i) for label, ns, k in plan for n in ns for i in range(k)]
+    want += [(7, "cb", i) for i in range(4)]
+    want += [(7, f"sqrt{n}", i) for n in sizes if n <= 10 for i in range(2)]
+    assert drawn == want
 
 
 def test_verify_all_size_limit_is_the_samplers():

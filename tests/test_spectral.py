@@ -27,6 +27,7 @@ from antibidiag.errors import (
     NonPositiveEntry,
     NotTridiagonal,
     SizeMismatch,
+    SquareOutOfRange,
     TooLarge,
 )
 from antibidiag.matrixkit import StructuredMatrix, conjugate_signs
@@ -58,6 +59,17 @@ def test_eigensolve_rejects(fb, rb):
         eigensolve_tridiagonal(dense, fb)
     with pytest.raises(BackendUnsupported):
         eigensolve_tridiagonal(StructuredMatrix(1, ((Fraction(1),),)), rb)
+
+
+def test_eigensolve_refuses_a_codiagonal_whose_square_underflows(fb):
+    # b * b = 1e-320 is subnormal, so the Sturm pivots lose their precision
+    with pytest.raises(SquareOutOfRange):
+        eigensolve_tridiagonal(StructuredMatrix(2, ((1e-160, 1e-160), (1e-160, 0.0))), fb)
+    # an exactly zero codiagonal decouples the matrix and is not refused
+    assert eigensolve_tridiagonal(StructuredMatrix(2, ((1e-160, 0.0), (0.0, 0.0))), fb) == (
+        pytest.approx(0.0, abs=1e-172),
+        pytest.approx(1e-160, rel=1e-12),
+    )
 
 
 def test_eigensolve_roots_kill_charpoly(fb):
