@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -253,15 +254,15 @@ def _cmd_solve(args, backend, out) -> int:
     spectrum = validate_spectrum(values)
     trace = solve(spectrum, backend)
     gap = spectrum.min_modulus_gap()
-    qn = forward_q_squared(trace.a1, trace.a_squared, backend).top
+    forward = forward_q_squared(trace.a1, trace.a_squared, backend)
     A = B = roundtrip_error = None
     if backend.exact:
-        max_residual = "0" if qn.coeffs == trace.qs[-1].coeffs else "1"
+        max_residual = "0" if forward.same_top(trace.chain) else "1"
     else:
         cv = trace.coefficient_vector
         A = build_antibidiagonal(cv, backend)
         B = build_jacobi_special(cv, backend)
-        max_residual = max(abs(poly_eval(qn, lam)) for lam in spectrum.lambdas)
+        max_residual = max(abs(poly_eval(forward.top, lam)) for lam in spectrum.lambdas)
         if args.roundtrip:
             eig = eigensolve_tridiagonal(B, backend)
             roundtrip_error = relative_spectrum_error(eig, spectrum.lambdas)
@@ -503,11 +504,16 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built at first use and kept: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import (
     BackendUnsupported,
@@ -48,7 +49,8 @@ from .poly import (
     shift_up,
     with_parity,
 )
-from .scalars import Backend
+from .recurrence import CharPolySequence
+from .scalars import Backend, primitive_part
 from .spectral import eigensolve_tridiagonal, interlaces, relative_spectrum_error
 
 # A modulus gap below this fraction of lambda_1 draws a warning.  Scaling a
@@ -141,18 +143,23 @@ def check_sigma_inequality(spectrum) -> SigmaCheck:
 
 @dataclass(frozen=True)
 class ReconstructionTrace:
-    """Everything the backward pass produced: the q-polynomials indexed by
-    degree, a_1, the squared tail, the positive coefficient vector (floating
-    backend; the exact backend stops at the squares), and per-level root
-    interlacing certificates."""
+    """Everything the backward pass produced: the q-system chain, a_1, the
+    squared tail, the positive coefficient vector (floating backend; the
+    exact backend stops at the squares), and per-level root interlacing
+    certificates."""
 
     spectrum: Spectrum
-    qs: tuple  # qs[k] = q_k, k = 0..n
+    chain: CharPolySequence  # q_0, ..., q_n
     a1: object
     a_squared: tuple  # (a_2^2, ..., a_n^2)
     a: tuple | None
     certificates: tuple | None  # ((k, roots_of_q_k, roots_of_q_{k+1}), ...) desc
     warnings: tuple = field(default=())
+
+    @property
+    def qs(self) -> tuple:
+        """qs[k] = q_k, k = 0..n (built on first access in the exact backend)."""
+        return self.chain.polys
 
     @property
     def coefficient_vector(self) -> CoefficientVector:
@@ -176,37 +183,56 @@ def solve(
     and q_k is r[:k] / a_{n-k}^2 under a leading 1, with the coefficients of
     the wrong parity set to zero.
 
+    The exact backend takes that step on integers.  It scales the spectrum by
+    its common denominator D to integers mu, so the pass runs on
+    prod (y - mu_i), y = D x, where a' = D a.  It carries Q_k = c_k q_k(y)
+    with integer c_k: r = c_u y Q_{k+1} - c_{k+1} U for the level above
+    U = c_u q_{k+2}, so r[k] = c_u c_{k+1} a'^2, and Q_k is r without its
+    content.  Each output is one Fraction: a_1 = a_1'/D, a^2 = a'^2/D^2.
+
     Raises NonPositiveA if a_1 or a squared entry fails to be positive
     (invalid input or catastrophic roundoff) and NonFiniteA if a squared
     entry overflows float64.  Interlacing certificate failures are warnings,
     and in float64 so is a minimum modulus gap below GAP_WARN_RATIO * lambda_1.
     """
+    exact = backend.exact
     lam = tuple(backend.convert(v) for v in spectrum.lambdas)
     n = len(lam)
     warnings: list[str] = []
-    qn = from_roots(lam, backend)
-    a1 = -qn.coeffs[n - 1]  # sigma_1
+    scale, roots = None, lam
+    if exact:
+        scale = math.lcm(*(v.denominator for v in lam))
+        roots = [v.numerator * (scale // v.denominator) for v in lam]
+    qn = from_roots(roots, backend).coeffs
+    a1 = Fraction(-qn[n - 1], scale) if exact else -qn[n - 1]  # sigma_1
     if not a1 > 0:
         raise NonPositiveA(f"a_1 = sigma_1 = {a1} is not positive")
-    upper = tuple(c if (n - k) % 2 == 0 else backend.zero for k, c in enumerate(qn.coeffs))
-    q = MonicPoly(
-        tuple(-c / a1 if (n - k) % 2 else backend.zero for k, c in enumerate(qn.coeffs[:n])),
-        parity_of_degree(n - 1),
-    )
-    qs = [qn, q]  # descending degree
+    zero = 0 if exact else backend.zero
+    upper = tuple(c if (n - k) % 2 == 0 else zero for k, c in enumerate(qn))
+    if exact:
+        q = primitive_part([-c if (n - k) % 2 else 0 for k, c in enumerate(qn[:n])])
+    else:
+        q = MonicPoly(
+            tuple(-c / a1 if (n - k) % 2 else zero for k, c in enumerate(qn[:n])),
+            parity_of_degree(n - 1),
+        ).coeffs
+    chain = [qn, q]  # descending degree
     a_sq = []
     for k in range(n - 2, -1, -1):
-        r = lin_comb(shift_up(q.coeffs), upper, -backend.one)
-        asq = r[k]  # a_{n-k}^2
+        r = lin_comb(shift_up(q), upper, -q[-1], upper[-1])
+        asq = Fraction(r[k], q[-1] * upper[-1] * scale**2) if exact else r[k]  # a_{n-k}^2
         if not asq > 0:
             raise NonPositiveA(f"a_{n - k}^2 = {asq} is not positive")
         a_sq.append(asq)
-        upper = q.coeffs
-        coeffs = tuple(c / asq for c in r[:k]) + (backend.one,)
-        q = with_parity(MonicPoly(coeffs), parity_of_degree(k), backend)
-        qs.append(q)
+        upper = q
+        if exact:
+            q = primitive_part(r[: k + 1])
+        else:
+            coeffs = tuple(c / asq for c in r[:k]) + (backend.one,)
+            q = with_parity(MonicPoly(coeffs), parity_of_degree(k), backend).coeffs
+        chain.append(q)
 
-    qs_by_degree = tuple(reversed(qs))
+    chain = CharPolySequence.q_system(chain[::-1], scale)
     a_vec = None
     if not backend.exact:
         if math.inf in a_sq:
@@ -215,7 +241,7 @@ def solve(
 
     certificates = None
     if with_certificates and not backend.exact:
-        certificates, cert_warn = _certify_interlacing(qs_by_degree, lam, backend)
+        certificates, cert_warn = _certify_interlacing(chain.polys, lam, backend)
         warnings.extend(cert_warn)
     gap = None if backend.exact else spectrum.min_modulus_gap()
     if gap is not None and float(gap) < GAP_WARN_RATIO * float(spectrum.lambdas[0]):
@@ -226,7 +252,7 @@ def solve(
 
     return ReconstructionTrace(
         spectrum,
-        qs_by_degree,
+        chain,
         a1,
         tuple(a_sq),
         a_vec,

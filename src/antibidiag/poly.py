@@ -47,17 +47,23 @@ def from_roots(roots, backend: Backend) -> MonicPoly:
 
     Floating backend rejects roots closer than 10*root_tol times the largest
     root modulus, so the test does not depend on the scale of the roots; the
-    rational backend rejects exact duplicates.
+    rational backend rejects exact duplicates, and multiplies integer roots
+    out on integers.
     """
-    roots = [backend.convert(r) for r in roots]
+    roots = list(roots)
+    one, zero = backend.one, backend.zero
+    if backend.exact and roots and all(type(r) is int for r in roots):
+        one, zero = 1, 0
+    else:
+        roots = [backend.convert(r) for r in roots]
     sep = 0 if backend.exact else 10 * backend.policy.root_tol * max(map(abs, roots), default=0)
     for r, s in combinations(roots, 2):
         if abs(r - s) <= sep:
             raise DuplicateRoots(f"roots {r} and {s} are not separated")
-    coeffs = [backend.one]
+    coeffs = [one]
     for r in roots:
         # multiply by (x - r)
-        nxt = [backend.zero] * (len(coeffs) + 1)
+        nxt = [zero] * (len(coeffs) + 1)
         for k, c in enumerate(coeffs):
             nxt[k + 1] += c
             nxt[k] -= r * c
@@ -161,13 +167,19 @@ def shift_up(coeffs):
     return (coeffs[0] * 0,) + tuple(coeffs)
 
 
-def lin_comb(c1, c2, s):
-    """c1 + s*c2, aligning lengths (shorter padded with zeros)."""
+def lin_comb(c1, c2, s, t=1):
+    """t*c1 + s*c2, aligning lengths (shorter padded with zeros).
+
+    The three-term step x*q - v*u passes c1 = x*q, c2 = u, t = u[-1] and
+    s = -v*q[-1] (for v = p/r on integers, t = r*u[-1] and s = -p*q[-1]): a
+    multiple of the step on q/q[-1] and u/u[-1] that keeps integers integers.
+    On monic float64 q and u it is the step itself, bit for bit: 1.0*a is a,
+    and a + (-v)*b is a - v*b."""
     n = max(len(c1), len(c2))
     z = c1[0] * 0
     out = []
     for k in range(n):
         a = c1[k] if k < len(c1) else z
         b = c2[k] if k < len(c2) else z
-        out.append(a + s * b)
+        out.append(t * a + s * b)
     return tuple(out)

@@ -18,26 +18,69 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 from .errors import NonPositiveEntry, SquareOutOfRange
 from .matrixkit import CoefficientVector
-from .poly import EVEN, ODD, MonicPoly, lin_comb, parity_of_degree, shift_up, with_parity
-from .scalars import Backend
+from .poly import MonicPoly, lin_comb, parity_of_degree, shift_up, with_parity
+from .scalars import Backend, primitive_part
 
 
 @dataclass(frozen=True)
 class CharPolySequence:
-    """polys[k] has degree k; polys[n] is the full characteristic polynomial."""
+    """polys[k] has degree k; polys[n] is the full characteristic polynomial.
 
-    polys: tuple
+    ``chain`` holds the polys themselves when ``scale`` is None.  An exact
+    q-system keeps integers instead, chain[k] = C_k with
+    q_k(x) = C_k(D x) / (C_k[-1] D**k) for D = scale, and builds its monic
+    rational polys on first access.
+    """
+
+    chain: tuple
+    scale: int | None = None
+
+    @classmethod
+    def q_system(cls, chain, scale=None) -> CharPolySequence:
+        """The q-system of the coefficient tuples chain[k], k = 0..n: floats
+        become monic polys now, q_k tagged with the parity of k for k < n;
+        integers (``scale`` D) wait for ``polys``."""
+        if scale is not None:
+            return cls(tuple(chain), scale)
+        n = len(chain) - 1
+        parities = [parity_of_degree(k) for k in range(n)] + [None]
+        return cls(tuple(MonicPoly(c, p) for c, p in zip(chain, parities)))
+
+    @cached_property
+    def polys(self) -> tuple:
+        if self.scale is None:
+            return self.chain
+        d = self.scale
+        monic = [
+            tuple(Fraction(v, c[-1] * d ** (k - j)) for j, v in enumerate(c))
+            for k, c in enumerate(self.chain)
+        ]
+        return CharPolySequence.q_system(monic).chain
 
     @property
     def n(self) -> int:
-        return len(self.polys) - 1
+        return len(self.chain) - 1
 
     @property
     def top(self) -> MonicPoly:
         return self.polys[-1]
+
+    def same_top(self, other: CharPolySequence) -> bool:
+        """Whether both sequences end in the same polynomial; two integer
+        chains are compared by cross-multiplying, without forming a Fraction."""
+        if self.scale is None or other.scale is None:
+            return self.top.coeffs == other.top.coeffs
+        c, d = self.chain[-1], other.chain[-1]
+        deg = len(c) - 1
+        return len(c) == len(d) and all(
+            u * d[-1] * other.scale ** (deg - j) == v * c[-1] * self.scale ** (deg - j)
+            for j, (u, v) in enumerate(zip(c, d))
+        )
 
 
 def _squares(a: CoefficientVector, backend: Backend):
@@ -79,20 +122,38 @@ def forward_q(a: CoefficientVector, backend: Backend) -> CharPolySequence:
 
 
 def forward_q_squared(a1, tail_sq, backend: Backend) -> CharPolySequence:
-    """q-system from a_1 and the squared tail (a_2^2, ..., a_n^2)."""
+    """q-system from a_1 and the squared tail (a_2^2, ..., a_n^2).
+
+    The float backend carries the monic q_k.  The exact backend carries
+    integers P_k with q_k = P_k / P_k[-1], so the pass forms no Fraction:
+    with a^2 = s/t the step is t P_{k-2}[-1] x P_{k-1} - s P_{k-1}[-1] P_{k-2},
+    its two multipliers divided by their gcd and the result by its content.
+    """
     _check_positive(a1, tail_sq)
     n = 1 + len(tail_sq)
-    one = backend.one
-    if n == 1:
-        return CharPolySequence((MonicPoly((one,), EVEN), MonicPoly((-a1, one))))
-    polys = [MonicPoly((one,), EVEN), MonicPoly((backend.zero, one), ODD)]
+    exact = backend.exact
+
+    def step(p, u, v):
+        # a multiple of p/p[-1] - v u/u[-1]; in float64 the difference itself
+        if not exact:
+            return lin_comb(p, u, -v * p[-1], u[-1])
+        s, t = backend.convert(v).as_integer_ratio()
+        s, t = s * p[-1], t * u[-1]
+        g = math.gcd(s, t)  # two scalars: cheaper than the content it spares
+        return lin_comb(p, u, -(s // g), t // g)
+
+    one, zero = (1, 0) if exact else (backend.one, backend.zero)
+    chain = [(one,), (zero, one)][:n]
     for k in range(2, n):
-        sq = tail_sq[n - k]  # a_{n-k+2}^2
-        coeffs = lin_comb(shift_up(polys[k - 1].coeffs), polys[k - 2].coeffs, -sq)
-        polys.append(with_parity(MonicPoly(coeffs), parity_of_degree(k), backend))
+        r = step(shift_up(chain[k - 1]), chain[k - 2], tail_sq[n - k])
+        if exact:
+            chain.append(primitive_part(r))
+        else:
+            chain.append(with_parity(MonicPoly(r), parity_of_degree(k), backend).coeffs)
     # (x - a_1) q_{n-1} first, then - a_2^2 q_{n-2}: the rounding of this
     # order is what max_residual reports.
-    top = lin_comb(shift_up(polys[n - 1].coeffs), polys[n - 1].coeffs, -a1)
-    top = lin_comb(top, polys[n - 2].coeffs, -tail_sq[0])
-    polys.append(MonicPoly(top))
-    return CharPolySequence(tuple(polys))
+    top = step(shift_up(chain[n - 1]), chain[n - 1], a1)
+    if n > 1:
+        top = step(top, chain[n - 2], tail_sq[0])
+    chain.append(primitive_part(top) if exact else MonicPoly(top).coeffs)
+    return CharPolySequence.q_system(chain, 1 if exact else None)

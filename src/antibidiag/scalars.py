@@ -79,6 +79,12 @@ def rational(policy: TolerancePolicy | None = None) -> Backend:
     return Backend("rational", exact=True, policy=policy or TolerancePolicy())
 
 
+def primitive_part(ints):
+    """The integers divided by their gcd, their content; not all may be 0."""
+    g = math.gcd(*ints)
+    return tuple(v // g for v in ints)
+
+
 def bisect(f, lo: float, hi: float, tol: float, level=0.0, rising=True) -> float:
     """Bisect [lo, hi] to width <= tol around where f crosses ``level``, from
     below if ``rising``; a midpoint where f equals the level is returned."""

@@ -1,8 +1,10 @@
 import csv
+import dataclasses
 import io
 import json
 import shlex
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -413,3 +415,64 @@ def test_readme_cli_examples_exit_0():
     assert len(lines) >= 7
     for line in lines:
         assert run(shlex.split(line)[1:])[0] == 0, line
+
+
+def test_parser_is_built_once(monkeypatch):
+    build_parser = cli.build_parser
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    try:
+        assert run(["solve", "--spectrum", "3,-2,1"])[0] == 0
+        assert run(["signreg", "--a", "1,2"])[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+
+
+def test_options_of_one_call_do_not_carry_into_the_next():
+    code, text = run(["solve", "--roundtrip", "--backend", "float64", "--spectrum", "3,-2,1"])
+    assert code == 0 and json.loads(text)["diagnostics"]["roundtrip_error"] is not None
+    code, text = run(["solve", "--spectrum", "3,-2,1"])
+    assert code == 0 and json.loads(text)["diagnostics"]["roundtrip_error"] is None
+    assert run(["solve", "--backend", "rational", "--spectrum", "3,-2,1"])[0] == 0
+    assert json.loads(run(["solve", "--spectrum", "3,-2,1"])[1])["a"] is not None
+
+
+def test_usage_error_after_a_successful_call_exits_3(capsys):
+    assert run(["solve", "--spectrum", "3,-2,1"])[0] == 0
+    assert run(["solve", "--bogus"]) == (3, "")
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert run(["solve", "--spectrum", "3,-2,1"])[0] == 0
+
+
+_PINNED = Path(__file__).resolve().parent / "pinned"
+_PINNED_SPECTRA = {
+    "worked": "3,-2,1",
+    # random_rational_spectrum(case_rng(8, "pinned", 0), 16)
+    "n16": "333/16,-117/8,47/4,-75/8,137/16,-133/16,63/8,-15/2,"
+    "113/16,-109/16,39/8,-69/16,25/16,-17/16,7/8,-1/16",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "pretty", "csv"])
+@pytest.mark.parametrize("name", list(_PINNED_SPECTRA))
+def test_rational_solve_text_is_pinned(capsys, name, fmt):
+    args = ["solve", "--backend", "rational", "--spectrum", _PINNED_SPECTRA[name], "--format", fmt]
+    code, text = run(args)
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert text == (_PINNED / f"rational-solve-{name}.{fmt}").read_text()
+
+
+def test_rational_solve_reports_a_residual_when_a_square_is_off(monkeypatch):
+    solve = cli.solve
+
+    def perturbed(spectrum, backend):
+        trace = solve(spectrum, backend)
+        a_sq = (trace.a_squared[0] + Fraction(1, 10**9),) + trace.a_squared[1:]
+        return dataclasses.replace(trace, a_squared=a_sq)
+
+    monkeypatch.setattr(cli, "solve", perturbed)
+    code, text = run(["solve", "--backend", "rational", "--spectrum", "3,-2,1"])
+    assert code == 0
+    assert json.loads(text)["diagnostics"]["max_residual"] == "1"

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from antibidiag.errors import (
     TooSmall,
 )
 from antibidiag.sampling import (
+    case_rng,
     random_coefficients,
     random_positive_tuple,
     random_rational_spectrum,
@@ -364,3 +366,17 @@ class TestSingleStepPass:
             "minimum modulus gap 1.186e-09 is below 1e-06 * lambda_1; "
             "reconstruction is ill-conditioned, consider --backend rational",
         )
+
+
+@pytest.mark.parametrize("n", [48, 64, 72])
+def test_integer_pass_matches_reference_on_wide_rational_spectra(rb, n):
+    # The exact ladder's numerators: the numbers run to thousands of digits,
+    # past the int-to-str limit that repr would otherwise hit.
+    lam = random_rational_spectrum(case_rng(1, f"exact-ladder{n}", 0), n, max_num=4000)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        got = TestSingleStepPass._solve(lam, rb)
+        assert got[0] == "(" and got == TestSingleStepPass._reference(lam, rb)
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -5,15 +5,19 @@ from fractions import Fraction
 import pytest
 
 from antibidiag import (
+    CharPolySequence,
     CoefficientVector,
     build_antibidiagonal,
     build_jacobi_special,
     forward_p,
     forward_q,
     forward_q_squared,
+    from_roots,
+    solve,
+    validate_spectrum,
 )
 from antibidiag.errors import NonPositiveEntry, SquareOutOfRange
-from antibidiag.sampling import random_rational_coefficients
+from antibidiag.sampling import case_rng, random_rational_coefficients, random_rational_spectrum
 
 from oracles import charpoly_cofactor
 
@@ -108,3 +112,23 @@ def test_square_out_of_float_range_is_breakdown(fb, a):
 def test_tiny_and_huge_exact_entries_square_exactly(rb):
     cv = CoefficientVector((Fraction(10**300), Fraction(1, 10**300)))
     assert forward_p(cv, rb).top.coeffs[0] == -Fraction(1, 10**600)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16])
+def test_exact_residual_check_refuses_perturbed_outputs(rb, n):
+    lam = random_rational_spectrum(case_rng(0, "residual", n), n)
+    trace = solve(validate_spectrum(lam), rb)
+    qn = CharPolySequence((from_roots(lam, rb),))  # the same q_n, as Fractions
+
+    def matches(a1, a_sq):
+        forward = forward_q_squared(a1, a_sq, rb)
+        # the integer comparison and the Fraction one agree
+        assert forward.same_top(trace.chain) == forward.same_top(qn)
+        return forward.same_top(trace.chain)
+
+    assert matches(trace.a1, trace.a_squared)
+    assert not matches(trace.a1 + Fraction(1, 7), trace.a_squared)
+    for j in range(n - 1):
+        a_sq = list(trace.a_squared)
+        a_sq[j] += Fraction(1, 10**9)
+        assert not matches(trace.a1, tuple(a_sq)), j
