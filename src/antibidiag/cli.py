@@ -250,6 +250,8 @@ def _emit(report: dict, fmt: str, out) -> None:
 
 
 def _cmd_solve(args, backend, out) -> int:
+    if args.roundtrip and backend.exact:
+        raise err.BackendUnsupported("--roundtrip eigensolves the result; use --backend float64")
     _, values = _values_from(args, backend, "spectrum")
     spectrum = validate_spectrum(values)
     trace = solve(spectrum, backend)
@@ -461,6 +463,8 @@ def _cmd_verify_all(args, backend, out) -> int:
         sizes = [int(t) for t in args.sizes.split(",") if t.strip()]
     except ValueError as exc:
         raise err.UsageError(f"--sizes: {exc}") from exc
+    if not sizes:
+        raise err.UsageError("--sizes: no size given")
     for n in sizes:
         if not 1 <= n <= MAX_DEFAULT_N:
             raise err.UsageError(f"--sizes: {n} is outside 1..{MAX_DEFAULT_N}")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import (
     BackendUnsupported,
@@ -39,18 +38,9 @@ from .matrixkit import (
     build_jacobi_special,
     matmul,
 )
-from .poly import (
-    MonicPoly,
-    elementary_symmetric,
-    from_roots,
-    lin_comb,
-    parity_of_degree,
-    roots_bracketed,
-    shift_up,
-    with_parity,
-)
-from .recurrence import CharPolySequence
-from .scalars import Backend, primitive_part
+from .poly import elementary_symmetric, from_roots, lin_comb, roots_bracketed, shift_up
+from .recurrence import CharPolySequence, _level, _ratio
+from .scalars import Backend
 from .spectral import eigensolve_tridiagonal, interlaces, relative_spectrum_error
 
 # A modulus gap below this fraction of lambda_1 draws a warning.  Scaling a
@@ -180,75 +170,58 @@ def solve(
     that part divided by -a_1, and the rest of q_n, x q_{n-1} - a_2^2 q_{n-2},
     is the top of the plain three-term step.  Every level k = n-2, ..., 0 then
     takes the same step: r = x q_{k+1} - (the level above), a_{n-k}^2 = r[k],
-    and q_k is r[:k] / a_{n-k}^2 under a leading 1, with the coefficients of
-    the wrong parity set to zero.
+    and q_k is r[:k+1] stored as a level (``recurrence._level``).
 
     The exact backend takes that step on integers.  It scales the spectrum by
     its common denominator D to integers mu, so the pass runs on
     prod (y - mu_i), y = D x, where a' = D a.  It carries Q_k = c_k q_k(y)
     with integer c_k: r = c_u y Q_{k+1} - c_{k+1} U for the level above
-    U = c_u q_{k+2}, so r[k] = c_u c_{k+1} a'^2, and Q_k is r without its
-    content.  Each output is one Fraction: a_1 = a_1'/D, a^2 = a'^2/D^2.
+    U = c_u q_{k+2}, so r[k] = c_u c_{k+1} a'^2.  Each output is one
+    Fraction: a_1 = a_1'/D, a^2 = a'^2/D^2; in float64 D = 1.
 
     Raises NonPositiveA if a_1 or a squared entry fails to be positive
     (invalid input or catastrophic roundoff) and NonFiniteA if a squared
     entry overflows float64.  Interlacing certificate failures are warnings,
     and in float64 so is a minimum modulus gap below GAP_WARN_RATIO * lambda_1.
     """
-    exact = backend.exact
     lam = tuple(backend.convert(v) for v in spectrum.lambdas)
     n = len(lam)
-    warnings: list[str] = []
-    scale, roots = None, lam
-    if exact:
+    scale, roots = 1, lam
+    if backend.exact:
         scale = math.lcm(*(v.denominator for v in lam))
         roots = [v.numerator * (scale // v.denominator) for v in lam]
     qn = from_roots(roots, backend).coeffs
-    a1 = Fraction(-qn[n - 1], scale) if exact else -qn[n - 1]  # sigma_1
+    a1 = _ratio(-qn[n - 1], scale, backend)  # sigma_1
     if not a1 > 0:
         raise NonPositiveA(f"a_1 = sigma_1 = {a1} is not positive")
-    zero = 0 if exact else backend.zero
-    upper = tuple(c if (n - k) % 2 == 0 else zero for k, c in enumerate(qn))
-    if exact:
-        q = primitive_part([-c if (n - k) % 2 else 0 for k, c in enumerate(qn[:n])])
-    else:
-        q = MonicPoly(
-            tuple(-c / a1 if (n - k) % 2 else zero for k, c in enumerate(qn[:n])),
-            parity_of_degree(n - 1),
-        ).coeffs
+    upper = tuple(c if (n - k) % 2 == 0 else 0 for k, c in enumerate(qn))
+    q = _level([-c if (n - k) % 2 else 0 for k, c in enumerate(qn[:n])], n - 1, backend)
     chain = [qn, q]  # descending degree
     a_sq = []
     for k in range(n - 2, -1, -1):
         r = lin_comb(shift_up(q), upper, -q[-1], upper[-1])
-        asq = Fraction(r[k], q[-1] * upper[-1] * scale**2) if exact else r[k]  # a_{n-k}^2
+        asq = _ratio(r[k], q[-1] * upper[-1] * scale**2, backend)  # a_{n-k}^2
         if not asq > 0:
             raise NonPositiveA(f"a_{n - k}^2 = {asq} is not positive")
         a_sq.append(asq)
-        upper = q
-        if exact:
-            q = primitive_part(r[: k + 1])
-        else:
-            coeffs = tuple(c / asq for c in r[:k]) + (backend.one,)
-            q = with_parity(MonicPoly(coeffs), parity_of_degree(k), backend).coeffs
+        upper, q = q, _level(r[: k + 1], k, backend)
         chain.append(q)
 
-    chain = CharPolySequence.q_system(chain[::-1], scale)
-    a_vec = None
+    chain = CharPolySequence.q_system(chain[::-1], backend, scale)
+    a_vec = certificates = None
+    warnings: list[str] = []
     if not backend.exact:
         if math.inf in a_sq:
             raise NonFiniteA("a squared codiagonal entry overflows float64")
         a_vec = (a1,) + tuple(backend.sqrt(v) for v in a_sq)
-
-    certificates = None
-    if with_certificates and not backend.exact:
-        certificates, cert_warn = _certify_interlacing(chain.polys, lam, backend)
-        warnings.extend(cert_warn)
-    gap = None if backend.exact else spectrum.min_modulus_gap()
-    if gap is not None and float(gap) < GAP_WARN_RATIO * float(spectrum.lambdas[0]):
-        warnings.append(
-            f"minimum modulus gap {float(gap):.3e} is below {GAP_WARN_RATIO} * lambda_1; "
-            "reconstruction is ill-conditioned, consider --backend rational"
-        )
+        if with_certificates:
+            certificates, warnings = _certify_interlacing(chain.polys, lam, backend)
+        gap = spectrum.min_modulus_gap()
+        if gap is not None and float(gap) < GAP_WARN_RATIO * float(spectrum.lambdas[0]):
+            warnings.append(
+                f"minimum modulus gap {float(gap):.3e} is below {GAP_WARN_RATIO} * lambda_1; "
+                "reconstruction is ill-conditioned, consider --backend rational"
+            )
 
     return ReconstructionTrace(
         spectrum,

@@ -12,6 +12,10 @@ Two systems produce the same top polynomial:
 
 Both take a positive coefficient vector; the q-system also takes the pair
 (a_1, squared tail), so the exact backend never needs square roots.
+
+How a q-system level is stored (``_level``) and how an output quotient is
+formed (``_ratio``) is decided here, for this forward pass and for the
+backward pass of ``inversesolver.solve``.
 """
 
 from __future__ import annotations
@@ -41,26 +45,21 @@ class CharPolySequence:
     scale: int | None = None
 
     @classmethod
-    def q_system(cls, chain, scale=None) -> CharPolySequence:
-        """The q-system of the coefficient tuples chain[k], k = 0..n: floats
-        become monic polys now, q_k tagged with the parity of k for k < n;
-        integers (``scale`` D) wait for ``polys``."""
-        if scale is not None:
-            return cls(tuple(chain), scale)
-        n = len(chain) - 1
-        parities = [parity_of_degree(k) for k in range(n)] + [None]
-        return cls(tuple(MonicPoly(c, p) for c, p in zip(chain, parities)))
+    def q_system(cls, chain, backend: Backend, scale=1) -> CharPolySequence:
+        """The q-system of the levels chain[k], k = 0..n, as ``_level`` stores
+        them: floats become monic polys now; integers (``scale`` D) wait for
+        ``polys``."""
+        return cls(tuple(chain), scale) if backend.exact else cls(_tagged(chain))
 
     @cached_property
     def polys(self) -> tuple:
         if self.scale is None:
             return self.chain
         d = self.scale
-        monic = [
+        return _tagged([
             tuple(Fraction(v, c[-1] * d ** (k - j)) for j, v in enumerate(c))
             for k, c in enumerate(self.chain)
-        ]
-        return CharPolySequence.q_system(monic).chain
+        ])
 
     @property
     def n(self) -> int:
@@ -83,6 +82,39 @@ class CharPolySequence:
         )
 
 
+def _tagged(chain) -> tuple:
+    """Monic q_k of the coefficient tuples, tagged with the parity of k for k < n."""
+    parities = [parity_of_degree(k) for k in range(len(chain) - 1)] + [None]
+    return tuple(map(MonicPoly, chain, parities))
+
+
+def _level(r, k, backend: Backend) -> tuple:
+    """A step's result r of degree len(r) - 1 as a stored level: on the rational
+    backend the integers without their content; in float64 r[:-1] divided by
+    the leading coefficient under a leading 1.0, with the coefficients the
+    parity of k forbids set to zero (k None: no parity, the top q_n)."""
+    if backend.exact:
+        return primitive_part(r)
+    lead = r[-1]
+    q = MonicPoly(tuple([c / lead for c in r[:-1]]) + (backend.one,))
+    return q.coeffs if k is None else with_parity(q, parity_of_degree(k), backend).coeffs
+
+
+def _ratio(num, den, backend: Backend):
+    """num / den as an output scalar: one Fraction on the rational backend."""
+    return Fraction(num, den) if backend.exact else num / den
+
+
+def _step(p, u, v, backend: Backend) -> tuple:
+    """A multiple of p/p[-1] - v u/u[-1]; in float64 the difference itself."""
+    if not backend.exact:
+        return lin_comb(p, u, -v * p[-1], u[-1])
+    s, t = backend.convert(v).as_integer_ratio()
+    s, t = s * p[-1], t * u[-1]
+    g = math.gcd(s, t)  # two scalars: cheaper than the content it spares
+    return lin_comb(p, u, -(s // g), t // g)
+
+
 def _squares(a: CoefficientVector, backend: Backend):
     """a_1 and the squared tail.  The entries are positive, so a square that
     float64 rounds to 0.0 or to inf is a breakdown, not a rejection."""
@@ -103,6 +135,8 @@ def _check_positive(a1, tail_sq):
     for k, v in enumerate(tail_sq, start=2):
         if not v > 0:
             raise NonPositiveEntry(f"a_{k}^2 = {v} is not strictly positive")
+    if math.inf in (a1, *tail_sq):  # the pass would carry NaN
+        raise SquareOutOfRange("(a_1, a_2^2, ..., a_n^2) holds inf")
 
 
 def forward_p(a: CoefficientVector, backend: Backend) -> CharPolySequence:
@@ -124,36 +158,19 @@ def forward_q(a: CoefficientVector, backend: Backend) -> CharPolySequence:
 def forward_q_squared(a1, tail_sq, backend: Backend) -> CharPolySequence:
     """q-system from a_1 and the squared tail (a_2^2, ..., a_n^2).
 
-    The float backend carries the monic q_k.  The exact backend carries
-    integers P_k with q_k = P_k / P_k[-1], so the pass forms no Fraction:
-    with a^2 = s/t the step is t P_{k-2}[-1] x P_{k-1} - s P_{k-1}[-1] P_{k-2},
-    its two multipliers divided by their gcd and the result by its content.
-    """
+    The exact backend carries integers P_k with q_k = P_k / P_k[-1], so the
+    pass forms no Fraction: with a^2 = s/t the step is
+    t P_{k-2}[-1] x P_{k-1} - s P_{k-1}[-1] P_{k-2}."""
     _check_positive(a1, tail_sq)
     n = 1 + len(tail_sq)
-    exact = backend.exact
-
-    def step(p, u, v):
-        # a multiple of p/p[-1] - v u/u[-1]; in float64 the difference itself
-        if not exact:
-            return lin_comb(p, u, -v * p[-1], u[-1])
-        s, t = backend.convert(v).as_integer_ratio()
-        s, t = s * p[-1], t * u[-1]
-        g = math.gcd(s, t)  # two scalars: cheaper than the content it spares
-        return lin_comb(p, u, -(s // g), t // g)
-
-    one, zero = (1, 0) if exact else (backend.one, backend.zero)
-    chain = [(one,), (zero, one)][:n]
+    chain = [_level(c, k, backend) for k, c in enumerate([(1,), (0, 1)][:n])]
     for k in range(2, n):
-        r = step(shift_up(chain[k - 1]), chain[k - 2], tail_sq[n - k])
-        if exact:
-            chain.append(primitive_part(r))
-        else:
-            chain.append(with_parity(MonicPoly(r), parity_of_degree(k), backend).coeffs)
+        r = _step(shift_up(chain[k - 1]), chain[k - 2], tail_sq[n - k], backend)
+        chain.append(_level(r, k, backend))
     # (x - a_1) q_{n-1} first, then - a_2^2 q_{n-2}: the rounding of this
     # order is what max_residual reports.
-    top = step(shift_up(chain[n - 1]), chain[n - 1], a1)
+    top = _step(shift_up(chain[n - 1]), chain[n - 1], a1, backend)
     if n > 1:
-        top = step(top, chain[n - 2], tail_sq[0])
-    chain.append(primitive_part(top) if exact else MonicPoly(top).coeffs)
-    return CharPolySequence.q_system(chain, 1 if exact else None)
+        top = _step(top, chain[n - 2], tail_sq[0], backend)
+    chain.append(_level(top, None, backend))
+    return CharPolySequence.q_system(chain, backend)

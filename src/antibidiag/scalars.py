@@ -27,8 +27,8 @@ class TolerancePolicy:
     root_tol: float = 1e-13
 
     def __post_init__(self):
-        if self.eq_abs <= 0 or self.eq_rel <= 0 or self.root_tol <= 0:
-            raise ValueError("all tolerances must be strictly positive")
+        if not all(0 < t < math.inf for t in (self.eq_abs, self.eq_rel, self.root_tol)):
+            raise ValueError("all tolerances must be strictly positive and finite")
 
 
 @dataclass(frozen=True)

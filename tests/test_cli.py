@@ -11,7 +11,13 @@ import pytest
 
 from antibidiag import cli
 from antibidiag.cli import main
-from antibidiag.sampling import MAX_DEFAULT_N, case_rng, random_moduli, random_rational_spectrum
+from antibidiag.sampling import (
+    MAX_DEFAULT_N,
+    case_rng,
+    random_moduli,
+    random_rational_spectrum,
+    random_spectrum,
+)
 
 
 def run(args):
@@ -69,6 +75,9 @@ def test_rational_rejects_root_extraction_commands():
     assert code == 3
     code, _ = run(["sqrt", "--mus", "9,4,1", "--backend", "rational"])
     assert code == 3
+    for spectrum in ("3,-2,1", "1,2"):  # the status does not depend on the input
+        code, _ = run(["solve", "--roundtrip", "--spectrum", spectrum, "--backend", "rational"])
+        assert code == 3
 
 
 def test_roundtrip_command():
@@ -222,6 +231,10 @@ def test_exact_report_renders_past_the_int_str_limit():
         (["verify-all", "--sizes", "3,-2"], 3),
         (["verify-all", "--sizes", "2,3", "--cases", "0"], 3),
         (["verify-all", "--cases", "-1"], 3),
+        (["verify-all", "--sizes", ","], 3),
+        (["verify-all", "--sizes="], 3),
+        (["signreg", "--a", "1,2,3", "--tol-abs", "nan"], 3),
+        (["solve", "--spectrum", "3,-2,1", "--root-tol", "inf"], 3),
     ],
 )
 def test_entry_range_and_size_range_statuses(args, status):
@@ -455,13 +468,33 @@ _PINNED_SPECTRA = {
 }
 
 
+def _assert_pinned(capsys, args, filename):
+    code, text = run(args)
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert text == (_PINNED / filename).read_text()
+
+
 @pytest.mark.parametrize("fmt", ["json", "pretty", "csv"])
 @pytest.mark.parametrize("name", list(_PINNED_SPECTRA))
 def test_rational_solve_text_is_pinned(capsys, name, fmt):
     args = ["solve", "--backend", "rational", "--spectrum", _PINNED_SPECTRA[name], "--format", fmt]
-    code, text = run(args)
-    assert (code, capsys.readouterr().err) == (0, "")
-    assert text == (_PINNED / f"rational-solve-{name}.{fmt}").read_text()
+    _assert_pinned(capsys, args, f"rational-solve-{name}.{fmt}")
+
+
+_PINNED_FLOAT_SPECTRA = {
+    "worked": "3,-2,1",
+    # the f64-roundtrip workload's spectra at n = 16 and 48, seed 1
+    "n16": ",".join(map(repr, random_spectrum(case_rng(1, "f64-roundtrip", 1), 16))),
+    "n48": ",".join(map(repr, random_spectrum(case_rng(1, "f64-roundtrip", 4), 48))),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "pretty"])
+@pytest.mark.parametrize("name", list(_PINNED_FLOAT_SPECTRA))
+def test_float_solve_text_is_pinned(capsys, name, fmt):
+    # a and jacobi carry the backward pass's rounding, max_residual the forward pass's
+    args = ["solve", "--roundtrip", "--spectrum=" + _PINNED_FLOAT_SPECTRA[name], "--format", fmt]
+    _assert_pinned(capsys, args, f"float-solve-{name}.{fmt}")
 
 
 def test_rational_solve_reports_a_residual_when_a_square_is_off(monkeypatch):

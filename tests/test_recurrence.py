@@ -60,6 +60,13 @@ def test_forward_rejects_nonpositive(fb):
         forward_q_squared(1.0, (0.0,), fb)
 
 
+@pytest.mark.parametrize("a1, tail_sq", [(1.0, (math.inf,)), (math.inf, (2.0,)), (math.inf, ())])
+def test_forward_refuses_infinite_inputs(fb, a1, tail_sq):
+    # the pass would otherwise divide by a NaN leading coefficient and return NaN
+    with pytest.raises(SquareOutOfRange):
+        forward_q_squared(a1, tail_sq, fb)
+
+
 def test_p_and_q_systems_agree_exactly(rb):
     rng = random.Random(21)
     for n in range(1, 13):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,10 @@ def test_policy_rejects_nonpositive_tolerances():
         TolerancePolicy(eq_abs=0.0)
     with pytest.raises(ValueError):
         TolerancePolicy(root_tol=-1e-3)
+    for bad in (math.nan, math.inf):
+        for field in ("eq_abs", "eq_rel", "root_tol"):
+            with pytest.raises(ValueError):
+                TolerancePolicy(**{field: bad})
 
 
 def test_approx_equal_identity_and_band(fb):
