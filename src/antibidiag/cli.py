@@ -352,7 +352,7 @@ def _cmd_signreg(args, backend, out) -> int:
     if key == "a":
         cv = CoefficientVector(values)
     else:
-        trace = solve(validate_spectrum(values), backend, with_certificates=False)
+        trace = solve(validate_spectrum(values), backend)
         cv = trace.coefficient_vector
     A = build_antibidiagonal(cv, backend)
     n = A.n
@@ -423,7 +423,7 @@ def _battery_sigma(seed, sizes, cases):
 def _battery_signreg(seed, sizes, cases, backend):
     for n, i, rng in _cases(seed, "signreg", sizes, cases):
         spec = validate_spectrum(random_spectrum(rng, n))
-        trace = solve(spec, backend, with_certificates=False)
+        trace = solve(spec, backend)
         A = build_antibidiagonal(trace.coefficient_vector, backend)
         if not classify_sign_regular(A, n, signature_sequence(n), backend).all_conforming:
             return False, f"sign-regularity failed at n={n} case {i}"

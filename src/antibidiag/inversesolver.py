@@ -15,7 +15,8 @@ and the rest of q_n takes the place of q_{k+2} in the first step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     BackendUnsupported,
@@ -133,23 +134,27 @@ def check_sigma_inequality(spectrum) -> SigmaCheck:
 
 @dataclass(frozen=True)
 class ReconstructionTrace:
-    """Everything the backward pass produced: the q-system chain, a_1, the
-    squared tail, the positive coefficient vector (floating backend; the
-    exact backend stops at the squares), and per-level root interlacing
-    certificates."""
+    """Everything the backward pass produced: the q-system chain, a_1 and the
+    squared tail.  In float64 the positive coefficient vector ``a``, the
+    per-level root interlacing ``certificates`` and the ``warnings`` are
+    worked out when first read; the exact backend stops at the squares."""
 
     spectrum: Spectrum
     chain: CharPolySequence  # q_0, ..., q_n
     a1: object
     a_squared: tuple  # (a_2^2, ..., a_n^2)
-    a: tuple | None
-    certificates: tuple | None  # ((k, roots_of_q_k, roots_of_q_{k+1}), ...) desc
-    warnings: tuple = field(default=())
+    backend: Backend
 
     @property
     def qs(self) -> tuple:
         """qs[k] = q_k, k = 0..n (built on first access in the exact backend)."""
         return self.chain.polys
+
+    @cached_property
+    def a(self) -> tuple | None:
+        if self.backend.exact:
+            return None
+        return (self.a1,) + tuple(map(self.backend.sqrt, self.a_squared))
 
     @property
     def coefficient_vector(self) -> CoefficientVector:
@@ -157,12 +162,54 @@ class ReconstructionTrace:
             raise BackendUnsupported("square roots unavailable in the exact backend")
         return CoefficientVector(self.a)
 
+    @property
+    def certificates(self) -> tuple | None:
+        """((k, roots_of_q_k, roots_of_q_{k+1}), ...), k descending."""
+        return self._checks[0]
 
-def solve(
-    spectrum: Spectrum,
-    backend: Backend,
-    with_certificates: bool = True,
-) -> ReconstructionTrace:
+    @property
+    def warnings(self) -> tuple:
+        return self._checks[1]
+
+    @cached_property
+    def _checks(self):
+        """Bracketed roots of each q_k between consecutive roots of q_{k+1},
+        then the warnings: a level that fails cuts the chain, and a
+        minimum modulus gap below GAP_WARN_RATIO * lambda_1 draws one more.
+
+        For k < n, q_k has the parity of k, so its roots come in exact +- pairs,
+        plus 0.0 when k is odd.  Only the upper floor(k/2) brackets are bisected;
+        their roots are mirrored, 0.0 is added for odd k, and the full set is
+        checked against the outer roots.  The parity evaluation of ``poly_eval``
+        makes q_k(-x) = +-q_k(x) exact, so a mirrored root marks a sign change of
+        q_k just as the bisected one does."""
+        if self.backend.exact:
+            return None, ()
+        certs, warns = [], []
+        outer = tuple(sorted(map(float, self.spectrum.lambdas)))
+        for k in range(self.spectrum.n - 1, 0, -1):
+            brackets = [(outer[i], outer[i + 1]) for i in range(k - k // 2, k)]
+            try:
+                upper = roots_bracketed(self.qs[k], brackets, self.backend)
+            except NoSignChange as exc:
+                warns.append(f"level {k}: {exc}")
+                break
+            inner = tuple(-r for r in reversed(upper)) + (0.0,) * (k % 2) + upper
+            if not interlaces(inner, outer):
+                warns.append(f"level {k}: interlacing violated")
+                break
+            certs.append((k, inner, outer))
+            outer = inner
+        gap = self.spectrum.min_modulus_gap()
+        if gap is not None and float(gap) < GAP_WARN_RATIO * float(self.spectrum.lambdas[0]):
+            warns.append(
+                f"minimum modulus gap {float(gap):.3e} is below {GAP_WARN_RATIO} * lambda_1; "
+                "reconstruction is ill-conditioned, consider --backend rational"
+            )
+        return tuple(certs), tuple(warns)
+
+
+def solve(spectrum: Spectrum, backend: Backend) -> ReconstructionTrace:
     """Backward pass from the prescribed spectrum to the coefficient vector.
 
     q_n = (x - a_1) q_{n-1} - a_2^2 q_{n-2}, and q_{n-1} has the parity of
@@ -181,8 +228,7 @@ def solve(
 
     Raises NonPositiveA if a_1 or a squared entry fails to be positive
     (invalid input or catastrophic roundoff) and NonFiniteA if a squared
-    entry overflows float64.  Interlacing certificate failures are warnings,
-    and in float64 so is a minimum modulus gap below GAP_WARN_RATIO * lambda_1.
+    entry overflows float64.
     """
     lam = tuple(backend.convert(v) for v in spectrum.lambdas)
     n = len(lam)
@@ -208,59 +254,9 @@ def solve(
         chain.append(q)
 
     chain = CharPolySequence.q_system(chain[::-1], backend, scale)
-    a_vec = certificates = None
-    warnings: list[str] = []
-    if not backend.exact:
-        if math.inf in a_sq:
-            raise NonFiniteA("a squared codiagonal entry overflows float64")
-        a_vec = (a1,) + tuple(backend.sqrt(v) for v in a_sq)
-        if with_certificates:
-            certificates, warnings = _certify_interlacing(chain.polys, lam, backend)
-        gap = spectrum.min_modulus_gap()
-        if gap is not None and float(gap) < GAP_WARN_RATIO * float(spectrum.lambdas[0]):
-            warnings.append(
-                f"minimum modulus gap {float(gap):.3e} is below {GAP_WARN_RATIO} * lambda_1; "
-                "reconstruction is ill-conditioned, consider --backend rational"
-            )
-
-    return ReconstructionTrace(
-        spectrum,
-        chain,
-        a1,
-        tuple(a_sq),
-        a_vec,
-        certificates,
-        tuple(warnings),
-    )
-
-
-def _certify_interlacing(qs_by_degree, lam, backend):
-    """Bracketed roots of each q_k between consecutive roots of q_{k+1}.
-
-    For k < n, q_k has the parity of k, so its roots come in exact +- pairs,
-    plus 0.0 when k is odd.  Only the upper floor(k/2) brackets are bisected;
-    their roots are mirrored, 0.0 is added for odd k, and the full set is
-    checked against the outer roots.  The parity evaluation of ``poly_eval``
-    makes q_k(-x) = +-q_k(x) exact, so a mirrored root marks a sign change of
-    q_k just as the bisected one does."""
-    n = len(lam)
-    certs = []
-    warns = []
-    outer = tuple(sorted(lam))
-    for k in range(n - 1, 0, -1):
-        brackets = [(outer[i], outer[i + 1]) for i in range(k - k // 2, k)]
-        try:
-            upper = roots_bracketed(qs_by_degree[k], brackets, backend)
-        except NoSignChange as exc:
-            warns.append(f"level {k}: {exc}")
-            break
-        inner = tuple(-r for r in reversed(upper)) + (0.0,) * (k % 2) + upper
-        if not interlaces(inner, outer):
-            warns.append(f"level {k}: interlacing violated")
-            break
-        certs.append((k, inner, outer))
-        outer = inner
-    return tuple(certs), warns
+    if math.inf in a_sq:
+        raise NonFiniteA("a squared codiagonal entry overflows float64")
+    return ReconstructionTrace(spectrum, chain, a1, tuple(a_sq), backend)
 
 
 @dataclass(frozen=True)
@@ -298,7 +294,7 @@ def jacobi_sqrt(mus: PositiveTuple, backend: Backend) -> SqrtResult:
         (-1) ** j * backend.sqrt(backend.convert(m)) for j, m in enumerate(mus.mus)
     )
     spectrum = validate_spectrum(lam)
-    trace = solve(spectrum, backend, with_certificates=False)
+    trace = solve(spectrum, backend)
     a = trace.coefficient_vector
     A = build_antibidiagonal(a, backend)
     B = matmul(A, A, backend)

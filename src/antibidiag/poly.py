@@ -45,8 +45,8 @@ class MonicPoly:
 def from_roots(roots, backend: Backend) -> MonicPoly:
     """Monic polynomial with the given simple roots (empty product is 1).
 
-    Floating backend rejects roots closer than 10*root_tol times the largest
-    root modulus, so the test does not depend on the scale of the roots; the
+    Floating backend rejects two roots closer than 10*root_tol times the larger
+    of their moduli, so the test does not depend on the scale of the roots; the
     rational backend rejects exact duplicates, and multiplies integer roots
     out on integers.
     """
@@ -56,9 +56,9 @@ def from_roots(roots, backend: Backend) -> MonicPoly:
         one, zero = 1, 0
     else:
         roots = [backend.convert(r) for r in roots]
-    sep = 0 if backend.exact else 10 * backend.policy.root_tol * max(map(abs, roots), default=0)
+    sep = 0 if backend.exact else 10 * backend.policy.root_tol
     for r, s in combinations(roots, 2):
-        if abs(r - s) <= sep:
+        if abs(r - s) <= sep * max(abs(r), abs(s)):
             raise DuplicateRoots(f"roots {r} and {s} are not separated")
     coeffs = [one]
     for r in roots:

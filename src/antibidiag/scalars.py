@@ -15,8 +15,6 @@ from fractions import Fraction
 
 from .errors import BackendUnsupported
 
-BISECT_MAX_ITER = 200  # for every bisection: root certificates and Sturm counts
-
 
 @dataclass(frozen=True)
 class TolerancePolicy:
@@ -87,10 +85,11 @@ def primitive_part(ints):
 
 def bisect(f, lo: float, hi: float, tol: float, level=0.0, rising=True) -> float:
     """Bisect [lo, hi] to width <= tol around where f crosses ``level``, from
-    below if ``rising``; a midpoint where f equals the level is returned."""
-    for _ in range(BISECT_MAX_ITER):
+    below if ``rising``; a midpoint where f equals the level is returned.
+    Each pass halves the bracket or stops, so the loop ends; a NaN width stops it."""
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol or mid == lo or mid == hi:
+        if mid == lo or mid == hi:
             break
         d = f(mid) - level
         if d == 0.0:

@@ -95,13 +95,13 @@ def eigensolve_tridiagonal(T: StructuredMatrix, backend: Backend):
     eigenvalues are bit-identical to it, but a midpoint shared by several
     paths is counted once.
 
-    Raises SquareOutOfRange if a nonzero codiagonal entry squares below the
-    smallest normal float64, where the Sturm pivots lose their precision."""
+    Raises SquareOutOfRange if a nonzero codiagonal entry squares outside the
+    normal float64 range, where the Sturm pivots lose precision or overflow."""
     if backend.exact:
         raise BackendUnsupported("eigensolver needs the floating backend")
     diag, off = _extract_tridiagonal(T, backend.policy)
     for b in off:
-        if b != 0.0 and b * b < sys.float_info.min:
+        if b != 0.0 and not sys.float_info.min <= b * b <= sys.float_info.max:
             raise SquareOutOfRange(f"codiagonal entry {b} squares to {b * b} in float64")
     glo, ghi = gershgorin_bounds(diag, off)
     tol = backend.policy.root_tol * min(1.0, max(-glo, ghi))

@@ -69,9 +69,9 @@ def roundtrip_batch():
 
 def test_criterion_1_worked_instance():
     spec = validate_spectrum((3.0, -2.0, 1.0))
-    solve(spec, FB, with_certificates=False)  # warmup
+    solve(spec, FB)  # warmup
     start = time.perf_counter()
-    trace = solve(spec, FB, with_certificates=False)
+    trace = solve(spec, FB)
     elapsed = time.perf_counter() - start
     assert abs(trace.a1 - 2.0) <= 1e-12
     assert abs(trace.a_squared[0] - 2.0) <= 1e-12
@@ -124,7 +124,7 @@ def test_criterion_5_sign_regularity():
     for i in range(50):
         n = 2 + i % 4  # n in 2..5
         spec = validate_spectrum(random_spectrum(rng, n))
-        trace = solve(spec, FB, with_certificates=False)
+        trace = solve(spec, FB)
         A = build_antibidiagonal(trace.coefficient_vector, FB)
         rep = classify_sign_regular(A, n, signature_sequence(n), FB)
         assert rep.all_conforming

@@ -254,6 +254,22 @@ def test_sqrt_whose_codiagonal_squares_underflow_is_a_breakdown(capsys):
     assert "[SquareOutOfRange]" in capsys.readouterr().err
 
 
+def test_sqrt_whose_codiagonal_squares_overflow_is_a_breakdown(capsys):
+    # J = A A has the codiagonal entry 1e225, which squares to inf
+    code, text = run(["sqrt", "--mus", "1e300,1"])
+    assert code == 2 and text == ""
+    assert "[SquareOutOfRange]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spectrum", ["1e60,-1", "1e20,-1,0.5"])
+def test_wide_range_spectrum_solves(spectrum):
+    # bisection runs to its width however wide the Gershgorin interval, and
+    # roots are separated relative to each pair, not to the largest modulus
+    code, text = run(["solve", "--roundtrip", "--spectrum", spectrum])
+    assert code == 0
+    assert json.loads(text)["diagnostics"]["roundtrip_error"] <= 1e-12
+
+
 # Every command, with an output that holds a list of dicts (signreg's orders,
 # verify-all's results) or a field with a comma (the gap warning).
 _CSV_REQUESTS = [

@@ -1,3 +1,4 @@
+import io
 import math
 import random
 import sys
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from antibidiag import inversesolver
 from antibidiag import (
     CoefficientVector,
     PositiveTuple,
@@ -34,6 +36,8 @@ from antibidiag.errors import (
     NotStrictlyDecreasingModulus,
     TooSmall,
 )
+from antibidiag.cli import main
+from antibidiag.poly import MonicPoly
 from antibidiag.sampling import (
     case_rng,
     random_coefficients,
@@ -147,8 +151,8 @@ class TestSolve:
             s2 = validate_spectrum(random_spectrum(rng, n))
             if max(abs(x - y) for x, y in zip(s1.lambdas, s2.lambdas)) < 1e-6:
                 continue
-            a1 = solve(s1, fb, with_certificates=False).a
-            a2 = solve(s2, fb, with_certificates=False).a
+            a1 = solve(s1, fb).a
+            a2 = solve(s2, fb).a
             assert max(abs(x - y) for x, y in zip(a1, a2)) > 1e-9
 
     def test_interlacing_chain(self, fb):
@@ -319,7 +323,7 @@ class TestSingleStepPass:
     @classmethod
     def _solve(cls, lam, backend):
         try:
-            t = solve(validate_spectrum(lam), backend, with_certificates=False)
+            t = solve(validate_spectrum(lam), backend)
         except (AntibidiagError, ArithmeticError) as exc:
             return f"{type(exc).__name__}: {exc}"
         return repr((t.a1, t.a_squared, t.a, cls._allowed([q.coeffs for q in t.qs])))
@@ -364,6 +368,59 @@ class TestSingleStepPass:
         assert trace.warnings == (
             "level 2: interlacing violated",
             "minimum modulus gap 1.186e-09 is below 1e-06 * lambda_1; "
+            "reconstruction is ill-conditioned, consider --backend rational",
+        )
+
+
+class TestChecksOnRead:
+    """The float64 interlacing chain and warnings are worked out once, when read."""
+
+    @staticmethod
+    def _count_bisections(monkeypatch):
+        calls = []
+
+        def counted(p, brackets, backend):
+            calls.append(p.degree)
+            return roots_bracketed(p, brackets, backend)
+
+        monkeypatch.setattr(inversesolver, "roots_bracketed", counted)
+        return calls
+
+    def test_solve_bisects_nothing_until_the_checks_are_read(self, fb, monkeypatch):
+        calls = self._count_bisections(monkeypatch)
+        trace = solve(validate_spectrum(random_spectrum(random.Random(46), 6)), fb)
+        assert trace.a is not None and calls == []
+        assert trace.warnings == () and calls == [5, 4, 3, 2, 1]
+        assert len(trace.certificates) == 5 and trace.warnings == ()
+        assert calls == [5, 4, 3, 2, 1]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["signreg", "--spectrum", "3,-2,1"],
+            ["sqrt", "--mus", "9,4,1"],
+            ["solve", "--backend", "rational", "--spectrum", "3,-2,1"],
+        ],
+    )
+    def test_commands_that_never_read_the_chain_bisect_nothing(self, monkeypatch, args):
+        calls = self._count_bisections(monkeypatch)
+        assert main(args, out=io.StringIO()) == 0
+        assert calls == []
+
+    def test_a_level_without_a_sign_change_cuts_the_chain(self, fb, monkeypatch):
+        # x^2 + 1 has no real root, so the bisection of level 2 finds no sign change
+        def no_root_at_level_2(p, brackets, backend):
+            if p.degree == 2:
+                p = MonicPoly((1.0, 0.0, 1.0), p.parity)
+            return roots_bracketed(p, brackets, backend)
+
+        monkeypatch.setattr(inversesolver, "roots_bracketed", no_root_at_level_2)
+        trace = solve(validate_spectrum((4.0, -3.0, 2.000001, -2.0)), fb)
+        [(k, inner, _)] = trace.certificates
+        assert k == 3
+        assert trace.warnings == (
+            f"level 2: no sign change on [{inner[1]}, {inner[2]}]",
+            "minimum modulus gap 1.000e-06 is below 1e-06 * lambda_1; "
             "reconstruction is ill-conditioned, consider --backend rational",
         )
 

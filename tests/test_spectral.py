@@ -72,6 +72,12 @@ def test_eigensolve_refuses_a_codiagonal_whose_square_underflows(fb):
     )
 
 
+def test_eigensolve_refuses_a_codiagonal_whose_square_overflows(fb):
+    # b * b = 1e400 is beyond float64, so the Sturm pivots would overflow
+    with pytest.raises(SquareOutOfRange):
+        eigensolve_tridiagonal(StructuredMatrix(2, ((1.0, 1e200), (1e200, 0.0))), fb)
+
+
 def test_eigensolve_roots_kill_charpoly(fb):
     rng = random.Random(31)
     for n in range(1, 11):
@@ -161,7 +167,7 @@ def test_reconstructed_matrices_are_sign_regular(fb):
     for n in range(2, 6):
         for _ in range(4):
             spec = validate_spectrum(random_spectrum(rng, n))
-            trace = solve(spec, fb, with_certificates=False)
+            trace = solve(spec, fb)
             A = build_antibidiagonal(trace.coefficient_vector, fb)
             rep = classify_sign_regular(A, n, signature_sequence(n), fb)
             assert rep.all_conforming
@@ -275,7 +281,7 @@ def test_shared_brackets_count_each_midpoint_once(fb, monkeypatch):
     for n in (8, 48):
         for _ in range(3):
             lam = validate_spectrum(random_spectrum(rng, n))
-            B = build_jacobi_special(solve(lam, fb, with_certificates=False).coefficient_vector, fb)
+            B = build_jacobi_special(solve(lam, fb).coefficient_vector, fb)
             diag = [B.entries[i][i] for i in range(n)]
             off = [B.entries[i][i + 1] for i in range(n - 1)]
             _, mids = plain_sturm_bisection(diag, off, fb.policy.root_tol)
