@@ -15,7 +15,8 @@ and the rest of q_n takes the place of q_{k+2} in the first step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import (
@@ -174,23 +175,37 @@ class ReconstructionTrace:
     @cached_property
     def _checks(self):
         """Bracketed roots of each q_k between consecutive roots of q_{k+1},
-        then the warnings: a level that fails cuts the chain, and a
-        minimum modulus gap below GAP_WARN_RATIO * lambda_1 draws one more.
+        to width root_tol * min(1, lambda_1) (never below the least subnormal),
+        as the eigensolver scales its width; then the warnings: a coefficient
+        of q_n below the normal float64 range (the spectrum's products
+        underflowed), a level that fails, which cuts the chain, and a minimum
+        modulus gap below GAP_WARN_RATIO * lambda_1.
 
         For k < n, q_k has the parity of k, so its roots come in exact +- pairs,
-        plus 0.0 when k is odd.  Only the upper floor(k/2) brackets are bisected;
+        plus 0.0 when k is odd.  Only the upper floor(k/2) brackets are searched;
         their roots are mirrored, 0.0 is added for odd k, and the full set is
         checked against the outer roots.  The parity evaluation of ``poly_eval``
         makes q_k(-x) = +-q_k(x) exact, so a mirrored root marks a sign change of
-        q_k just as the bisected one does."""
+        q_k just as the found one does."""
         if self.backend.exact:
             return None, ()
         certs, warns = [], []
+        lam1, policy = float(self.spectrum.lambdas[0]), self.backend.policy
+        tol = max(policy.root_tol * min(1.0, lam1), math.ulp(0.0))
+        backend = replace(self.backend, policy=replace(policy, root_tol=tol))
+        n = self.spectrum.n
+        tiny = [(j, c) for j, c in enumerate(self.qs[n].coeffs) if abs(c) < sys.float_info.min]
+        if tiny:
+            j, c = tiny[0]
+            warns.append(
+                f"q_{n} coefficient {j} = {c:.3e} is below the normal float64 range; "
+                "the reconstruction lost precision"
+            )
         outer = tuple(sorted(map(float, self.spectrum.lambdas)))
-        for k in range(self.spectrum.n - 1, 0, -1):
+        for k in range(n - 1, 0, -1):
             brackets = [(outer[i], outer[i + 1]) for i in range(k - k // 2, k)]
             try:
-                upper = roots_bracketed(self.qs[k], brackets, self.backend)
+                upper = roots_bracketed(self.qs[k], brackets, backend)
             except NoSignChange as exc:
                 warns.append(f"level {k}: {exc}")
                 break
@@ -201,7 +216,7 @@ class ReconstructionTrace:
             certs.append((k, inner, outer))
             outer = inner
         gap = self.spectrum.min_modulus_gap()
-        if gap is not None and float(gap) < GAP_WARN_RATIO * float(self.spectrum.lambdas[0]):
+        if gap is not None and float(gap) < GAP_WARN_RATIO * lam1:
             warns.append(
                 f"minimum modulus gap {float(gap):.3e} is below {GAP_WARN_RATIO} * lambda_1; "
                 "reconstruction is ill-conditioned, consider --backend rational"

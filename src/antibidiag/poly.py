@@ -1,5 +1,8 @@
 """Monic polynomials: construction from roots, symmetric functions, parity,
-and bracketed bisection root extraction.
+Horner evaluation, and one root per sign-change bracket.
+
+``poly_eval`` is the one evaluator, over coefficients each polynomial slices
+once; ``roots_bracketed`` takes roots by the regula falsi of ``scalars``.
 
 Coefficients are stored dense, constant term first.  Degrees in this package
 stay small (a few dozen), so no sparse or FFT machinery is warranted.
@@ -8,11 +11,11 @@ stay small (a few dozen), so no sparse or FFT machinery is warranted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import combinations
 
 from .errors import BackendUnsupported, DuplicateRoots, IndexOutOfRange, NoSignChange
-from .scalars import Backend, bisect
+from .scalars import Backend, sign_change_root
 
 EVEN = "even"
 ODD = "odd"
@@ -40,6 +43,13 @@ class MonicPoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
+
+    @cached_property
+    def horner_coeffs(self) -> tuple:
+        """(leading, the rest top down) of the coefficients ``poly_eval`` runs
+        Horner over: all, or those a parity tag allows."""
+        c = self.coeffs if self.parity is None else self.coeffs[self.parity == ODD :: 2]
+        return c[-1], c[-2::-1]
 
 
 def from_roots(roots, backend: Backend) -> MonicPoly:
@@ -91,13 +101,6 @@ def reflect_negate(p: MonicPoly) -> MonicPoly:
     return MonicPoly(coeffs, p.parity)
 
 
-def _horner(coeffs, x):
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
-    return acc
-
-
 def poly_eval(p: MonicPoly, x):
     """Horner evaluation.
 
@@ -106,11 +109,11 @@ def poly_eval(p: MonicPoly, x):
     p(-x) = p(x) (even) or -p(x) (odd) hold exactly; the forbidden
     coefficients are taken as zero, as the tag states.  An untagged
     polynomial takes plain Horner in x."""
-    if p.parity is None:
-        return _horner(p.coeffs, x)
-    if p.parity == EVEN:
-        return _horner(p.coeffs[::2], x * x)
-    return _horner(p.coeffs[1::2], x * x) * x
+    acc, rest = p.horner_coeffs
+    y = x if p.parity is None else x * x
+    for c in rest:
+        acc = acc * y + c
+    return acc * x if p.parity == ODD else acc
 
 
 def with_parity(p: MonicPoly, parity: str, backend: Backend) -> MonicPoly:
@@ -137,7 +140,8 @@ def parity_of_degree(k: int) -> str:
 
 
 def roots_bracketed(p: MonicPoly, brackets, backend: Backend):
-    """One bisection root per sign-change bracket, ascending, width <= root_tol."""
+    """One root per sign-change bracket, ascending, each to width <= root_tol
+    by ``sign_change_root``; an end where p is exactly 0.0 is the root."""
     if backend.exact:
         raise BackendUnsupported("bracketed root extraction needs the floating backend")
     tol = backend.policy.root_tol
@@ -147,15 +151,12 @@ def roots_bracketed(p: MonicPoly, brackets, backend: Backend):
             lo, hi = hi, lo
         flo = poly_eval(p, lo)
         fhi = poly_eval(p, hi)
-        if flo == 0.0:
-            out.append(lo)
-            continue
-        if fhi == 0.0:
-            out.append(hi)
+        if flo == 0.0 or fhi == 0.0:
+            out.append(lo if flo == 0.0 else hi)
             continue
         if (flo > 0) == (fhi > 0):
             raise NoSignChange(f"no sign change on [{lo}, {hi}]")
-        out.append(bisect(partial(poly_eval, p), lo, hi, tol, rising=flo < 0))
+        out.append(sign_change_root(partial(poly_eval, p), lo, hi, flo, fhi, tol))
     return tuple(sorted(out))
 
 

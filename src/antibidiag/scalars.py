@@ -83,9 +83,9 @@ def primitive_part(ints):
     return tuple(v // g for v in ints)
 
 
-def bisect(f, lo: float, hi: float, tol: float, level=0.0, rising=True) -> float:
-    """Bisect [lo, hi] to width <= tol around where f crosses ``level``, from
-    below if ``rising``; a midpoint where f equals the level is returned.
+def bisect(f, lo: float, hi: float, tol: float, level=0.0) -> float:
+    """Bisect [lo, hi] to width <= tol around where the nondecreasing f crosses
+    ``level``; a midpoint where f equals the level is returned.
     Each pass halves the bracket or stops, so the loop ends; a NaN width stops it."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -94,8 +94,48 @@ def bisect(f, lo: float, hi: float, tol: float, level=0.0, rising=True) -> float
         d = f(mid) - level
         if d == 0.0:
             return mid
-        if (d > 0) == rising:
+        if d > 0:
             hi = mid
         else:
             lo = mid
+    return 0.5 * (lo + hi)
+
+
+def sign_change_root(f, lo: float, hi: float, flo: float, fhi: float, tol: float) -> float:
+    """A root of f in [lo, hi], where flo = f(lo) and fhi = f(hi) are nonzero and
+    of opposite signs: the midpoint of a sign-change bracket of width <= tol, or
+    a probe where f is exactly 0.0.  Regula falsi with the Anderson-Bjorck
+    correction (BIT 13, 1973); a step lands at least tol/2 from either end, so
+    an iterate that reaches the root from one side closes the bracket from the
+    other.  Step s (from 0) is a bisection unless the bracket is at most
+    2**((1 - s)/3) of its first width, so at most 3*ceil(log2(width/tol)) + 2
+    steps are taken; a NaN step is a bisection too."""
+    rising, kept, cap = fhi > 0, 0, (hi - lo) * 2 ** (2 / 3)
+    while hi - lo > tol:
+        cap *= 0.5 ** (1 / 3)
+        x = 0.5 * (lo + hi)
+        if hi - lo <= cap:
+            rf = lo + (hi - lo) * (flo / (flo - fhi))
+            if rf < lo + 0.5 * tol:
+                rf = lo + 0.5 * tol
+            elif rf > hi - 0.5 * tol:
+                rf = hi - 0.5 * tol
+            x = rf if lo < rf < hi else x
+        if not lo < x < hi:  # the ends are adjacent floats
+            break
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        # an end kept twice in a row: its value is scaled by m = 1 - f(x)/f(replaced end),
+        # or by 1/2 if m <= 0
+        if (fx > 0) == rising:
+            if kept < 0:
+                m = 1.0 - fx / fhi
+                flo *= m if m > 0 else 0.5
+            hi, fhi, kept = x, fx, -1
+        else:
+            if kept > 0:
+                m = 1.0 - fx / flo
+                fhi *= m if m > 0 else 0.5
+            lo, flo, kept = x, fx, 1
     return 0.5 * (lo + hi)

@@ -10,7 +10,9 @@ library's ``from_roots`` as the solver does, and the slot-map builders, the
 two-algorithm ``determinant_reference`` and the graph-search
 ``sign_normalize_reference`` of ``matrixkit``, and the enumerating
 ``totally_positive_reference`` and ``check_class_plus_reference`` of
-``spectral``, which use the library's ``minor`` and ``matmul``.
+``spectral``, which use the library's ``minor`` and ``matmul``, and the
+bisecting ``roots_bracketed_reference`` of ``poly``, which uses the library's
+``poly_eval``.
 """
 
 from fractions import Fraction
@@ -446,3 +448,39 @@ def check_class_plus_reference(A, max_power, backend):
             return m
         P = matmul(P, S, backend)
     return None
+
+
+def roots_bracketed_reference(p, brackets, backend):
+    """The first ``poly.roots_bracketed``: one root per sign-change bracket,
+    ascending, each by plain bisection to width <= root_tol (a midpoint where
+    p is exactly 0.0 is the root), with the same signature and errors."""
+    from antibidiag.errors import BackendUnsupported, NoSignChange
+    from antibidiag.poly import poly_eval
+
+    if backend.exact:
+        raise BackendUnsupported("bracketed root extraction needs the floating backend")
+    tol = backend.policy.root_tol
+    out = []
+    for lo, hi in brackets:
+        if lo > hi:
+            lo, hi = hi, lo
+        flo, fhi = poly_eval(p, lo), poly_eval(p, hi)
+        if flo == 0.0 or fhi == 0.0:
+            out.append(lo if flo == 0.0 else hi)
+            continue
+        if (flo > 0) == (fhi > 0):
+            raise NoSignChange(f"no sign change on [{lo}, {hi}]")
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            d = poly_eval(p, mid)
+            if d == 0.0:
+                lo = hi = mid
+                break
+            if (d > 0) == (flo < 0):
+                hi = mid
+            else:
+                lo = mid
+        out.append(0.5 * (lo + hi))
+    return tuple(sorted(out))

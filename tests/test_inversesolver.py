@@ -10,10 +10,12 @@ from antibidiag import inversesolver
 from antibidiag import (
     CoefficientVector,
     PositiveTuple,
+    TolerancePolicy,
     build_antibidiagonal,
     build_jacobi_special,
     check_sigma_inequality,
     eigensolve_tridiagonal,
+    float64,
     forward_q_squared,
     from_roots,
     interlaces,
@@ -46,7 +48,12 @@ from antibidiag.sampling import (
     random_spectrum,
 )
 
-from oracles import TerminalMismatch, backward_pass_reference, dense_symmetric_eigs
+from oracles import (
+    TerminalMismatch,
+    backward_pass_reference,
+    dense_symmetric_eigs,
+    roots_bracketed_reference,
+)
 
 SQ2, SQ3 = math.sqrt(2.0), math.sqrt(3.0)
 
@@ -423,6 +430,73 @@ class TestChecksOnRead:
             "minimum modulus gap 1.000e-06 is below 1e-06 * lambda_1; "
             "reconstruction is ill-conditioned, consider --backend rational",
         )
+
+
+class TestChainAgainstBisection:
+    """The chain's guarded regula falsi against the plain bisection it
+    replaced, patched in where ``_checks`` looks it up."""
+
+    @staticmethod
+    def _chain(lam, fb, finder, monkeypatch):
+        monkeypatch.setattr(inversesolver, "roots_bracketed", finder)
+        trace = solve(validate_spectrum(lam), fb)
+        return trace.warnings, trace.certificates
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_verdicts_on_the_f64_roundtrip_workload_spectra(self, fb, monkeypatch, seed):
+        # the f64-roundtrip workload's spectra: n cycles 8, 16, 24, 32, 48
+        for i in range(15):
+            n = (8, 16, 24, 32, 48)[i % 5]
+            lam = random_spectrum(case_rng(seed, "f64-roundtrip", i), n)
+            warns, certs = self._chain(lam, fb, roots_bracketed, monkeypatch)
+            want_warns, want_certs = self._chain(lam, fb, roots_bracketed_reference, monkeypatch)
+            assert warns == want_warns, (seed, i)
+            assert [k for k, _, _ in certs] == [k for k, _, _ in want_certs]
+            if n <= 24:
+                for (_, inner, _), (_, want, _) in zip(certs, want_certs):
+                    assert max(abs(x - y) for x, y in zip(inner, want)) <= 1e-9, (seed, i)
+
+
+class TestScaledChainWidth:
+    """The chain takes its roots to root_tol * min(1, lambda_1), and a q_n
+    coefficient below the normal float64 range draws a warning."""
+
+    @staticmethod
+    def _scaled(n, i, e):
+        return tuple(v * 10.0**e for v in random_spectrum(case_rng(5, f"scaled{n}", i), n))
+
+    def test_an_accurate_tiny_spectrum_draws_no_false_alarm(self, fb, monkeypatch):
+        lam = self._scaled(8, 0, -16)
+        res = solve_roundtrip(validate_spectrum(lam), fb)
+        assert res.max_error <= 1e-8
+        assert res.trace.warnings == () and len(res.trace.certificates) == 7
+        # at the absolute width root_tol the chain called it violated
+        absolute = lambda p, brackets, backend: roots_bracketed_reference(p, brackets, fb)
+        monkeypatch.setattr(inversesolver, "roots_bracketed", absolute)
+        assert solve(validate_spectrum(lam), fb).warnings == ("level 7: interlacing violated",)
+
+    def test_an_inaccurate_result_whose_product_underflowed_still_warns(self, fb):
+        res = solve_roundtrip(validate_spectrum(self._scaled(24, 0, -14)), fb)
+        assert res.max_error > 1e-8
+        c = res.trace.qs[24].coeffs[0]
+        assert 0 < abs(c) < sys.float_info.min
+        assert res.trace.warnings[0] == (
+            f"q_24 coefficient 0 = {c:.3e} is below the normal float64 range; "
+            "the reconstruction lost precision"
+        )
+
+    def test_a_width_that_underflows_stops_at_adjacent_floats(self):
+        # 1e-300 * 1e-30 is 0.0 in float64, which no TolerancePolicy accepts
+        tiny = float64(TolerancePolicy(root_tol=1e-300))
+        trace = solve(validate_spectrum((1e-30, -5e-31)), tiny)
+        assert trace.warnings == ()
+        assert trace.certificates == ((1, (0.0,), (-5e-31, 1e-30)),)
+
+    def test_unit_scale_spectra_draw_no_underflow_warning(self, fb):
+        for n in (8, 16, 24, 32, 40, 48):
+            for i in range(4):
+                lam = random_spectrum(case_rng(1, f"ladder{n}", i), n)
+                assert not any(w.startswith("q_") for w in solve(validate_spectrum(lam), fb).warnings)
 
 
 @pytest.mark.parametrize("n", [48, 64, 72])

@@ -170,6 +170,33 @@ def test_parity_eval_agrees_with_plain_horner(fb, rb):
         assert poly_eval(q, x) == _plain_horner(q.coeffs, x)
 
 
+def _sliced_horner(p, x):
+    # the evaluator before each polynomial cached its slices: plain Horner in
+    # x*x over the coefficients a parity tag allows, times x when odd
+    if p.parity is None:
+        return _plain_horner(p.coeffs, x)
+    if p.parity == "even":
+        return _plain_horner(p.coeffs[::2], x * x)
+    return _plain_horner(p.coeffs[1::2], x * x) * x
+
+
+def test_eval_is_sliced_plain_horner_bit_for_bit():
+    # the tag alone selects the slice: forbidden coefficients are not zeroed here
+    rng = random.Random(2025)
+    xs = [0.0, -0.0, 1e-200, -3e-170, 1e200, -7e150]
+    xs += [rng.uniform(-12.0, 12.0) for _ in range(30)]
+    for deg in range(0, 30):
+        floats = tuple(rng.uniform(-5.0, 5.0) for _ in range(deg)) + (1.0,)
+        fracs = tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(deg)) + (1,)
+        for tag in (None, parity_of_degree(deg)):
+            p, q = MonicPoly(floats, tag), MonicPoly(fracs, tag)
+            for _ in range(2):  # the second pass reads the cached slices
+                for x in xs:
+                    assert repr(poly_eval(p, x)) == repr(_sliced_horner(p, x))
+                for x in (Fraction(1, 3), Fraction(-5, 2), Fraction(0)):
+                    assert poly_eval(q, x) == _sliced_horner(q, x)
+
+
 def test_untagged_eval_is_plain_horner(fb):
     p = from_roots((3.0, -2.0, 1.0, 0.5), fb)
     assert p.parity is None

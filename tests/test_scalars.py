@@ -1,11 +1,14 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from antibidiag import TolerancePolicy, float64, rational
+from antibidiag import TolerancePolicy, float64, poly_eval, rational, solve, validate_spectrum
 from antibidiag.errors import BackendUnsupported
+from antibidiag.poly import MonicPoly
+from antibidiag.scalars import sign_change_root
 
 from oracles import frac_equal, rational_op_oracle
 
@@ -73,3 +76,90 @@ def test_convert(fb, rb):
     assert fb.convert(Fraction(1, 2)) == 0.5
     assert rb.convert(0.5) == Fraction(1, 2)
     assert rb.convert("2/3") == Fraction(2, 3)
+
+
+# --- the guarded regula falsi kernel ---
+
+
+def _probed(f):
+    """f, logging every (x, f(x)) the kernel asks for."""
+    log = []
+
+    def g(x):
+        log.append((x, f(x)))
+        return log[-1][1]
+
+    return g, log
+
+
+def _assert_root_contract(f, lo, hi, tol):
+    """Run sign_change_root on [lo, hi]; the result lies within tol of a sign
+    change among the ends and the probes, and the kernel took at most
+    3*ceil(log2(width/tol)) + 2 evaluations."""
+    flo, fhi = f(lo), f(hi)
+    g, log = _probed(f)
+    r = sign_change_root(g, lo, hi, flo, fhi, tol)
+    assert len(log) <= 3 * max(0, math.ceil(math.log2((hi - lo) / tol))) + 2
+    assert all(lo < x < hi for x, _ in log)
+    if (r, 0.0) in log:
+        return r
+    points = sorted([(lo, flo), (hi, fhi)] + log)
+    below = max(p for p in points if p[0] <= r)
+    above = min(p for p in points if p[0] >= r)
+    assert (below[1] > 0) != (above[1] > 0)
+    assert above[0] - below[0] <= tol
+    return r
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_kernel_finds_rising_and_falling_crossings(sign):
+    rng = random.Random(11)
+    for _ in range(50):
+        c = rng.uniform(-3.0, 3.0)
+        r = _assert_root_contract(lambda x: sign * (x - c) * (1.0 + x * x), -4.0, 5.0, 1e-13)
+        assert abs(r - c) <= 1e-13
+
+
+def test_kernel_returns_a_probe_where_f_is_exactly_zero():
+    # the first regula falsi step of x - 0.5 on [0, 1] lands on 0.5
+    g, log = _probed(lambda x: x - 0.5)
+    assert sign_change_root(g, 0.0, 1.0, -0.5, 0.5, 1e-13) == 0.5
+    assert log == [(0.5, 0.0)]
+
+
+def test_kernel_takes_no_step_on_a_bracket_already_within_tol():
+    g, log = _probed(lambda x: x - 1.0)
+    lo, hi = 1.0 - 2e-14, 1.0 + 3e-14
+    assert sign_change_root(g, lo, hi, lo - 1.0, hi - 1.0, 1e-13) == 0.5 * (lo + hi)
+    assert log == []
+
+
+def test_kernel_closes_the_wide_bracket_of_a_chain_level(fb):
+    # level 2 of the chain of 1e20,-1,0.5 is bracketed by (0.5, 1e20); its
+    # width is 1e20 at root_tol 1e-13, so ceil(log2(w/tol)) is 110
+    trace = solve(validate_spectrum((1e20, -1.0, 0.5)), fb)
+    q2 = trace.qs[2]
+    r = _assert_root_contract(partial(poly_eval, q2), 0.5, 1e20, fb.policy.root_tol)
+    assert abs(r - 0.5**0.5) <= 1e-13
+
+
+@pytest.mark.parametrize("c", [0.1, 1 / 3, 0.5, 0.77, 0.999])
+def test_kernel_bisects_its_way_through_a_step_function(c):
+    r = _assert_root_contract(lambda x: -1.0 if x < c else 1.0, 0.0, 1.0, 1e-13)
+    assert abs(r - c) <= 1e-13
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.0, 3.0), (-3.0, 1.0), (-0.7, 2.9)])
+def test_kernel_stays_within_its_bound_on_a_flat_root(lo, hi):
+    # x^21 is flat at its root and underflows to 0.0 near it: regula falsi
+    # alone would creep in from one side
+    _assert_root_contract(lambda x: x**21, lo, hi, 1e-13)
+
+
+def test_kernel_on_a_polynomial_with_rounding_noise():
+    # (x - 1)^7 expanded: around x = 1 its float64 values are rounding noise
+    # with many sign changes; the result need only sit at one of them
+    p = MonicPoly(tuple(float(math.comb(7, k) * (-1) ** (7 - k)) for k in range(8)))
+    for lo, hi in ((0.5, 1.7), (0.9, 1.02), (-1.0, 3.0)):
+        r = _assert_root_contract(partial(poly_eval, p), lo, hi, 1e-13)
+        assert abs(r - 1.0) <= 0.05
