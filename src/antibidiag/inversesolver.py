@@ -194,12 +194,12 @@ class ReconstructionTrace:
         tol = max(policy.root_tol * min(1.0, lam1), math.ulp(0.0))
         backend = replace(self.backend, policy=replace(policy, root_tol=tol))
         n = self.spectrum.n
-        tiny = [(j, c) for j, c in enumerate(self.qs[n].coeffs) if abs(c) < sys.float_info.min]
-        if tiny:
-            j, c = tiny[0]
+        qn = self.qs[n].coeffs
+        j = next((j for j, c in enumerate(qn) if abs(c) < sys.float_info.min), None)
+        if j is not None and n > 1:  # q_1 = x - lambda_1 is read off, not reconstructed
             warns.append(
-                f"q_{n} coefficient {j} = {c:.3e} is below the normal float64 range; "
-                "the reconstruction lost precision"
+                f"q_{n} coefficient {j} = {qn[j]:.3e} is below the normal float64 range; "
+                "the reconstruction may have lost precision"
             )
         outer = tuple(sorted(map(float, self.spectrum.lambdas)))
         for k in range(n - 1, 0, -1):

@@ -45,7 +45,7 @@ class MonicPoly:
         return len(self.coeffs) - 1
 
     @cached_property
-    def horner_coeffs(self) -> tuple:
+    def _horner_coeffs(self) -> tuple:
         """(leading, the rest top down) of the coefficients ``poly_eval`` runs
         Horner over: all, or those a parity tag allows."""
         c = self.coeffs if self.parity is None else self.coeffs[self.parity == ODD :: 2]
@@ -109,7 +109,7 @@ def poly_eval(p: MonicPoly, x):
     p(-x) = p(x) (even) or -p(x) (odd) hold exactly; the forbidden
     coefficients are taken as zero, as the tag states.  An untagged
     polynomial takes plain Horner in x."""
-    acc, rest = p.horner_coeffs
+    acc, rest = p._horner_coeffs
     y = x if p.parity is None else x * x
     for c in rest:
         acc = acc * y + c

@@ -10,6 +10,7 @@ the rational backend defers them to reporting time.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -109,12 +110,13 @@ def sign_change_root(f, lo: float, hi: float, flo: float, fhi: float, tol: float
     an iterate that reaches the root from one side closes the bracket from the
     other.  Step s (from 0) is a bisection unless the bracket is at most
     2**((1 - s)/3) of its first width, so at most 3*ceil(log2(width/tol)) + 2
-    steps are taken; a NaN step is a bisection too."""
-    rising, kept, cap = fhi > 0, 0, (hi - lo) * 2 ** (2 / 3)
+    steps are taken; a NaN step is a bisection too.  The first width is capped
+    at the largest float and the factor kept apart, so no bound overflows."""
+    rising, kept, w0, cap = fhi > 0, 0, min(hi - lo, sys.float_info.max), 2 ** (2 / 3)
     while hi - lo > tol:
         cap *= 0.5 ** (1 / 3)
         x = 0.5 * (lo + hi)
-        if hi - lo <= cap:
+        if hi - lo <= w0 * cap:
             rf = lo + (hi - lo) * (flo / (flo - fhi))
             if rf < lo + 0.5 * tol:
                 rf = lo + 0.5 * tol
@@ -126,8 +128,7 @@ def sign_change_root(f, lo: float, hi: float, flo: float, fhi: float, tol: float
         fx = f(x)
         if fx == 0.0:
             return x
-        # an end kept twice in a row: its value is scaled by m = 1 - f(x)/f(replaced end),
-        # or by 1/2 if m <= 0
+        # an end kept twice in a row is scaled by m = 1 - f(x)/f(replaced end), or 1/2 if m <= 0
         if (fx > 0) == rising:
             if kept < 0:
                 m = 1.0 - fx / fhi

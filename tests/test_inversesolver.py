@@ -482,8 +482,24 @@ class TestScaledChainWidth:
         assert 0 < abs(c) < sys.float_info.min
         assert res.trace.warnings[0] == (
             f"q_24 coefficient 0 = {c:.3e} is below the normal float64 range; "
-            "the reconstruction lost precision"
+            "the reconstruction may have lost precision"
         )
+
+    @pytest.mark.parametrize(
+        "lam, warns",
+        [
+            ((1e-320,), False),  # n = 1: a = (lambda_1,) is read off exactly
+            ((1e-150, -1e-155), False),  # product 1e-305 is normal
+            ((1e-150, -1e-160), True),  # product 1e-310 is subnormal
+            ((1e-155, -5e-156), True),
+        ],
+    )
+    def test_which_tiny_spectra_draw_the_underflow_warning(self, fb, lam, warns):
+        # a heuristic on q_n's coefficients, not an accuracy measurement: at
+        # n = 2 a^2 is the product itself, so its relative error is at most
+        # one subnormal ulp over it
+        trace = solve(validate_spectrum(lam), fb)
+        assert any(w.startswith(f"q_{len(lam)} ") for w in trace.warnings) is warns
 
     def test_a_width_that_underflows_stops_at_adjacent_floats(self):
         # 1e-300 * 1e-30 is 0.0 in float64, which no TolerancePolicy accepts

@@ -81,12 +81,14 @@ def test_convert(fb, rb):
 # --- the guarded regula falsi kernel ---
 
 
-def _probed(f):
-    """f, logging every (x, f(x)) the kernel asks for."""
+def _probed(f, limit=math.inf):
+    """f, logging every (x, f(x)) the kernel asks for; past limit calls it
+    fails, so a kernel that loses its bound fails rather than runs on."""
     log = []
 
     def g(x):
         log.append((x, f(x)))
+        assert len(log) <= limit, f"more than {limit} evaluations"
         return log[-1][1]
 
     return g, log
@@ -97,9 +99,9 @@ def _assert_root_contract(f, lo, hi, tol):
     change among the ends and the probes, and the kernel took at most
     3*ceil(log2(width/tol)) + 2 evaluations."""
     flo, fhi = f(lo), f(hi)
-    g, log = _probed(f)
+    # log2 of the width and of tol apart: width/tol overflows past about 1e295
+    g, log = _probed(f, 3 * max(0, math.ceil(math.log2(hi - lo) - math.log2(tol))) + 2)
     r = sign_change_root(g, lo, hi, flo, fhi, tol)
-    assert len(log) <= 3 * max(0, math.ceil(math.log2((hi - lo) / tol))) + 2
     assert all(lo < x < hi for x, _ in log)
     if (r, 0.0) in log:
         return r
@@ -134,13 +136,30 @@ def test_kernel_takes_no_step_on_a_bracket_already_within_tol():
     assert log == []
 
 
-def test_kernel_closes_the_wide_bracket_of_a_chain_level(fb):
-    # level 2 of the chain of 1e20,-1,0.5 is bracketed by (0.5, 1e20); its
-    # width is 1e20 at root_tol 1e-13, so ceil(log2(w/tol)) is 110
-    trace = solve(validate_spectrum((1e20, -1.0, 0.5)), fb)
-    q2 = trace.qs[2]
-    r = _assert_root_contract(partial(poly_eval, q2), 0.5, 1e20, fb.policy.root_tol)
+@pytest.mark.parametrize("top", [1e20, 1.2e308, 1.5e308, 1.7e308])
+def test_kernel_closes_the_wide_bracket_of_a_chain_level(fb, top):
+    # level 2 of the chain of top,-1,0.5 is bracketed by (0.5, top); at 1e20
+    # and root_tol 1e-13, ceil(log2(w/tol)) is 110.  Past 1e154, q_2 = x^2 - 0.5
+    # is inf at top, so regula falsi alone would creep up from 0.5 by tol/2 a
+    # step, and near the float range the guard's width must not overflow
+    q2 = solve(validate_spectrum((top, -1.0, 0.5)), fb).qs[2]
+    r = _assert_root_contract(partial(poly_eval, q2), 0.5, top, fb.policy.root_tol)
     assert abs(r - 0.5**0.5) <= 1e-13
+
+
+def test_kernel_keeps_its_bound_on_a_bracket_wider_than_the_float_range():
+    # hi - lo is inf, so the guard takes the largest float, below 2**1024, as
+    # the first width; the midpoint of opposite-sign ends stays finite, and
+    # the inf end leaves every regula falsi step at lo + tol/2
+    f = lambda x: math.inf if x > 1.0 else -1.0
+    g, _ = _probed(f, 3 * math.ceil(1024 - math.log2(1e-13)) + 2)
+    assert abs(sign_change_root(g, -1e308, 1.5e308, -1.0, math.inf, 1e-13) - 1.0) <= 1e-13
+
+
+def test_a_chain_with_an_inf_bracket_end_returns(fb):
+    trace = solve(validate_spectrum((1.5e308, -1.0, 0.5)), fb)
+    assert len(trace.warnings) == 1 and trace.warnings[0].startswith("minimum modulus gap")
+    assert trace.certificates[0][1] == pytest.approx((-(0.5**0.5), 0.5**0.5), abs=1e-13)
 
 
 @pytest.mark.parametrize("c", [0.1, 1 / 3, 0.5, 0.77, 0.999])
