@@ -266,7 +266,7 @@ def _cmd_solve(args, backend, out) -> int:
         B = build_jacobi_special(cv, backend)
         max_residual = max(abs(poly_eval(forward.top, lam)) for lam in spectrum.lambdas)
         if args.roundtrip:
-            eig = eigensolve_tridiagonal(B, backend)
+            eig = eigensolve_tridiagonal(B, backend, near=spectrum.lambdas)
             roundtrip_error = relative_spectrum_error(eig, spectrum.lambdas)
     report = {
         "input": _nums(spectrum.lambdas, backend),
@@ -333,7 +333,7 @@ def _cmd_sqrt(args, backend, out) -> int:
         )
     _, values = _values_from(args, backend, "mus")
     result = jacobi_sqrt(PositiveTuple(values), backend)
-    eig = eigensolve_tridiagonal(result.jacobi, backend)
+    eig = eigensolve_tridiagonal(result.jacobi, backend, near=values)
     spec_err = relative_spectrum_error(eig, values)
     report = {
         "mus": _nums(values, backend),
@@ -452,7 +452,7 @@ def _battery_sqrt(seed, sizes, cases, backend):
     for n, i, rng in _cases(seed, "sqrt", sizes, cases):
         mus = random_positive_tuple(rng, n)
         res = jacobi_sqrt(PositiveTuple(mus), backend)
-        worst = relative_spectrum_error(eigensolve_tridiagonal(res.jacobi, backend), mus)
+        worst = relative_spectrum_error(eigensolve_tridiagonal(res.jacobi, backend, near=mus), mus)
         if worst > 1e-8:
             return False, f"square spectrum error {worst:.3e} at n={n}"
     return True, "squares are Jacobi with the prescribed spectrum"

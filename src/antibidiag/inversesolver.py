@@ -288,7 +288,7 @@ def solve_roundtrip(spectrum: Spectrum, backend: Backend) -> RoundtripResult:
         raise BackendUnsupported("roundtrip eigensolve needs the floating backend")
     trace = solve(spectrum, backend)
     B = build_jacobi_special(trace.coefficient_vector, backend)
-    eig = eigensolve_tridiagonal(B, backend)
+    eig = eigensolve_tridiagonal(B, backend, near=spectrum.lambdas)
     return RoundtripResult(trace, eig, relative_spectrum_error(eig, spectrum.lambdas))
 
 

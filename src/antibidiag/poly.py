@@ -141,16 +141,16 @@ def parity_of_degree(k: int) -> str:
 
 def roots_bracketed(p: MonicPoly, brackets, backend: Backend):
     """One root per sign-change bracket, ascending, each to width <= root_tol
-    by ``sign_change_root``; an end where p is exactly 0.0 is the root."""
+    by ``sign_change_root``; an end where p is exactly 0.0 is the root.  Each
+    distinct end is evaluated once, though adjacent brackets share it."""
     if backend.exact:
         raise BackendUnsupported("bracketed root extraction needs the floating backend")
     tol = backend.policy.root_tol
+    brackets = [sorted(b) for b in brackets]
+    ends = {x: poly_eval(p, x) for x in {x for b in brackets for x in b}}
     out = []
     for lo, hi in brackets:
-        if lo > hi:
-            lo, hi = hi, lo
-        flo = poly_eval(p, lo)
-        fhi = poly_eval(p, hi)
+        flo, fhi = ends[lo], ends[hi]
         if flo == 0.0 or fhi == 0.0:
             out.append(lo if flo == 0.0 else hi)
             continue

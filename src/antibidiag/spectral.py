@@ -82,18 +82,22 @@ def gershgorin_bounds(diag, off):
     return lo, hi
 
 
-def eigensolve_tridiagonal(T: StructuredMatrix, backend: Backend):
+def eigensolve_tridiagonal(T: StructuredMatrix, backend: Backend, near=()):
     """All eigenvalues of a symmetric tridiagonal matrix, ascending; the k-th is
     where the Sturm count steps from k-1 to k, bisected from the Gershgorin
     interval to width <= root_tol * min(1, largest Gershgorin bound modulus),
     so a matrix of small entries keeps its relative precision.
 
-    Each eigenvalue keeps its own bracket (Barth, Martin & Wilkinson 1967): a
-    Sturm count at x also moves every later bracket that is still the interval
-    being bisected into the half the count points to.  Every bisection visits
-    the midpoints of plain bisection from the Gershgorin interval, so the
-    eigenvalues are bit-identical to it, but a midpoint shared by several
-    paths is counted once.
+    A count memory keeps bounds lo[j] <= lambda_j < hi[j]: a Sturm count c at
+    x lowers hi[j] to x for j < c and raises lo[j] to x for j >= c.  The
+    float64 count is monotone in x (Kahan 1966; Demmel, Dhillon & Ren, ETNA 3,
+    1995), so a midpoint at or below lo[k] is decided low and one at or above
+    hi[k] high with no count, as a count would decide them: the eigenvalues are
+    bit-identical to plain bisection, each distinct midpoint is counted at most
+    once, and seeds only save counts.  ``near`` holds the expected eigenvalues:
+    eigenvalue k is first decided at t(1 -+ eps) for its seed t, the k-th
+    smallest, and eps = 1e-13, 1e-11, ..., 1e-1; once [lo[k], hi[k]] lies
+    within one pair, the wider ones fall outside it and take no count.
 
     Raises SquareOutOfRange if a nonzero codiagonal entry squares outside the
     normal float64 range, where the Sturm pivots lose precision or overflow."""
@@ -106,23 +110,25 @@ def eigensolve_tridiagonal(T: StructuredMatrix, backend: Backend):
     glo, ghi = gershgorin_bounds(diag, off)
     tol = backend.policy.root_tol * min(1.0, max(-glo, ghi))
     n = len(diag)
-    lo, hi = [glo - tol] * n, [ghi + tol] * n
+    ends = glo - tol, ghi + tol
+    lo, hi = [ends[0]] * n, [ends[1]] * n
 
-    def count(k, x):
-        c = sturm_count(diag, off, x)
-        # Brackets only ever halve, so two of them are equal or disjoint, and
-        # the later ones equal to the bracket being bisected (those holding x
-        # strictly inside) are a run k+1, k+2, ...
-        j = k + 1
-        while j < n and lo[j] < x < hi[j]:
-            if c > j:
-                hi[j] = x
-            else:
-                lo[j] = x
-            j += 1
-        return c
+    def decide(k, x):
+        if lo[k] < x < hi[k]:
+            c = sturm_count(diag, off, x)
+            j = c - 1  # lo and hi are nondecreasing in j: the bounds that move are runs from c
+            while j >= 0 and x < hi[j]:
+                hi[j], j = x, j - 1
+            j = c
+            while j < n and lo[j] < x:
+                lo[j], j = x, j + 1
+        return k + (x >= hi[k])
 
-    return tuple(bisect(partial(count, k), lo[k], hi[k], tol, level=k + 0.5) for k in range(n))
+    for k, t in enumerate(sorted(near)[:n]):
+        for e in range(-13, 0, 2):
+            decide(k, t * (1 - 10.0**e))
+            decide(k, t * (1 + 10.0**e))
+    return tuple(bisect(partial(decide, k), *ends, tol, level=k + 0.5) for k in range(n))
 
 
 def relative_spectrum_error(eigenvalues, target) -> float:

@@ -513,6 +513,20 @@ def test_float_solve_text_is_pinned(capsys, name, fmt):
     _assert_pinned(capsys, args, f"float-solve-{name}.{fmt}")
 
 
+@pytest.mark.parametrize("name", list(_PINNED_FLOAT_SPECTRA))
+def test_float_roundtrip_text_is_pinned(capsys, name):
+    # every recovered eigenvalue, which the eigensolve computes
+    args = ["roundtrip", "--spectrum=" + _PINNED_FLOAT_SPECTRA[name]]
+    _assert_pinned(capsys, args, f"float-roundtrip-{name}.json")
+
+
+@pytest.mark.parametrize("name", list(_PINNED_FLOAT_SPECTRA))
+def test_float_sqrt_text_is_pinned(capsys, name):
+    # mus are the squared moduli, so the square root's spectrum is the pinned one
+    mus = ",".join(repr(float(v) ** 2) for v in _PINNED_FLOAT_SPECTRA[name].split(","))
+    _assert_pinned(capsys, ["sqrt", "--mus=" + mus], f"float-sqrt-{name}.json")
+
+
 def test_rational_solve_reports_a_residual_when_a_square_is_off(monkeypatch):
     solve = cli.solve
 

@@ -17,6 +17,7 @@ from antibidiag.errors import (
     IndexOutOfRange,
     NoSignChange,
 )
+from antibidiag import poly
 from antibidiag.poly import parity_of_degree, with_parity
 from antibidiag.sampling import random_spectrum
 
@@ -143,6 +144,22 @@ def test_roots_bracketed_recovers_spectrum(fb):
         got = roots_bracketed(p, brackets, fb)
         for g, want in zip(got, lam):
             assert abs(g - want) <= 10 * fb.policy.root_tol * max(1.0, abs(want))
+
+
+def test_roots_bracketed_evaluates_each_shared_end_once(fb, monkeypatch):
+    # adjacent brackets share an end, as the interlacing chain's do
+    rng = random.Random(18)
+    lam = sorted(random_spectrum(rng, 9))
+    p = from_roots(lam, fb)
+    edges = [lam[0] - 1.0] + [(u + v) / 2 for u, v in zip(lam, lam[1:])] + [lam[-1] + 1.0]
+    brackets = list(zip(edges[:-1], edges[1:]))
+    brackets[3] = brackets[3][::-1]
+    one_by_one = tuple(sorted(roots_bracketed(p, [b], fb)[0] for b in brackets))
+    seen = []
+    real = poly.poly_eval
+    monkeypatch.setattr(poly, "poly_eval", lambda q, x: seen.append(x) or real(q, x))
+    assert roots_bracketed(p, brackets, fb) == one_by_one
+    assert all(seen.count(x) == 1 for x in edges)
 
 
 def _plain_horner(coeffs, x):

@@ -31,7 +31,12 @@ from antibidiag.errors import (
     TooLarge,
 )
 from antibidiag.matrixkit import StructuredMatrix, conjugate_signs
-from antibidiag.sampling import random_coefficients, random_rational_coefficients, random_spectrum
+from antibidiag.sampling import (
+    case_rng,
+    random_coefficients,
+    random_rational_coefficients,
+    random_spectrum,
+)
 from antibidiag import spectral
 from antibidiag.spectral import gershgorin_bounds, sturm_count
 
@@ -267,7 +272,7 @@ def test_shared_brackets_match_plain_bisection_on_wilkinson_w21(fb):
 
 
 def test_shared_brackets_count_each_midpoint_once(fb, monkeypatch):
-    """The shared-bracket eigensolve takes exactly one Sturm count per
+    """With no seeds, the count memory takes exactly one Sturm count per
     distinct midpoint of the plain bisection paths, fewer than one per step."""
     calls = []
     real = spectral.sturm_count
@@ -289,6 +294,113 @@ def test_shared_brackets_count_each_midpoint_once(fb, monkeypatch):
             eigensolve_tridiagonal(B, fb)
             assert sorted(calls) == sorted(set(mids))
             assert len(calls) < len(mids)
+
+
+# --- count memory: seeded eigensolve against plain bisection ---
+
+
+def _integer_jacobi(rng, n):
+    # a zero diagonal makes the Gershgorin interval symmetric, so its first
+    # midpoint is exactly 0.0 and the first pivot exactly zero
+    diag = [0.0] * n if rng.random() < 0.5 else [float(rng.randint(-2, 2)) for _ in range(n)]
+    return diag, [float(rng.randint(1, 3)) for _ in range(n - 1)]
+
+
+def _seedings(diag, off, want, tol, rng):
+    """Seed lists for a matrix with eigenvalues ``want``: none, exact, off by
+    +-10 tol, random, outside Gershgorin, integers and zeros, and unsorted
+    lists with duplicates, too short or too long."""
+    glo, ghi = gershgorin_bounds(diag, off)
+    n, w = len(want), ghi - glo + 1.0
+    yield ()
+    yield want
+    yield [v + 10 * tol for v in want]
+    yield [v - 10 * tol * (-1) ** i for i, v in enumerate(want)]
+    yield [rng.uniform(glo, ghi) for _ in want]
+    yield [glo - w] * (n // 2) + [ghi + w] * (n - n // 2)
+    yield [float(rng.randint(int(glo) - 1, int(ghi) + 1)) for _ in want]
+    yield [0.0] * n
+    yield list(reversed(want)) + list(want[:2])
+    yield [want[-1]] * n
+    yield rng.sample(list(want), n // 2)
+
+
+def _count_memory_families():
+    rng = random.Random(4600)
+    for n in (1, 2, 8, 48):
+        for _ in range(3):
+            yield f"random{n}", _random_jacobi(rng, n)
+    yield "repeated", ([2.0, 1.0, 2.0, 1.0, 1.0, 3.0, 2.0], [0.0] * 6)
+    yield "zero", ([0.0] * 5, [0.0] * 4)
+    yield "decoupled", ([1.0, 2.0, 1.0, 2.0, 1.0, 2.0], [0.5, 0.0, 0.5, 0.0, 0.5])
+    yield "w21", ([float(abs(10 - i)) for i in range(21)], [1.0] * 20)
+    for n in (2, 3, 5, 8, 13):
+        for _ in range(4):
+            yield f"integer{n}", _integer_jacobi(rng, n)
+    for scale in (1e-8, 1e8):
+        d, o = _random_jacobi(rng, 8)
+        yield f"scaled{scale:g}", ([v * scale for v in d], [v * scale for v in o])
+
+
+def test_count_memory_matches_plain_bisection_under_any_seeds(fb):
+    rng = random.Random(4700)
+    for name, (diag, off) in _count_memory_families():
+        glo, ghi = gershgorin_bounds(diag, off)
+        tol = fb.policy.root_tol * min(1.0, max(-glo, ghi))
+        want, _ = plain_sturm_bisection(diag, off, tol)
+        T = _tridiagonal(diag, off)
+        for seeds in _seedings(diag, off, want, tol, rng):
+            assert eigensolve_tridiagonal(T, fb, near=seeds) == want, (name, seeds)
+
+
+def test_count_memory_families_reach_exact_zero_pivots(fb, monkeypatch):
+    # the integer matrices must exercise the zero-pivot rule on the seeded path
+    hits = []
+    real = spectral._zero_pivot
+    monkeypatch.setattr(spectral, "_zero_pivot", lambda d, o: hits.append(1) or real(d, o))
+    for name, (diag, off) in _count_memory_families():
+        if name.startswith("integer"):
+            eigensolve_tridiagonal(_tridiagonal(diag, off), fb, near=[0.0] * len(diag))
+    assert hits
+
+
+def _assert_monotone_around(diag, off, x, steps=64):
+    xs = [x]
+    for _ in range(steps):
+        xs = [math.nextafter(xs[0], -math.inf)] + xs + [math.nextafter(xs[-1], math.inf)]
+    counts = [sturm_count(diag, off, v) for v in xs]
+    assert counts == sorted(counts), (diag, off, x)
+
+
+def test_sturm_count_is_monotone_across_consecutive_floats(fb):
+    """The premise of the count memory: the float64 count never decreases
+    from one float to the next, near each eigenvalue and near the points
+    where a pivot is exactly zero (x = 0 on a zero diagonal, x = diag[0])."""
+    for name, (diag, off) in _count_memory_families():
+        glo, ghi = gershgorin_bounds(diag, off)
+        tol = fb.policy.root_tol * min(1.0, max(-glo, ghi))
+        points = set(plain_sturm_bisection(diag, off, tol)[0]) | {0.0, diag[0]}
+        if name.startswith("integer"):
+            points |= set(diag) | {float(v) for v in range(int(glo) - 1, int(ghi) + 2)}
+        for x in sorted(points):
+            _assert_monotone_around(diag, off, x)
+
+
+def test_seeds_cut_the_sturm_counts_of_the_roundtrip(fb, monkeypatch):
+    # the f64-roundtrip workload's spectra at n = 24, seed 1
+    calls = []
+    real = spectral.sturm_count
+    monkeypatch.setattr(spectral, "sturm_count", lambda d, o, x: calls.append(x) or real(d, o, x))
+    counts = {False: 0, True: 0}
+    for i in range(2, 100, 5):
+        lam = validate_spectrum(random_spectrum(case_rng(1, "f64-roundtrip", i), 24))
+        B = build_jacobi_special(solve(lam, fb).coefficient_vector, fb)
+        for seeded in counts:
+            calls.clear()
+            eig = eigensolve_tridiagonal(B, fb, near=lam.lambdas if seeded else ())
+            counts[seeded] += len(calls)
+        assert eig == eigensolve_tridiagonal(B, fb)
+    assert counts[True] <= 0.4 * counts[False]
 
 
 @pytest.mark.parametrize("scale", [1e0, 1e-3, 1e-6, 1e-9])
