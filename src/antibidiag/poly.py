@@ -1,8 +1,8 @@
 """Monic polynomials: construction from roots, symmetric functions, parity,
 Horner evaluation, and one root per sign-change bracket.
 
-``poly_eval`` is the one evaluator, over coefficients each polynomial slices
-once; ``roots_bracketed`` takes roots by the regula falsi of ``scalars``.
+``MonicPoly.evaluate`` is the one evaluator, a Horner closure each polynomial
+builds once; ``roots_bracketed`` takes roots by the regula falsi of ``scalars``.
 
 Coefficients are stored dense, constant term first.  Degrees in this package
 stay small (a few dozen), so no sparse or FFT machinery is warranted.
@@ -11,7 +11,7 @@ stay small (a few dozen), so no sparse or FFT machinery is warranted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import combinations
 
 from .errors import BackendUnsupported, DuplicateRoots, IndexOutOfRange, NoSignChange
@@ -45,11 +45,24 @@ class MonicPoly:
         return len(self.coeffs) - 1
 
     @cached_property
-    def _horner_coeffs(self) -> tuple:
-        """(leading, the rest top down) of the coefficients ``poly_eval`` runs
-        Horner over: all, or those a parity tag allows."""
-        c = self.coeffs if self.parity is None else self.coeffs[self.parity == ODD :: 2]
-        return c[-1], c[-2::-1]
+    def evaluate(self):
+        """x -> p(x) by Horner, a closure over the coefficients it runs on.
+
+        A parity-tagged polynomial is evaluated by Horner in x*x over its
+        allowed coefficients (times x when odd), which halves the multiply-adds
+        and makes p(-x) = p(x) (even) or -p(x) (odd) hold exactly; the
+        forbidden coefficients are taken as zero, as the tag states.  An
+        untagged polynomial takes plain Horner in x."""
+        cs = self.coeffs if self.parity is None else self.coeffs[self.parity == ODD :: 2]
+        lead, rest, plain, odd = cs[-1], cs[-2::-1], self.parity is None, self.parity == ODD
+
+        def evaluate(x):
+            acc, y = lead, x if plain else x * x
+            for c in rest:
+                acc = acc * y + c
+            return acc * x if odd else acc
+
+        return evaluate
 
 
 def from_roots(roots, backend: Backend) -> MonicPoly:
@@ -102,18 +115,8 @@ def reflect_negate(p: MonicPoly) -> MonicPoly:
 
 
 def poly_eval(p: MonicPoly, x):
-    """Horner evaluation.
-
-    A parity-tagged polynomial is evaluated by Horner in x*x over its allowed
-    coefficients (times x when odd), which halves the multiply-adds and makes
-    p(-x) = p(x) (even) or -p(x) (odd) hold exactly; the forbidden
-    coefficients are taken as zero, as the tag states.  An untagged
-    polynomial takes plain Horner in x."""
-    acc, rest = p._horner_coeffs
-    y = x if p.parity is None else x * x
-    for c in rest:
-        acc = acc * y + c
-    return acc * x if p.parity == ODD else acc
+    """Horner evaluation: ``p.evaluate(x)``."""
+    return p.evaluate(x)
 
 
 def with_parity(p: MonicPoly, parity: str, backend: Backend) -> MonicPoly:
@@ -156,7 +159,7 @@ def roots_bracketed(p: MonicPoly, brackets, backend: Backend):
             continue
         if (flo > 0) == (fhi > 0):
             raise NoSignChange(f"no sign change on [{lo}, {hi}]")
-        out.append(sign_change_root(partial(poly_eval, p), lo, hi, flo, fhi, tol))
+        out.append(sign_change_root(p.evaluate, lo, hi, flo, fhi, tol))
     return tuple(sorted(out))
 
 

@@ -84,24 +84,6 @@ def primitive_part(ints):
     return tuple(v // g for v in ints)
 
 
-def bisect(f, lo: float, hi: float, tol: float, level=0.0) -> float:
-    """Bisect [lo, hi] to width <= tol around where the nondecreasing f crosses
-    ``level``; a midpoint where f equals the level is returned.
-    Each pass halves the bracket or stops, so the loop ends; a NaN width stops it."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        d = f(mid) - level
-        if d == 0.0:
-            return mid
-        if d > 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 def sign_change_root(f, lo: float, hi: float, flo: float, fhi: float, tol: float) -> float:
     """A root of f in [lo, hi], where flo = f(lo) and fhi = f(hi) are nonzero and
     of opposite signs: the midpoint of a sign-change bracket of width <= tol, or

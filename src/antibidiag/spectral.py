@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
 from math import comb
 
@@ -20,7 +19,7 @@ from .errors import (
     TooLarge,
 )
 from .matrixkit import StructuredMatrix, check_index_set, matmul, minor
-from .scalars import Backend, TolerancePolicy, bisect
+from .scalars import Backend, TolerancePolicy
 
 MINOR_ENUM_GUARD = 10**7
 
@@ -82,6 +81,28 @@ def gershgorin_bounds(diag, off):
     return lo, hi
 
 
+def _newton(diag, off, t):
+    """One Newton step on det(T - xI) from t, by the pivot recurrence
+    d_i = (diag_i - x) - off_i^2/d_{i-1} and its derivative
+    d_i' = -1 + off_i^2 d_{i-1}'/d_{i-1}^2: t - 1/sum(d_i'/d_i).  It divides
+    only by nonzero pivots, so it never raises, and returns t itself on an
+    exactly zero pivot, a zero or non-finite sum, or a step outside t(1 -+ 1e-3)
+    (a nan step included)."""
+    d = diag[0] - t
+    if d == 0.0:
+        return t
+    dp = -1.0
+    s = dp / d
+    for a, b in zip(diag[1:], off):
+        q = b * b / d
+        d, dp = (a - t) - q, -1.0 + q * dp / d
+        if d == 0.0:
+            return t
+        s += dp / d
+    x = t - 1.0 / s if s != 0.0 else t  # a non-finite sum steps by 0 or to nan
+    return x if abs(x - t) <= 1e-3 * abs(t) else t
+
+
 def eigensolve_tridiagonal(T: StructuredMatrix, backend: Backend, near=()):
     """All eigenvalues of a symmetric tridiagonal matrix, ascending; the k-th is
     where the Sturm count steps from k-1 to k, bisected from the Gershgorin
@@ -95,9 +116,10 @@ def eigensolve_tridiagonal(T: StructuredMatrix, backend: Backend, near=()):
     hi[k] high with no count, as a count would decide them: the eigenvalues are
     bit-identical to plain bisection, each distinct midpoint is counted at most
     once, and seeds only save counts.  ``near`` holds the expected eigenvalues:
-    eigenvalue k is first decided at t(1 -+ eps) for its seed t, the k-th
-    smallest, and eps = 1e-13, 1e-11, ..., 1e-1; once [lo[k], hi[k]] lies
-    within one pair, the wider ones fall outside it and take no count.
+    the k-th smallest seed t takes two Newton steps on det(T - xI) (``_newton``)
+    and eigenvalue k is first decided at t(1 -+ eps), eps = 1e-15, 1e-13, ...,
+    1e-1; once [lo[k], hi[k]] lies within one pair, the wider ones fall outside
+    it and take no count.
 
     Raises SquareOutOfRange if a nonzero codiagonal entry squares outside the
     normal float64 range, where the Sturm pivots lose precision or overflow."""
@@ -113,7 +135,8 @@ def eigensolve_tridiagonal(T: StructuredMatrix, backend: Backend, near=()):
     ends = glo - tol, ghi + tol
     lo, hi = [ends[0]] * n, [ends[1]] * n
 
-    def decide(k, x):
+    def above(k, x):
+        """Whether x lies above eigenvalue k; a count only where the bounds cannot tell."""
         if lo[k] < x < hi[k]:
             c = sturm_count(diag, off, x)
             j = c - 1  # lo and hi are nondecreasing in j: the bounds that move are runs from c
@@ -122,13 +145,23 @@ def eigensolve_tridiagonal(T: StructuredMatrix, backend: Backend, near=()):
             j = c
             while j < n and lo[j] < x:
                 lo[j], j = x, j + 1
-        return k + (x >= hi[k])
+        return x >= hi[k]
 
     for k, t in enumerate(sorted(near)[:n]):
-        for e in range(-13, 0, 2):
-            decide(k, t * (1 - 10.0**e))
-            decide(k, t * (1 + 10.0**e))
-    return tuple(bisect(partial(decide, k), *ends, tol, level=k + 0.5) for k in range(n))
+        t = _newton(diag, off, _newton(diag, off, t))
+        for e in range(-15, 0, 2):
+            above(k, t * (1 - 10.0**e))
+            above(k, t * (1 + 10.0**e))
+    out = []
+    for k in range(n):
+        a, b = ends  # plain bisection, each pass halves the bracket or stops
+        while b - a > tol:
+            mid = 0.5 * (a + b)
+            if mid == a or mid == b:
+                break
+            a, b = (a, mid) if above(k, mid) else (mid, b)
+        out.append(0.5 * (a + b))
+    return tuple(out)
 
 
 def relative_spectrum_error(eigenvalues, target) -> float:

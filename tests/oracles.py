@@ -10,9 +10,10 @@ library's ``from_roots`` as the solver does, and the slot-map builders, the
 two-algorithm ``determinant_reference`` and the graph-search
 ``sign_normalize_reference`` of ``matrixkit``, and the enumerating
 ``totally_positive_reference`` and ``check_class_plus_reference`` of
-``spectral``, which use the library's ``minor`` and ``matmul``, and the
+``spectral``, which use the library's ``minor`` and ``matmul``, the
 bisecting ``roots_bracketed_reference`` of ``poly``, which uses the library's
-``poly_eval``.
+``poly_eval``, and ``horner_reference``, the module-level evaluator that
+``poly_eval`` was before each polynomial built its own Horner closure.
 """
 
 from fractions import Fraction
@@ -484,3 +485,15 @@ def roots_bracketed_reference(p, brackets, backend):
                 lo = mid
         out.append(0.5 * (lo + hi))
     return tuple(sorted(out))
+
+
+def horner_reference(p, x):
+    """The module-level ``poly.poly_eval`` before ``MonicPoly.evaluate``: Horner
+    over the coefficients a parity tag allows, in x*x when tagged, times x
+    when odd, in the same float operations and order."""
+    c = p.coeffs if p.parity is None else p.coeffs[p.parity == "odd" :: 2]
+    acc, rest = c[-1], c[-2::-1]
+    y = x if p.parity is None else x * x
+    for c in rest:
+        acc = acc * y + c
+    return acc * x if p.parity == "odd" else acc

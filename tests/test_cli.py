@@ -527,6 +527,14 @@ def test_float_sqrt_text_is_pinned(capsys, name):
     _assert_pinned(capsys, ["sqrt", "--mus=" + mus], f"float-sqrt-{name}.json")
 
 
+@pytest.mark.parametrize("name", list(_PINNED_FLOAT_SPECTRA))
+def test_float_forward_eigs_text_is_pinned(capsys, name):
+    # the unseeded eigensolve, on the a that the pinned solve text reports
+    a = json.loads((_PINNED / f"float-solve-{name}.json").read_text())["a"]
+    args = ["forward", "--eigs", "--a=" + ",".join(map(repr, a))]
+    _assert_pinned(capsys, args, f"float-forward-eigs-{name}.json")
+
+
 def test_rational_solve_reports_a_residual_when_a_square_is_off(monkeypatch):
     solve = cli.solve
 

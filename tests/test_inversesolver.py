@@ -3,6 +3,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -52,6 +53,7 @@ from oracles import (
     TerminalMismatch,
     backward_pass_reference,
     dense_symmetric_eigs,
+    horner_reference,
     roots_bracketed_reference,
 )
 
@@ -455,6 +457,31 @@ class TestChainAgainstBisection:
             if n <= 24:
                 for (_, inner, _), (_, want, _) in zip(certs, want_certs):
                     assert max(abs(x - y) for x, y in zip(inner, want)) <= 1e-9, (seed, i)
+
+
+class TestChainEvaluator:
+    """The chain runs on each polynomial's Horner closure; patching in the
+    module-level evaluator it replaced gives the same chain bit for bit."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_certificates_on_the_f64_roundtrip_workload_spectra(self, fb, monkeypatch, seed):
+        calls = []
+
+        def counted(p, x):
+            calls.append(x)
+            return horner_reference(p, x)
+
+        reference = property(lambda p: partial(counted, p))
+        for i in range(15):
+            n = (8, 16, 24, 32, 48)[i % 5]
+            lam = validate_spectrum(random_spectrum(case_rng(seed, "f64-roundtrip", i), n))
+            trace = solve(lam, fb)
+            got = trace.certificates, trace.warnings
+            with monkeypatch.context() as m:
+                m.setattr(MonicPoly, "evaluate", reference)
+                trace = solve(lam, fb)
+                assert (trace.certificates, trace.warnings) == got, (seed, i)
+        assert calls
 
 
 class TestScaledChainWidth:

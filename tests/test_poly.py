@@ -1,4 +1,6 @@
+import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,7 @@ from antibidiag import poly
 from antibidiag.poly import parity_of_degree, with_parity
 from antibidiag.sampling import random_spectrum
 
-from oracles import brute_sigma, expand_roots
+from oracles import brute_sigma, expand_roots, horner_reference
 
 
 def test_from_roots_worked_example(fb):
@@ -212,6 +214,27 @@ def test_eval_is_sliced_plain_horner_bit_for_bit():
                     assert repr(poly_eval(p, x)) == repr(_sliced_horner(p, x))
                 for x in (Fraction(1, 3), Fraction(-5, 2), Fraction(0)):
                     assert poly_eval(q, x) == _sliced_horner(q, x)
+
+
+def _bits(v):
+    return struct.pack("<d", v)
+
+
+def test_evaluate_is_the_module_level_horner_bit_for_bit():
+    # the closure against the evaluator it replaced, on the three parity tags;
+    # the values include signed zeros, subnormals, overflow and nan
+    rng = random.Random(2026)
+    tiny = math.ulp(0.0)
+    xs = [0.0, -0.0, tiny, -tiny, 3 * tiny, 1e-310, -2.5e-320, 1e200, -1e200, math.nan]
+    xs += [math.inf, -math.inf] + [rng.uniform(-12.0, 12.0) for _ in range(20)]
+    for deg in range(0, 30):
+        coeffs = tuple(rng.uniform(-5.0, 5.0) for _ in range(deg)) + (1.0,)
+        for tag in (None, "even", "odd") if deg else (None, "even"):  # odd needs x**1
+            p = MonicPoly(coeffs, tag)
+            for x in xs:
+                want = horner_reference(p, x)
+                assert _bits(p.evaluate(x)) == _bits(want), (deg, tag, x)
+                assert _bits(poly_eval(p, x)) == _bits(want), (deg, tag, x)
 
 
 def test_untagged_eval_is_plain_horner(fb):

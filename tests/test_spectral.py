@@ -403,6 +403,117 @@ def test_seeds_cut_the_sturm_counts_of_the_roundtrip(fb, monkeypatch):
     assert counts[True] <= 0.4 * counts[False]
 
 
+def test_seeds_cut_the_sturm_counts_of_the_roundtrip_at_n48(fb, monkeypatch):
+    # the f64-roundtrip workload's spectra at n = 48, seed 1, where the
+    # coefficient pass's J misses its target by up to 1e-5
+    calls = []
+    real = spectral.sturm_count
+    monkeypatch.setattr(spectral, "sturm_count", lambda d, o, x: calls.append(x) or real(d, o, x))
+    counts = {False: 0, True: 0}
+    for i in range(4, 100, 10):
+        lam = validate_spectrum(random_spectrum(case_rng(1, "f64-roundtrip", i), 48))
+        B = build_jacobi_special(solve(lam, fb).coefficient_vector, fb)
+        eigs = {}
+        for seeded in counts:
+            calls.clear()
+            eigs[seeded] = eigensolve_tridiagonal(B, fb, near=lam.lambdas if seeded else ())
+            counts[seeded] += len(calls)
+        assert eigs[True] == eigs[False]
+    assert counts[True] <= 0.15 * counts[False]
+    # about two per eigenvalue: the polished seed's pair at 1e-15 brackets it
+    assert counts[True] <= 3 * 48 * 10
+
+
+# --- Newton-polished seeds: they never raise and never change a result ---
+
+
+def _assert_seeded(diag, off, fb, seeds):
+    glo, ghi = gershgorin_bounds(diag, off)
+    want, _ = plain_sturm_bisection(diag, off, fb.policy.root_tol * min(1.0, max(-glo, ghi)))
+    assert eigensolve_tridiagonal(_tridiagonal(diag, off), fb, near=seeds) == want, (diag, seeds)
+
+
+def test_newton_step_survives_a_pivot_whose_square_underflows(fb):
+    # the first pivot 1e-150 - t is one ulp of 1e-150, whose square is 0.0
+    T = build_jacobi_special(CoefficientVector((1e-150, 1e-150)), fb)
+    diag, off = [T.entries[0][0], T.entries[1][1]], [T.entries[0][1]]
+    t = math.nextafter(1e-150, 1.0)
+    assert (diag[0] - t) * (diag[0] - t) == 0.0
+    assert math.isfinite(spectral._newton(diag, off, t))
+    _assert_seeded(diag, off, fb, (t, t))
+
+
+@pytest.mark.parametrize("seed", [math.inf, -math.inf, math.nan, 0.0])
+def test_non_finite_and_zero_seeds_stay_put_and_change_nothing(fb, seed):
+    for _, (diag, off) in _count_memory_families():
+        assert repr(spectral._newton(diag, off, seed)) == repr(seed)
+        _assert_seeded(diag, off, fb, [seed] * len(diag))
+    _assert_seeded([1.0, 3.0, 2.0], [1.0, 0.5], fb, [math.inf, math.nan, 0.0, -math.inf])
+
+
+def _zero_pivot_points(diag, off):
+    """The half-integers around the Gershgorin interval where a pivot of the
+    Sturm recurrence is exactly 0.0."""
+    glo, ghi = gershgorin_bounds(diag, off)
+    out = []
+    for x in (v / 2 for v in range(2 * math.floor(glo) - 2, 2 * math.ceil(ghi) + 3)):
+        d = diag[0] - x
+        for a, b in zip(diag[1:], off):
+            if d == 0.0:
+                break
+            d = (a - x) - b * b / d
+        if d == 0.0:
+            out.append(x)
+    return out
+
+
+def test_seeds_at_exact_zero_pivots_stay_put_and_change_nothing(fb):
+    hits = 0
+    for name, (diag, off) in _count_memory_families():
+        if not name.startswith("integer"):
+            continue
+        points = _zero_pivot_points(diag, off)
+        hits += len(points)
+        for x in points:
+            assert spectral._newton(diag, off, x) == x
+            _assert_seeded(diag, off, fb, [x] * len(diag))
+        _assert_seeded(diag, off, fb, points)
+    assert hits > 20
+
+
+def test_seeds_at_the_gershgorin_ends_change_nothing(fb):
+    for _, (diag, off) in _count_memory_families():
+        glo, ghi = gershgorin_bounds(diag, off)
+        n = len(diag)
+        for seeds in ([glo] * n, [ghi] * n, [glo, ghi] * n):
+            _assert_seeded(diag, off, fb, seeds)
+
+
+def test_newton_step_stays_put_where_the_determinant_is_flat_or_the_step_long():
+    # det(T - xI) = x^2 - 4x + 2, with roots 2 -+ sqrt(2): its derivative is
+    # exactly 0.0 at x = 2, from 2.001 the step would go about 1000 away and
+    # from 3.5 about 0.08, beyond 1e-3 * 3.5; from 3.415 it is taken
+    assert spectral._newton([1.0, 3.0], [1.0], 2.0) == 2.0
+    assert spectral._newton([1.0, 3.0], [1.0], 2.001) == 2.001
+    assert spectral._newton([1.0, 3.0], [1.0], 3.5) == 3.5
+    assert abs(spectral._newton([1.0, 3.0], [1.0], 3.415) - (2.0 + SQ2)) <= 1e-6
+
+
+def test_two_newton_steps_land_the_targets_on_the_eigenvalues(fb):
+    # the f64-roundtrip workload's spectra at n = 48, seed 1: the targets miss
+    # the eigenvalues of the coefficient pass's J by up to about 1e-5
+    miss = polished = 0.0
+    for i in range(4, 100, 10):
+        lam = validate_spectrum(random_spectrum(case_rng(1, "f64-roundtrip", i), 48))
+        B = build_jacobi_special(solve(lam, fb).coefficient_vector, fb)
+        diag, off = [B.entries[k][k] for k in range(48)], [B.entries[k][k + 1] for k in range(47)]
+        for t, v in zip(sorted(lam.lambdas), eigensolve_tridiagonal(B, fb)):
+            miss = max(miss, abs(t - v) / abs(v))
+            t = spectral._newton(diag, off, spectral._newton(diag, off, t))
+            polished = max(polished, abs(t - v) / abs(v))
+    assert miss > 1e-6 and polished <= 1e-12
+
+
 @pytest.mark.parametrize("scale", [1e0, 1e-3, 1e-6, 1e-9])
 def test_roundtrip_precision_does_not_depend_on_units(fb, scale):
     # moduli within a factor of 10, so root_tol relative to the largest
