@@ -97,22 +97,27 @@ def check_index_set(idx, n: int):
 
 def determinant(rows):
     """Determinant of a small dense square array (list of row lists), by
-    Gaussian elimination with partial pivoting; exact on Fractions."""
+    Gaussian elimination with partial pivoting on the first largest entry; exact
+    on Fractions.  Rows with a zero pivot-column entry are skipped: 0*x is 0 for finite x."""
     n = len(rows)
     m = [list(r) for r in rows]
     det = 1
     for k in range(n):
-        p = max(range(k, n), key=lambda r: abs(m[r][k]))
-        if m[p][k] == 0:
-            return abs(m[p][k])  # a zero of the entries' type, never -0.0
+        p, big = k, abs(m[k][k])
+        for r in range(k + 1, n):
+            if abs(m[r][k]) > big:
+                p, big = r, abs(m[r][k])
+        if big == 0:
+            return big  # a zero of the entries' type, never -0.0
         if p != k:
             m[k], m[p] = m[p], m[k]
             det = -det
         det *= m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            for j in range(k + 1, n):
-                m[i][j] -= f * m[k][j]
+        for row in m[k + 1:]:
+            if row[k] != 0:
+                f = row[k] / m[k][k]
+                for j in range(k + 1, n):
+                    row[j] -= f * m[k][j]
     return det
 
 

@@ -1,5 +1,5 @@
 """Independent verification machinery: Sturm-bisection tridiagonal eigenvalues,
-strict interlacing, sign-regularity verdicts by exhaustive minor enumeration,
+strict interlacing, sign-regularity verdicts from the minors the zero pattern leaves,
 the class-plus power by the Gantmacher-Krein theorem, and a Cauchy-Binet check.
 """
 
@@ -230,24 +230,34 @@ def _order_scale(M: StructuredMatrix, j: int, backend: Backend) -> float:
 def classify_sign_regular(
     M: StructuredMatrix, d: int, sig, backend: Backend
 ) -> SignRegularityReport:
-    """Exhaustive minor check of sign regularity up to order d.
+    """Minor check of sign regularity up to order d.
 
     Every minor of order j must have sign sig[j-1] or vanish; the
     principal-minors-only verdict is reported alongside.  Floating backend uses
-    a tolerance scaled by the product of the j largest row norms.
+    a tolerance scaled by the product of the j largest row norms.  A minor with a
+    zero row or column is exactly zero: it is skipped and makes its order not strict.
     """
     n = M.n
     if d > n or len(sig) < d:
         raise SizeMismatch("need d <= n and a signature of length >= d")
     _enum_guard(n, d)
+    nonzero = [(r, c) for r, row in enumerate(M.entries, 1) for c, v in enumerate(row, 1) if v != 0]
     verdicts = []
     for j in range(1, d + 1):
         eps = sig[j - 1]
         tol = backend.policy.eq_abs * _order_scale(M, j, backend)
         conforming = strict = principal = True
         worst = None
-        for rows in combinations(range(1, n + 1), j):
-            for cols in combinations(range(1, n + 1), j):
+        # each index set, with the columns its rows meet and the rows its columns meet
+        sets = [
+            (s, {c for r, c in nonzero if r in s}, {r for r, c in nonzero if c in s})
+            for s in combinations(range(1, n + 1), j)
+        ]
+        for rows, met_cols, _ in sets:
+            for cols, _, met_rows in sets:
+                if not met_cols.issuperset(cols) or not met_rows.issuperset(rows):
+                    strict = False  # a zero column or row: the minor is exactly 0
+                    continue
                 v = eps * minor(M, rows, cols, backend)
                 if v <= tol:
                     strict = False

@@ -9,11 +9,14 @@ kept to compare the current code against bit for bit:
 library's ``from_roots`` as the solver does, and the slot-map builders, the
 two-algorithm ``determinant_reference`` and the graph-search
 ``sign_normalize_reference`` of ``matrixkit``, and the enumerating
-``totally_positive_reference`` and ``check_class_plus_reference`` of
-``spectral``, which use the library's ``minor`` and ``matmul``, the
-bisecting ``roots_bracketed_reference`` of ``poly``, which uses the library's
-``poly_eval``, and ``horner_reference``, the module-level evaluator that
-``poly_eval`` was before each polynomial built its own Horner closure.
+``totally_positive_reference``, ``check_class_plus_reference`` and
+``classify_sign_regular_reference`` of ``spectral``, which use the library's
+``minor`` and ``matmul``, the bisecting ``roots_bracketed_reference`` of
+``poly``, which uses the library's ``poly_eval``, and ``horner_reference``,
+the module-level evaluator that ``poly_eval`` was before each polynomial built
+its own Horner closure.
+``sparse_grid`` draws the random sparse matrices that the determinant and
+sign-regularity tests compare against these oracles.
 """
 
 from fractions import Fraction
@@ -451,6 +454,58 @@ def check_class_plus_reference(A, max_power, backend):
     return None
 
 
+def classify_sign_regular_reference(M, d, sig, backend):
+    """Sign regularity as first written: every minor of every order up to d
+    through the library's ``minor``, zero minors included."""
+    from antibidiag.errors import SizeMismatch
+    from antibidiag.matrixkit import minor
+    from antibidiag.spectral import (
+        OrderVerdict,
+        SignRegularityReport,
+        _enum_guard,
+        _order_scale,
+    )
+
+    n = M.n
+    if d > n or len(sig) < d:
+        raise SizeMismatch("need d <= n and a signature of length >= d")
+    _enum_guard(n, d)
+    verdicts = []
+    for j in range(1, d + 1):
+        eps = sig[j - 1]
+        tol = backend.policy.eq_abs * _order_scale(M, j, backend)
+        conforming = strict = principal = True
+        worst = None
+        for rows in combinations(range(1, n + 1), j):
+            for cols in combinations(range(1, n + 1), j):
+                v = eps * minor(M, rows, cols, backend)
+                if v <= tol:
+                    strict = False
+                if v < -tol:
+                    conforming = False
+                    if rows == cols:
+                        principal = False
+                    if worst is None or v < worst[0]:
+                        worst = (v, rows, cols)
+        verdicts.append(
+            OrderVerdict(
+                j,
+                conforming,
+                strict,
+                principal,
+                witness_value=None if worst is None else worst[0] * eps,
+                witness_rows=None if worst is None else worst[1],
+                witness_cols=None if worst is None else worst[2],
+            )
+        )
+    achieved = 0
+    for v in verdicts:
+        if not v.conforming:
+            break
+        achieved = v.order
+    return SignRegularityReport(n, tuple(verdicts), achieved, all(v.strict for v in verdicts))
+
+
 def roots_bracketed_reference(p, brackets, backend):
     """The first ``poly.roots_bracketed``: one root per sign-change bracket,
     ascending, each by plain bisection to width <= root_tol (a midpoint where
@@ -497,3 +552,28 @@ def horner_reference(p, x):
     for c in rest:
         acc = acc * y + c
     return acc * x if p.parity == "odd" else acc
+
+
+def sparse_grid(rng, n, backend):
+    """A random n x n grid (list of row lists) of small fractions, about half
+    of them zero, -0.0 for half of the zeros in float64; with probability one
+    half each it has a zero row, a zero column and a single-entry row."""
+
+    def zero():
+        return -0.0 if not backend.exact and rng.random() < 0.5 else backend.zero
+
+    def value():
+        v = Fraction(rng.choice((-9, -4, -2, -1, 1, 3, 5)), rng.choice((1, 2, 3, 7)))
+        return backend.convert(v)
+
+    grid = [[value() if rng.random() < 0.5 else zero() for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.5:
+        grid[rng.randrange(n)] = [zero() for _ in range(n)]
+    if rng.random() < 0.5:
+        c = rng.randrange(n)
+        for row in grid:
+            row[c] = zero()
+    if rng.random() < 0.5:
+        keep = rng.randrange(n)
+        grid[rng.randrange(n)] = [value() if c == keep else zero() for c in range(n)]
+    return grid

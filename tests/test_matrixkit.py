@@ -31,6 +31,7 @@ from oracles import (
     charpoly_cofactor,
     determinant_reference,
     sign_normalize_reference,
+    sparse_grid,
 )
 
 SQ2, SQ3 = math.sqrt(2.0), math.sqrt(3.0)
@@ -184,6 +185,24 @@ def test_determinant_matches_both_reference_algorithms_on_every_minor(fb, rb):
                         assert got == want, (n, rows, cols)
                     else:
                         assert repr(got) == repr(want), (n, rows, cols)
+
+
+def test_determinant_matches_the_first_form_bit_for_bit_on_sparse_grids(fb, rb):
+    """Rows skipped for a zero pivot-column entry leave the determinant as the
+    first form computes it, on grids with zero rows and columns, single-entry
+    rows and -0.0 entries, and on each of their square sub-grids."""
+    rng = random.Random(1401)
+    zeros = 0
+    for backend in (fb, rb):
+        for n in range(1, 7):
+            for _ in range(12):
+                grid = sparse_grid(rng, n, backend)
+                for rows, cols in _index_sets(n):
+                    sub = [[grid[i - 1][j - 1] for j in cols] for i in rows]
+                    got = determinant(sub)
+                    assert repr(got) == repr(determinant_reference(sub, backend.exact)), sub
+                    zeros += got == 0
+    assert zeros > 10000  # singular sub-grids, whose zero must be +0.0, are common
 
 
 def test_matmul_examples(fb):

@@ -40,7 +40,13 @@ from antibidiag.sampling import (
 from antibidiag import spectral
 from antibidiag.spectral import gershgorin_bounds, sturm_count
 
-from oracles import check_class_plus_reference, plain_sturm_bisection, totally_positive_reference
+from oracles import (
+    check_class_plus_reference,
+    classify_sign_regular_reference,
+    plain_sturm_bisection,
+    sparse_grid,
+    totally_positive_reference,
+)
 
 SQ2, SQ3 = math.sqrt(2.0), math.sqrt(3.0)
 
@@ -575,3 +581,62 @@ def test_check_class_plus_enumerates_nothing(fb, monkeypatch):
     A = build_antibidiagonal(CoefficientVector((1.0, 2.0, 3.0, 4.0, 5.0, 6.0)), fb)
     assert check_class_plus(A, 12, fb) == 5
     assert check_class_plus(A, 4, fb) is None
+
+
+# --- sign-regularity verdicts with the pattern's zero minors skipped ---
+
+
+def _random_signs(rng, n):
+    return tuple(rng.choice((1, -1)) for _ in range(n))
+
+
+def _sign_regularity_cases(rng, n, backend):
+    a = CoefficientVector(
+        random_rational_coefficients(rng, n) if backend.exact else random_coefficients(rng, n)
+    )
+    A = build_antibidiagonal(a, backend)
+    yield A
+    yield conjugate_signs(A, _random_signs(rng, n), backend)  # -0.0 off the pattern in float64
+    yield build_jacobi_special(a, backend)
+    S = P = matmul(A, A, backend)
+    for _ in range(max(1, n - 1)):
+        yield P  # (A^2)^m, banded below m = n - 1 and dense from there
+        P = matmul(P, S, backend)
+    for _ in range(4):
+        yield StructuredMatrix(n, tuple(map(tuple, sparse_grid(rng, n, backend))))
+    yield StructuredMatrix(n, tuple(
+        tuple(backend.convert(rng.randint(-3, 5)) for _ in range(n)) for _ in range(n)
+    ))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_classify_sign_regular_matches_full_enumeration(fb, rb, n):
+    """The whole report, witnesses included, equals the one every minor gives."""
+    rng = random.Random(1400 + n)
+    witnesses = 0
+    for backend in (fb, rb):
+        for M in _sign_regularity_cases(rng, n, backend):
+            for d, sig in ((n, signature_sequence(n)), (rng.randint(1, n), _random_signs(rng, n))):
+                got = classify_sign_regular(M, d, sig, backend)
+                want = classify_sign_regular_reference(M, d, sig, backend)
+                assert got == want and repr(got) == repr(want), (M, d, sig)
+                witnesses += sum(v.witness_value is not None for v in got.verdicts)
+    assert witnesses > 0
+
+
+@pytest.mark.parametrize("n, evaluated", [(4, 34), (6, 267)])
+def test_classify_sign_regular_skips_the_zero_minors_of_the_pattern(fb, monkeypatch, n, evaluated):
+    calls = [0]
+    minor = spectral.minor
+
+    def counting(*args):
+        calls[0] += 1
+        return minor(*args)
+
+    monkeypatch.setattr(spectral, "minor", counting)
+    A = build_antibidiagonal(CoefficientVector(tuple(random_coefficients(random.Random(n), n))), fb)
+    classify_sign_regular(A, n, signature_sequence(n), fb)
+    assert calls[0] == evaluated  # of comb(2n, n) - 1 = 69 and 923
+    calls[0] = 0
+    classify_sign_regular(StructuredMatrix(n, ((1.0,) * n,) * n), n, (1,) * n, fb)
+    assert calls[0] == math.comb(2 * n, n) - 1  # a dense matrix has no zero minor to skip
