@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -30,7 +30,6 @@ from .errors import (
     NotAlternating,
     NotDecreasing,
     NotStrictlyDecreasingModulus,
-    NoSignChange,
     TooSmall,
 )
 from .matrixkit import (
@@ -40,10 +39,10 @@ from .matrixkit import (
     build_jacobi_special,
     matmul,
 )
-from .poly import elementary_symmetric, from_roots, lin_comb, roots_bracketed, shift_up
+from .poly import elementary_symmetric, from_roots, lin_comb, shift_up
 from .recurrence import CharPolySequence, _level, _ratio
-from .scalars import Backend
-from .spectral import eigensolve_tridiagonal, interlaces, relative_spectrum_error
+from .scalars import Backend, sign_change_bracket, sign_change_root
+from .spectral import eigensolve_tridiagonal, relative_spectrum_error
 
 # A modulus gap below this fraction of lambda_1 draws a warning.  Scaling a
 # spectrum scales a by the same factor, so the test must be relative.
@@ -163,10 +162,18 @@ class ReconstructionTrace:
             raise BackendUnsupported("square roots unavailable in the exact backend")
         return CoefficientVector(self.a)
 
-    @property
+    @cached_property
     def certificates(self) -> tuple | None:
-        """((k, roots_of_q_k, roots_of_q_{k+1}), ...), k descending."""
-        return self._checks[0]
+        """((k, roots_of_q_k, roots_of_q_{k+1}), ...), k descending, at the chain width."""
+        if self.backend.exact:
+            return None
+        (tol, outer, kept), certs = self._checks[0], []
+        for k, q, brackets in kept:
+            upper = tuple(b[0] if b[0] == b[1] else sign_change_root(q, *b, tol) for b in brackets)
+            inner = tuple(-r for r in reversed(upper)) + (0.0,) * (k % 2) + upper
+            certs.append((k, inner, outer))
+            outer = inner
+        return tuple(certs)
 
     @property
     def warnings(self) -> tuple:
@@ -174,26 +181,24 @@ class ReconstructionTrace:
 
     @cached_property
     def _checks(self):
-        """Bracketed roots of each q_k between consecutive roots of q_{k+1},
-        to width root_tol * min(1, lambda_1) (never below the least subnormal),
-        as the eigensolver scales its width; then the warnings: a coefficient
-        of q_n below the normal float64 range (the spectrum's products
-        underflowed), a level that fails, which cuts the chain, and a minimum
-        modulus gap below GAP_WARN_RATIO * lambda_1.
+        """The interlacing chain at width root_tol * min(1, lambda_1), never below
+        the least subnormal, as the eigensolver scales its width; then the
+        warnings: a coefficient of q_n below the normal float64 range (the
+        spectrum's products underflowed), a level that fails, which cuts the
+        chain, and a minimum modulus gap below GAP_WARN_RATIO * lambda_1.
 
-        For k < n, q_k has the parity of k, so its roots come in exact +- pairs,
-        plus 0.0 when k is odd.  Only the upper floor(k/2) brackets are searched;
-        their roots are mirrored, 0.0 is added for odd k, and the full set is
-        checked against the outer roots.  The parity evaluation of ``poly_eval``
-        makes q_k(-x) = +-q_k(x) exact, so a mirrored root marks a sign change of
-        q_k just as the found one does."""
+        q_k, k < n, has the parity of k, exactly under ``MonicPoly.evaluate``, so
+        only its upper floor(k/2) roots are kept, as sign-change brackets.  Level k
+        evaluates q_k at both ends of each bracket of q_{k+1}, narrowed by
+        sixteenths until q_k keeps one nonzero sign across it; q_k must change
+        sign across each gap between them, which, narrowed to 1/16 of its width,
+        brackets a root of q_k.  Each mirrored bracket of q_{n-1} is narrowed
+        until it lies strictly between its two lambdas."""
         if self.backend.exact:
-            return None, ()
-        certs, warns = [], []
-        lam1, policy = float(self.spectrum.lambdas[0]), self.backend.policy
-        tol = max(policy.root_tol * min(1.0, lam1), math.ulp(0.0))
-        backend = replace(self.backend, policy=replace(policy, root_tol=tol))
-        n = self.spectrum.n
+            return (None, (), ()), ()
+        kept, warns = [], []
+        lam1, n = float(self.spectrum.lambdas[0]), self.spectrum.n
+        tol = max(self.backend.policy.root_tol * min(1.0, lam1), math.ulp(0.0))
         qn = self.qs[n].coeffs
         j = next((j for j, c in enumerate(qn) if abs(c) < sys.float_info.min), None)
         if j is not None and n > 1:  # q_1 = x - lambda_1 is read off, not reconstructed
@@ -201,27 +206,54 @@ class ReconstructionTrace:
                 f"q_{n} coefficient {j} = {qn[j]:.3e} is below the normal float64 range; "
                 "the reconstruction may have lost precision"
             )
-        outer = tuple(sorted(map(float, self.spectrum.lambdas)))
+        lam = tuple(sorted(map(float, self.spectrum.lambdas)))
+        outer, f = [[x, x, None, None] for x in lam[n - 1 - (n - 1) // 2 :]], None
         for k in range(n - 1, 0, -1):
-            brackets = [(outer[i], outer[i + 1]) for i in range(k - k // 2, k)]
-            try:
-                upper = roots_bracketed(self.qs[k], brackets, backend)
-            except NoSignChange as exc:
-                warns.append(f"level {k}: {exc}")
+            q, ends, inner, failure = self.qs[k].evaluate, [], [], None
+            for b in outer:
+                while True:
+                    qlo = q(b[0])
+                    qhi = q(b[1]) if b[0] < b[1] else qlo
+                    if b[0] == b[1] or (qlo != 0.0 != qhi and (qlo > 0) == (qhi > 0)):
+                        break
+                    _narrow(f, b, (b[1] - b[0]) / 16, tol)
+                ends.append((qlo, qhi))
+            for b, c, (_, fb), (fc, _) in zip(outer, outer[1:], ends, ends[1:]):
+                if fb == 0.0 or fc == 0.0:  # a root of q_k at one of q_{k+1}
+                    failure = "interlacing violated"
+                elif (fb > 0) == (fc > 0):
+                    lo, hi = (_narrow(f, d, 0.0, tol)[0] for d in (b, c))
+                    failure = f"no sign change on [{lo}, {hi}]"
+                    break
+                else:
+                    inner.append(_narrow(q, [b[1], c[0], fb, fc], (c[0] - b[1]) / 16, tol))
+            for j, b in zip(range(k // 2 - 1, -1, -1), () if failure or k < n - 1 else inner):
+                while b[0] < b[1] and not lam[j] < -b[1] <= -b[0] < lam[j + 1]:
+                    _narrow(q, b, (b[1] - b[0]) / 16, tol)
+                if not lam[j] < -b[0] < lam[j + 1]:
+                    failure = "interlacing violated"
+            if failure:
+                warns.append(f"level {k}: {failure}")
                 break
-            inner = tuple(-r for r in reversed(upper)) + (0.0,) * (k % 2) + upper
-            if not interlaces(inner, outer):
-                warns.append(f"level {k}: interlacing violated")
-                break
-            certs.append((k, inner, outer))
-            outer = inner
+            kept.append((k, q, inner))
+            outer, f = [[0.0, 0.0, None, None]] * (k % 2) + inner, q
         gap = self.spectrum.min_modulus_gap()
         if gap is not None and float(gap) < GAP_WARN_RATIO * lam1:
             warns.append(
                 f"minimum modulus gap {float(gap):.3e} is below {GAP_WARN_RATIO} * lambda_1; "
                 "reconstruction is ill-conditioned, consider --backend rational"
             )
-        return tuple(certs), tuple(warns)
+        return (tol, lam, tuple(kept)), tuple(warns)
+
+
+def _narrow(f, b, width, tol):
+    """Narrow the bracket b = [lo, hi, f(lo), f(hi)] of f in place to width <= max(width,
+    tol); at tol or below, or at adjacent floats, it becomes [m, m, None, None], m its midpoint."""
+    if b[0] < b[1]:
+        lo, hi, flo, fhi = sign_change_bracket(f, *b, max(width, tol))
+        m = lo if lo == hi else 0.5 * (lo + hi)
+        b[:] = (lo, hi, flo, fhi) if tol < hi - lo <= width else (m, m, None, None)
+    return b
 
 
 def solve(spectrum: Spectrum, backend: Backend) -> ReconstructionTrace:

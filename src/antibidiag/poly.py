@@ -1,8 +1,8 @@
 """Monic polynomials: construction from roots, symmetric functions, parity,
 Horner evaluation, and one root per sign-change bracket.
 
-``MonicPoly.evaluate`` is the one evaluator, a Horner closure each polynomial
-builds once; ``roots_bracketed`` takes roots by the regula falsi of ``scalars``.
+``MonicPoly.evaluate`` is the one evaluator, a cached Horner closure; the root
+kernel of ``scalars`` serves ``roots_bracketed`` and the interlacing chain alike.
 
 Coefficients are stored dense, constant term first.  Degrees in this package
 stay small (a few dozen), so no sparse or FFT machinery is warranted.

@@ -159,7 +159,7 @@ def eigensolve_tridiagonal(T: StructuredMatrix, backend: Backend, near=()):
             mid = 0.5 * (a + b)
             if mid == a or mid == b:
                 break
-            a, b = (a, mid) if above(k, mid) else (mid, b)
+            a, b = (a, mid) if mid > lo[k] and (mid >= hi[k] or above(k, mid)) else (mid, b)
         out.append(0.5 * (a + b))
     return tuple(out)
 

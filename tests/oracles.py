@@ -12,9 +12,10 @@ two-algorithm ``determinant_reference`` and the graph-search
 ``totally_positive_reference``, ``check_class_plus_reference`` and
 ``classify_sign_regular_reference`` of ``spectral``, which use the library's
 ``minor`` and ``matmul``, the bisecting ``roots_bracketed_reference`` of
-``poly``, which uses the library's ``poly_eval``, and ``horner_reference``,
-the module-level evaluator that ``poly_eval`` was before each polynomial built
-its own Horner closure.
+``poly``, which uses the library's ``poly_eval``, ``interlacing_chain_reference``,
+the float64 interlacing chain that took every root to the chain width, and
+``horner_reference``, the module-level evaluator that ``poly_eval`` was before
+each polynomial built its own Horner closure.
 ``sparse_grid`` draws the random sparse matrices that the determinant and
 sign-regularity tests compare against these oracles.
 """
@@ -540,6 +541,54 @@ def roots_bracketed_reference(p, brackets, backend):
                 lo = mid
         out.append(0.5 * (lo + hi))
     return tuple(sorted(out))
+
+
+def interlacing_chain_reference(trace, finder):
+    """The float64 chain of ``ReconstructionTrace._checks`` before it kept its
+    roots as brackets: (certificates, warnings), every root of each q_k taken
+    to the chain width by ``finder(p, brackets, backend)`` (the library's
+    ``roots_bracketed``, or ``roots_bracketed_reference``)."""
+    import math
+    import sys
+    from dataclasses import replace
+
+    from antibidiag.errors import NoSignChange
+    from antibidiag.inversesolver import GAP_WARN_RATIO
+    from antibidiag.spectral import interlaces
+
+    certs, warns = [], []
+    lam1, policy = float(trace.spectrum.lambdas[0]), trace.backend.policy
+    tol = max(policy.root_tol * min(1.0, lam1), math.ulp(0.0))
+    backend = replace(trace.backend, policy=replace(policy, root_tol=tol))
+    n = trace.spectrum.n
+    qn = trace.qs[n].coeffs
+    j = next((j for j, c in enumerate(qn) if abs(c) < sys.float_info.min), None)
+    if j is not None and n > 1:
+        warns.append(
+            f"q_{n} coefficient {j} = {qn[j]:.3e} is below the normal float64 range; "
+            "the reconstruction may have lost precision"
+        )
+    outer = tuple(sorted(map(float, trace.spectrum.lambdas)))
+    for k in range(n - 1, 0, -1):
+        brackets = [(outer[i], outer[i + 1]) for i in range(k - k // 2, k)]
+        try:
+            upper = finder(trace.qs[k], brackets, backend)
+        except NoSignChange as exc:
+            warns.append(f"level {k}: {exc}")
+            break
+        inner = tuple(-r for r in reversed(upper)) + (0.0,) * (k % 2) + upper
+        if not interlaces(inner, outer):
+            warns.append(f"level {k}: interlacing violated")
+            break
+        certs.append((k, inner, outer))
+        outer = inner
+    gap = trace.spectrum.min_modulus_gap()
+    if gap is not None and float(gap) < GAP_WARN_RATIO * lam1:
+        warns.append(
+            f"minimum modulus gap {float(gap):.3e} is below {GAP_WARN_RATIO} * lambda_1; "
+            "reconstruction is ill-conditioned, consider --backend rational"
+        )
+    return tuple(certs), tuple(warns)
 
 
 def horner_reference(p, x):

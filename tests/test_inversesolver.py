@@ -54,10 +54,29 @@ from oracles import (
     backward_pass_reference,
     dense_symmetric_eigs,
     horner_reference,
+    interlacing_chain_reference,
     roots_bracketed_reference,
 )
 
 SQ2, SQ3 = math.sqrt(2.0), math.sqrt(3.0)
+
+
+def _record_evaluations(monkeypatch, record):
+    """Call record(p) before each evaluation of a polynomial p through
+    ``MonicPoly.evaluate``, where the root kernel's probes and the interlacing
+    chain's bracket ends run."""
+    evaluate = MonicPoly.evaluate.func
+
+    def recorded(p):
+        f = evaluate(p)
+
+        def g(x):
+            record(p)
+            return f(x)
+
+        return g
+
+    monkeypatch.setattr(MonicPoly, "evaluate", property(recorded))
 
 
 class TestValidateSpectrum:
@@ -386,13 +405,12 @@ class TestChecksOnRead:
 
     @staticmethod
     def _count_bisections(monkeypatch):
+        # the degree of each polynomial the chain evaluates, the first time:
+        # the root kernel's probes and the bracket ends all run through
+        # MonicPoly.evaluate (q_1 has no bracket to narrow, so a count at the
+        # kernel itself would never see level 1)
         calls = []
-
-        def counted(p, brackets, backend):
-            calls.append(p.degree)
-            return roots_bracketed(p, brackets, backend)
-
-        monkeypatch.setattr(inversesolver, "roots_bracketed", counted)
+        _record_evaluations(monkeypatch, lambda p: p.degree in calls or calls.append(p.degree))
         return calls
 
     def test_solve_bisects_nothing_until_the_checks_are_read(self, fb, monkeypatch):
@@ -417,13 +435,13 @@ class TestChecksOnRead:
         assert calls == []
 
     def test_a_level_without_a_sign_change_cuts_the_chain(self, fb, monkeypatch):
-        # x^2 + 1 has no real root, so the bisection of level 2 finds no sign change
-        def no_root_at_level_2(p, brackets, backend):
-            if p.degree == 2:
-                p = MonicPoly((1.0, 0.0, 1.0), p.parity)
-            return roots_bracketed(p, brackets, backend)
+        # x^2 + 1 has no real root, so level 2 finds no sign change
+        qs = inversesolver.ReconstructionTrace.qs.fget
 
-        monkeypatch.setattr(inversesolver, "roots_bracketed", no_root_at_level_2)
+        def no_root_at_level_2(trace):
+            return tuple(MonicPoly((1.0, 0.0, 1.0), q.parity) if q.degree == 2 else q for q in qs(trace))
+
+        monkeypatch.setattr(inversesolver.ReconstructionTrace, "qs", property(no_root_at_level_2))
         trace = solve(validate_spectrum((4.0, -3.0, 2.000001, -2.0)), fb)
         [(k, inner, _)] = trace.certificates
         assert k == 3
@@ -433,30 +451,91 @@ class TestChecksOnRead:
             "reconstruction is ill-conditioned, consider --backend rational",
         )
 
+    def test_a_root_of_q_k_at_a_root_of_q_k_plus_1_breaks_strict_interlacing(self, fb, monkeypatch):
+        # x^2 is 0.0 at the root 0.0 of q_3, where the chain cannot interlace strictly
+        qs = inversesolver.ReconstructionTrace.qs.fget
+
+        def double_root_at_0(trace):
+            return tuple(MonicPoly((0.0, 0.0, 1.0), q.parity) if q.degree == 2 else q for q in qs(trace))
+
+        monkeypatch.setattr(inversesolver.ReconstructionTrace, "qs", property(double_root_at_0))
+        trace = solve(validate_spectrum((4.0, -3.0, 2.0, -1.0)), fb)
+        assert trace.warnings == ("level 2: interlacing violated",)
+        assert [k for k, _, _ in trace.certificates] == [3]
+        assert interlacing_chain_reference(trace, roots_bracketed)[1] == trace.warnings
+
 
 class TestChainAgainstBisection:
-    """The chain's guarded regula falsi against the plain bisection it
-    replaced, patched in where ``_checks`` looks it up."""
-
-    @staticmethod
-    def _chain(lam, fb, finder, monkeypatch):
-        monkeypatch.setattr(inversesolver, "roots_bracketed", finder)
-        trace = solve(validate_spectrum(lam), fb)
-        return trace.warnings, trace.certificates
+    """The chain on brackets against the chain that took every root to the
+    chain width by plain bisection (``interlacing_chain_reference``)."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_same_verdicts_on_the_f64_roundtrip_workload_spectra(self, fb, monkeypatch, seed):
+    def test_same_verdicts_on_the_f64_roundtrip_workload_spectra(self, fb, seed):
         # the f64-roundtrip workload's spectra: n cycles 8, 16, 24, 32, 48
         for i in range(15):
             n = (8, 16, 24, 32, 48)[i % 5]
-            lam = random_spectrum(case_rng(seed, "f64-roundtrip", i), n)
-            warns, certs = self._chain(lam, fb, roots_bracketed, monkeypatch)
-            want_warns, want_certs = self._chain(lam, fb, roots_bracketed_reference, monkeypatch)
+            trace = solve(validate_spectrum(random_spectrum(case_rng(seed, "f64-roundtrip", i), n)), fb)
+            warns, certs = trace.warnings, trace.certificates
+            want_certs, want_warns = interlacing_chain_reference(trace, roots_bracketed_reference)
             assert warns == want_warns, (seed, i)
             assert [k for k, _, _ in certs] == [k for k, _, _ in want_certs]
             if n <= 24:
                 for (_, inner, _), (_, want, _) in zip(certs, want_certs):
                     assert max(abs(x - y) for x, y in zip(inner, want)) <= 1e-9, (seed, i)
+
+
+class TestChainOnBrackets:
+    """The chain keeps each root as a sign-change bracket and narrows it only as
+    far as the next level's signs need; its verdicts are those of the chain
+    that took every root to the chain width (``interlacing_chain_reference``
+    with the library's ``roots_bracketed``)."""
+
+    @staticmethod
+    def _reference(trace):
+        return interlacing_chain_reference(trace, roots_bracketed)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_warnings_on_the_f64_roundtrip_workload_spectra(self, fb, seed):
+        for i in range(100):
+            n = (8, 16, 24, 32, 48)[i % 5]
+            trace = solve(validate_spectrum(random_spectrum(case_rng(seed, "f64-roundtrip", i), n)), fb)
+            want_certs, want_warns = self._reference(trace)
+            assert trace.warnings == want_warns, (seed, i)
+            if n <= 24:
+                certs = trace.certificates
+                assert [k for k, _, _ in certs] == [k for k, _, _ in want_certs]
+                for (_, inner, _), (_, want, _) in zip(certs, want_certs):
+                    assert max(abs(x - y) for x, y in zip(inner, want)) <= 1e-9, (seed, i)
+
+    @pytest.mark.parametrize("n", [8, 16, 24, 32])
+    def test_same_warnings_on_the_scaled_corpus(self, fb, n):
+        # random_spectrum(case_rng(5, f"scaled{n}", i), n) * 10**e, e = -16..5
+        solved = 0
+        for i in range(10):
+            base = random_spectrum(case_rng(5, f"scaled{n}", i), n)
+            for e in range(-16, 6):
+                try:
+                    trace = solve(validate_spectrum(tuple(v * 10.0**e for v in base)), fb)
+                except AntibidiagError:
+                    continue
+                solved += 1
+                assert trace.warnings == self._reference(trace)[1], (n, i, e)
+        assert solved >= 150
+
+    def test_a_24_chain_takes_at_most_70_percent_of_the_evaluations(self, fb, monkeypatch):
+        calls = []
+        _record_evaluations(monkeypatch, calls.append)
+        got = want = 0
+        for i in range(2, 100, 5):  # the n = 24 spectra of the workload
+            lam = validate_spectrum(random_spectrum(case_rng(1, "f64-roundtrip", i), 24))
+            calls.clear()
+            assert solve(lam, fb).warnings == ()
+            got += len(calls)
+            calls.clear()
+            self._reference(solve(lam, fb))
+            want += len(calls)
+        roots = 20 * sum(k // 2 for k in range(1, 24))
+        assert got <= 0.7 * want, (got / roots, want / roots)
 
 
 class TestChainEvaluator:
@@ -492,15 +571,15 @@ class TestScaledChainWidth:
     def _scaled(n, i, e):
         return tuple(v * 10.0**e for v in random_spectrum(case_rng(5, f"scaled{n}", i), n))
 
-    def test_an_accurate_tiny_spectrum_draws_no_false_alarm(self, fb, monkeypatch):
+    def test_an_accurate_tiny_spectrum_draws_no_false_alarm(self, fb):
         lam = self._scaled(8, 0, -16)
         res = solve_roundtrip(validate_spectrum(lam), fb)
         assert res.max_error <= 1e-8
         assert res.trace.warnings == () and len(res.trace.certificates) == 7
         # at the absolute width root_tol the chain called it violated
         absolute = lambda p, brackets, backend: roots_bracketed_reference(p, brackets, fb)
-        monkeypatch.setattr(inversesolver, "roots_bracketed", absolute)
-        assert solve(validate_spectrum(lam), fb).warnings == ("level 7: interlacing violated",)
+        _, warnings = interlacing_chain_reference(solve(validate_spectrum(lam), fb), absolute)
+        assert warnings == ("level 7: interlacing violated",)
 
     def test_an_inaccurate_result_whose_product_underflowed_still_warns(self, fb):
         res = solve_roundtrip(validate_spectrum(self._scaled(24, 0, -14)), fb)

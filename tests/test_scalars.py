@@ -8,7 +8,7 @@ import pytest
 from antibidiag import TolerancePolicy, float64, poly_eval, rational, solve, validate_spectrum
 from antibidiag.errors import BackendUnsupported
 from antibidiag.poly import MonicPoly
-from antibidiag.scalars import sign_change_root
+from antibidiag.scalars import sign_change_bracket, sign_change_root
 
 from oracles import frac_equal, rational_op_oracle
 
@@ -120,6 +120,25 @@ def test_kernel_finds_rising_and_falling_crossings(sign):
         c = rng.uniform(-3.0, 3.0)
         r = _assert_root_contract(lambda x: sign * (x - c) * (1.0 + x * x), -4.0, 5.0, 1e-13)
         assert abs(r - c) <= 1e-13
+
+
+@pytest.mark.parametrize("tol", [1e-13, 1e-3, 0.5, 9 / 16])
+def test_kernel_returns_its_bracket_with_the_true_values_at_its_ends(tol):
+    # the Anderson-Bjorck correction scales the value of an end kept twice; the
+    # bracket returned carries f itself at both ends, and sign_change_root is
+    # its midpoint
+    rng = random.Random(12)
+    for _ in range(50):
+        c = rng.uniform(-3.0, 3.0)
+        f = lambda x: (x - c) * (1.0 + x * x) ** 2
+        g, log = _probed(f)
+        lo, hi, flo, fhi = sign_change_bracket(g, -4.0, 5.0, f(-4.0), f(5.0), tol)
+        assert (flo, fhi) == (f(lo), f(hi))
+        assert -4.0 <= lo <= c <= hi <= 5.0 and hi - lo <= tol
+        assert lo == hi or (flo < 0 < fhi)
+        assert {lo, hi} <= {-4.0, 5.0} | {x for x, _ in log}
+        want = lo if lo == hi else 0.5 * (lo + hi)
+        assert sign_change_root(f, -4.0, 5.0, f(-4.0), f(5.0), tol) == want
 
 
 def test_kernel_returns_a_probe_where_f_is_exactly_zero():
