@@ -169,7 +169,7 @@ class ReconstructionTrace:
             return None
         (tol, outer, kept), certs = self._checks[0], []
         for k, q, brackets in kept:
-            upper = tuple(b[0] if b[0] == b[1] else sign_change_root(q, *b, tol) for b in brackets)
+            upper = tuple(sign_change_root(q, *b, tol) for b in brackets)
             inner = tuple(-r for r in reversed(upper)) + (0.0,) * (k % 2) + upper
             certs.append((k, inner, outer))
             outer = inner
@@ -251,7 +251,7 @@ def _narrow(f, b, width, tol):
     tol); at tol or below, or at adjacent floats, it becomes [m, m, None, None], m its midpoint."""
     if b[0] < b[1]:
         lo, hi, flo, fhi = sign_change_bracket(f, *b, max(width, tol))
-        m = lo if lo == hi else 0.5 * (lo + hi)
+        m = lo if lo == hi else 0.5 * lo + 0.5 * hi
         b[:] = (lo, hi, flo, fhi) if tol < hi - lo <= width else (m, m, None, None)
     return b
 

@@ -10,7 +10,6 @@ the rational backend defers them to reporting time.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -87,45 +86,25 @@ def primitive_part(ints):
 def sign_change_bracket(f, lo: float, hi: float, flo: float, fhi: float, tol: float):
     """(lo, hi, f(lo), f(hi)) for a sign-change bracket of width <= tol in [lo, hi],
     where flo = f(lo) and fhi = f(hi) are nonzero and of opposite signs, or
-    (x, x, 0.0, 0.0) at a probe where f is exactly 0.0.  Regula falsi with the
-    Anderson-Bjorck correction (BIT 13, 1973); a step lands at least tol/2 from
-    either end, so an iterate that reaches the root from one side closes the
-    bracket from the other.  Step s (from 0) is a bisection unless the bracket is
-    at most 2**((1 - s)/3) of its first width, so at most 3*ceil(log2(width/tol))
-    + 2 steps are taken; a NaN step is a bisection too.  The first width is capped
-    at the largest float and the factor kept apart, so no bound overflows."""
-    rising, kept, w0, cap = fhi > 0, 0, min(hi - lo, sys.float_info.max), 2 ** (2 / 3)
-    slo, shi = flo, fhi  # the values the steps use, scaled by the correction
+    (x, x, 0.0, 0.0) at a probe where f is exactly 0.0.  Plain bisection, at most
+    ceil(log2(width/tol)) evaluations, stopping early where the ends are adjacent
+    floats; the midpoint 0.5*lo + 0.5*hi cannot overflow.  The interlacing chain
+    narrows by sixteenths, four or five halvings, too few for a faster step to pay."""
     while hi - lo > tol:
-        cap *= 0.5 ** (1 / 3)
-        x = 0.5 * (lo + hi)
-        if hi - lo <= w0 * cap:
-            rf = lo + (hi - lo) * (slo / (slo - shi))
-            if rf < lo + 0.5 * tol:
-                rf = lo + 0.5 * tol
-            elif rf > hi - 0.5 * tol:
-                rf = hi - 0.5 * tol
-            x = rf if lo < rf < hi else x
+        x = 0.5 * lo + 0.5 * hi
         if not lo < x < hi:  # the ends are adjacent floats
             break
         fx = f(x)
         if fx == 0.0:
             return x, x, fx, fx
-        # an end kept twice in a row is scaled by m = 1 - f(x)/f(replaced end), or 1/2 if m <= 0
-        if (fx > 0) == rising:
-            if kept < 0:
-                m = 1.0 - fx / shi
-                slo *= m if m > 0 else 0.5
-            hi, fhi, shi, kept = x, fx, fx, -1
+        if (fx > 0) == (fhi > 0):
+            hi, fhi = x, fx
         else:
-            if kept > 0:
-                m = 1.0 - fx / slo
-                shi *= m if m > 0 else 0.5
-            lo, flo, slo, kept = x, fx, fx, 1
+            lo, flo = x, fx
     return lo, hi, flo, fhi
 
 
 def sign_change_root(f, lo: float, hi: float, flo: float, fhi: float, tol: float) -> float:
     """The midpoint of the ``sign_change_bracket`` of width <= tol: a root of f."""
     lo, hi, _, _ = sign_change_bracket(f, lo, hi, flo, fhi, tol)
-    return lo if lo == hi else 0.5 * (lo + hi)
+    return lo if lo == hi else 0.5 * lo + 0.5 * hi

@@ -156,11 +156,11 @@ def eigensolve_tridiagonal(T: StructuredMatrix, backend: Backend, near=()):
     for k in range(n):
         a, b = ends  # plain bisection, each pass halves the bracket or stops
         while b - a > tol:
-            mid = 0.5 * (a + b)
+            mid = 0.5 * a + 0.5 * b
             if mid == a or mid == b:
                 break
             a, b = (a, mid) if mid > lo[k] and (mid >= hi[k] or above(k, mid)) else (mid, b)
-        out.append(0.5 * (a + b))
+        out.append(0.5 * a + 0.5 * b)
     return tuple(out)
 
 

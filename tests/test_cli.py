@@ -261,10 +261,11 @@ def test_sqrt_whose_codiagonal_squares_overflow_is_a_breakdown(capsys):
     assert "[SquareOutOfRange]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("spectrum", ["1e60,-1", "1e20,-1,0.5"])
+@pytest.mark.parametrize("spectrum", ["1e60,-1", "1e20,-1,0.5", "1.5e308,-1,0.5"])
 def test_wide_range_spectrum_solves(spectrum):
-    # bisection runs to its width however wide the Gershgorin interval, and
-    # roots are separated relative to each pair, not to the largest modulus
+    # bisection runs to its width however wide the Gershgorin interval, its
+    # midpoints stay finite near the largest float, and roots are separated
+    # relative to each pair, not to the largest modulus
     code, text = run(["solve", "--roundtrip", "--spectrum", spectrum])
     assert code == 0
     assert json.loads(text)["diagnostics"]["roundtrip_error"] <= 1e-12

@@ -30,6 +30,7 @@ from antibidiag.errors import (
     AntibidiagError,
     BackendUnsupported,
     EmptyInput,
+    NoSignChange,
     NonFiniteA,
     NonFiniteValue,
     NonPositive,
@@ -482,6 +483,29 @@ class TestChainAgainstBisection:
             if n <= 24:
                 for (_, inner, _), (_, want, _) in zip(certs, want_certs):
                     assert max(abs(x - y) for x, y in zip(inner, want)) <= 1e-9, (seed, i)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_roots_bracketed_is_the_reference_bisection_on_every_level(self, fb, seed):
+        # the library's roots_bracketed bisects as the reference does, so every
+        # level of the reference chain gets the same roots, bit for bit
+        levels = []
+
+        def both(p, brackets, backend):
+            try:
+                want = roots_bracketed_reference(p, brackets, backend)
+            except NoSignChange:
+                with pytest.raises(NoSignChange):
+                    roots_bracketed(p, brackets, backend)
+                raise
+            assert roots_bracketed(p, brackets, backend) == want, (seed, p.degree)
+            levels.append(want)
+            return want
+
+        for i in range(50):
+            n = (8, 16, 24, 32, 48)[i % 5]
+            trace = solve(validate_spectrum(random_spectrum(case_rng(seed, "f64-roundtrip", i), n)), fb)
+            interlacing_chain_reference(trace, both)
+        assert len(levels) == 10 * sum(n - 1 for n in (8, 16, 24, 32, 48))
 
 
 class TestChainOnBrackets:

@@ -78,7 +78,7 @@ def test_convert(fb, rb):
     assert rb.convert("2/3") == Fraction(2, 3)
 
 
-# --- the guarded regula falsi kernel ---
+# --- the bisection kernel ---
 
 
 def _probed(f, limit=math.inf):
@@ -97,10 +97,10 @@ def _probed(f, limit=math.inf):
 def _assert_root_contract(f, lo, hi, tol):
     """Run sign_change_root on [lo, hi]; the result lies within tol of a sign
     change among the ends and the probes, and the kernel took at most
-    3*ceil(log2(width/tol)) + 2 evaluations."""
+    ceil(log2(width/tol)) evaluations, one per halving."""
     flo, fhi = f(lo), f(hi)
     # log2 of the width and of tol apart: width/tol overflows past about 1e295
-    g, log = _probed(f, 3 * max(0, math.ceil(math.log2(hi - lo) - math.log2(tol))) + 2)
+    g, log = _probed(f, max(0, math.ceil(math.log2(hi - lo) - math.log2(tol))))
     r = sign_change_root(g, lo, hi, flo, fhi, tol)
     assert all(lo < x < hi for x, _ in log)
     if (r, 0.0) in log:
@@ -124,9 +124,8 @@ def test_kernel_finds_rising_and_falling_crossings(sign):
 
 @pytest.mark.parametrize("tol", [1e-13, 1e-3, 0.5, 9 / 16])
 def test_kernel_returns_its_bracket_with_the_true_values_at_its_ends(tol):
-    # the Anderson-Bjorck correction scales the value of an end kept twice; the
-    # bracket returned carries f itself at both ends, and sign_change_root is
-    # its midpoint
+    # the bracket returned is made of probes (or the first ends), carries f
+    # itself at both ends, and sign_change_root is its midpoint
     rng = random.Random(12)
     for _ in range(50):
         c = rng.uniform(-3.0, 3.0)
@@ -137,12 +136,12 @@ def test_kernel_returns_its_bracket_with_the_true_values_at_its_ends(tol):
         assert -4.0 <= lo <= c <= hi <= 5.0 and hi - lo <= tol
         assert lo == hi or (flo < 0 < fhi)
         assert {lo, hi} <= {-4.0, 5.0} | {x for x, _ in log}
-        want = lo if lo == hi else 0.5 * (lo + hi)
+        want = lo if lo == hi else 0.5 * lo + 0.5 * hi
         assert sign_change_root(f, -4.0, 5.0, f(-4.0), f(5.0), tol) == want
 
 
 def test_kernel_returns_a_probe_where_f_is_exactly_zero():
-    # the first regula falsi step of x - 0.5 on [0, 1] lands on 0.5
+    # the first midpoint of [0, 1] is the root of x - 0.5
     g, log = _probed(lambda x: x - 0.5)
     assert sign_change_root(g, 0.0, 1.0, -0.5, 0.5, 1e-13) == 0.5
     assert log == [(0.5, 0.0)]
@@ -159,19 +158,18 @@ def test_kernel_takes_no_step_on_a_bracket_already_within_tol():
 def test_kernel_closes_the_wide_bracket_of_a_chain_level(fb, top):
     # level 2 of the chain of top,-1,0.5 is bracketed by (0.5, top); at 1e20
     # and root_tol 1e-13, ceil(log2(w/tol)) is 110.  Past 1e154, q_2 = x^2 - 0.5
-    # is inf at top, so regula falsi alone would creep up from 0.5 by tol/2 a
-    # step, and near the float range the guard's width must not overflow
+    # is inf at top, and near the float range the midpoint must not overflow
     q2 = solve(validate_spectrum((top, -1.0, 0.5)), fb).qs[2]
     r = _assert_root_contract(partial(poly_eval, q2), 0.5, top, fb.policy.root_tol)
     assert abs(r - 0.5**0.5) <= 1e-13
 
 
 def test_kernel_keeps_its_bound_on_a_bracket_wider_than_the_float_range():
-    # hi - lo is inf, so the guard takes the largest float, below 2**1024, as
-    # the first width; the midpoint of opposite-sign ends stays finite, and
-    # the inf end leaves every regula falsi step at lo + tol/2
+    # hi - lo is inf, but the midpoint 0.5*lo + 0.5*hi of opposite-sign ends
+    # stays finite, and each step halves the true width, whose log2 is taken
+    # from its halves
     f = lambda x: math.inf if x > 1.0 else -1.0
-    g, _ = _probed(f, 3 * math.ceil(1024 - math.log2(1e-13)) + 2)
+    g, _ = _probed(f, math.ceil(math.log2(1.5e308 / 2 + 1e308 / 2) + 1 - math.log2(1e-13)))
     assert abs(sign_change_root(g, -1e308, 1.5e308, -1.0, math.inf, 1e-13) - 1.0) <= 1e-13
 
 
@@ -189,8 +187,8 @@ def test_kernel_bisects_its_way_through_a_step_function(c):
 
 @pytest.mark.parametrize("lo, hi", [(-1.0, 3.0), (-3.0, 1.0), (-0.7, 2.9)])
 def test_kernel_stays_within_its_bound_on_a_flat_root(lo, hi):
-    # x^21 is flat at its root and underflows to 0.0 near it: regula falsi
-    # alone would creep in from one side
+    # x^21 is flat at its root and underflows to 0.0 near it, so a probe
+    # there is an exact zero that ends the search early
     _assert_root_contract(lambda x: x**21, lo, hi, 1e-13)
 
 

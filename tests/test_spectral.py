@@ -89,6 +89,15 @@ def test_eigensolve_refuses_a_codiagonal_whose_square_overflows(fb):
         eigensolve_tridiagonal(StructuredMatrix(2, ((1.0, 1e200), (1e200, 0.0))), fb)
 
 
+@pytest.mark.parametrize(
+    "diag, off", [((1.5e308, 0.0, 0.0), (8.660254037844386e153, 0.5**0.5)), ((1e308, 0.0), (1e149,))]
+)
+def test_eigensolve_midpoint_stays_finite_near_the_float_range(fb, diag, off):
+    # the Gershgorin ends lie near the largest float, where a + b overflows
+    eig = eigensolve_tridiagonal(_tridiagonal(list(diag), list(off)), fb)
+    assert all(map(math.isfinite, eig)) and eig[-1] == pytest.approx(diag[0], rel=1e-15)
+
+
 def test_eigensolve_roots_kill_charpoly(fb):
     rng = random.Random(31)
     for n in range(1, 11):
