@@ -41,7 +41,7 @@ from .matrixkit import (
 )
 from .poly import elementary_symmetric, from_roots, lin_comb, shift_up
 from .recurrence import CharPolySequence, _level, _ratio
-from .scalars import Backend, sign_change_bracket, sign_change_root
+from .scalars import Backend, narrow
 from .spectral import eigensolve_tridiagonal, relative_spectrum_error
 
 # A modulus gap below this fraction of lambda_1 draws a warning.  Scaling a
@@ -169,7 +169,7 @@ class ReconstructionTrace:
             return None
         (tol, outer, kept), certs = self._checks[0], []
         for k, q, brackets in kept:
-            upper = tuple(sign_change_root(q, *b, tol) for b in brackets)
+            upper = tuple(narrow(q, [*b], tol)[0] for b in brackets)
             inner = tuple(-r for r in reversed(upper)) + (0.0,) * (k % 2) + upper
             certs.append((k, inner, outer))
             outer = inner
@@ -189,11 +189,12 @@ class ReconstructionTrace:
 
         q_k, k < n, has the parity of k, exactly under ``MonicPoly.evaluate``, so
         only its upper floor(k/2) roots are kept, as sign-change brackets.  Level k
-        evaluates q_k at both ends of each bracket of q_{k+1}, narrowed by
-        sixteenths until q_k keeps one nonzero sign across it; q_k must change
-        sign across each gap between them, which, narrowed to 1/16 of its width,
-        brackets a root of q_k.  Each mirrored bracket of q_{n-1} is narrowed
-        until it lies strictly between its two lambdas."""
+        evaluates q_k at both ends of each bracket of q_{k+1}, bisected four times
+        at a go (``narrow``) until q_k keeps one nonzero sign across it; q_k must
+        change sign across each gap between them, which, bisected four times,
+        brackets a root of q_k.  Each mirrored bracket of q_{n-1} is bisected
+        until it lies strictly between its two lambdas.  A bracket within the
+        chain width is a point."""
         if self.backend.exact:
             return (None, (), ()), ()
         kept, warns = [], []
@@ -216,20 +217,20 @@ class ReconstructionTrace:
                     qhi = q(b[1]) if b[0] < b[1] else qlo
                     if b[0] == b[1] or (qlo != 0.0 != qhi and (qlo > 0) == (qhi > 0)):
                         break
-                    _narrow(f, b, (b[1] - b[0]) / 16, tol)
+                    narrow(f, b, tol, 4)
                 ends.append((qlo, qhi))
             for b, c, (_, fb), (fc, _) in zip(outer, outer[1:], ends, ends[1:]):
                 if fb == 0.0 or fc == 0.0:  # a root of q_k at one of q_{k+1}
                     failure = "interlacing violated"
                 elif (fb > 0) == (fc > 0):
-                    lo, hi = (_narrow(f, d, 0.0, tol)[0] for d in (b, c))
+                    lo, hi = (narrow(f, d, tol)[0] for d in (b, c))
                     failure = f"no sign change on [{lo}, {hi}]"
                     break
                 else:
-                    inner.append(_narrow(q, [b[1], c[0], fb, fc], (c[0] - b[1]) / 16, tol))
+                    inner.append(narrow(q, [b[1], c[0], fb, fc], tol, 4))
             for j, b in zip(range(k // 2 - 1, -1, -1), () if failure or k < n - 1 else inner):
                 while b[0] < b[1] and not lam[j] < -b[1] <= -b[0] < lam[j + 1]:
-                    _narrow(q, b, (b[1] - b[0]) / 16, tol)
+                    narrow(q, b, tol, 4)
                 if not lam[j] < -b[0] < lam[j + 1]:
                     failure = "interlacing violated"
             if failure:
@@ -244,16 +245,6 @@ class ReconstructionTrace:
                 "reconstruction is ill-conditioned, consider --backend rational"
             )
         return (tol, lam, tuple(kept)), tuple(warns)
-
-
-def _narrow(f, b, width, tol):
-    """Narrow the bracket b = [lo, hi, f(lo), f(hi)] of f in place to width <= max(width,
-    tol); at tol or below, or at adjacent floats, it becomes [m, m, None, None], m its midpoint."""
-    if b[0] < b[1]:
-        lo, hi, flo, fhi = sign_change_bracket(f, *b, max(width, tol))
-        m = lo if lo == hi else 0.5 * lo + 0.5 * hi
-        b[:] = (lo, hi, flo, fhi) if tol < hi - lo <= width else (m, m, None, None)
-    return b
 
 
 def solve(spectrum: Spectrum, backend: Backend) -> ReconstructionTrace:

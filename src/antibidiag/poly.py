@@ -1,8 +1,11 @@
-"""Monic polynomials: construction from roots, symmetric functions, parity,
-Horner evaluation, and one root per sign-change bracket.
+"""Monic polynomials: construction from roots, symmetric functions, Horner
+evaluation, and one root per sign-change bracket.
 
-``MonicPoly.evaluate`` is the one evaluator, a cached Horner closure; the root
-kernel of ``scalars`` serves ``roots_bracketed`` and the interlacing chain alike.
+A ``MonicPoly`` may carry a parity tag, which its one evaluator, the cached
+Horner closure ``MonicPoly.evaluate``, runs on; the q-system levels that carry
+one are stored with their forbidden coefficients zero (``recurrence._level``).
+``roots_bracketed`` bisects each bracket with ``scalars.narrow``, the kernel
+the interlacing chain of ``inversesolver`` runs on too.
 
 Coefficients are stored dense, constant term first.  Degrees in this package
 stay small (a few dozen), so no sparse or FFT machinery is warranted.
@@ -15,7 +18,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .errors import BackendUnsupported, DuplicateRoots, IndexOutOfRange, NoSignChange
-from .scalars import Backend, sign_change_root
+from .scalars import Backend, narrow
 
 EVEN = "even"
 ODD = "odd"
@@ -119,32 +122,13 @@ def poly_eval(p: MonicPoly, x):
     return p.evaluate(x)
 
 
-def with_parity(p: MonicPoly, parity: str, backend: Backend) -> MonicPoly:
-    """Tag and enforce parity by zeroing the forbidden coefficients.
-
-    The forbidden coefficients are analytically zero; in floats this stops
-    roundoff from leaking into later steps, in the exact backend a nonzero
-    forbidden coefficient is an internal error.
-    """
-    forbidden = 1 if parity == EVEN else 0
-    coeffs = list(p.coeffs)
-    for k in range(len(coeffs)):
-        if k % 2 == forbidden and coeffs[k] != 0:
-            if backend.exact:
-                raise ArithmeticError(
-                    f"parity-forbidden coefficient {k} is {coeffs[k]} != 0"
-                )
-            coeffs[k] = backend.zero
-    return MonicPoly(tuple(coeffs), parity)
-
-
 def parity_of_degree(k: int) -> str:
     return EVEN if k % 2 == 0 else ODD
 
 
 def roots_bracketed(p: MonicPoly, brackets, backend: Backend):
-    """One root per sign-change bracket, ascending, each to width <= root_tol
-    by ``sign_change_root``; an end where p is exactly 0.0 is the root.  Each
+    """One root per sign-change bracket, ascending, each bisected to width
+    <= root_tol by ``narrow``; an end where p is exactly 0.0 is the root.  Each
     distinct end is evaluated once, though adjacent brackets share it."""
     if backend.exact:
         raise BackendUnsupported("bracketed root extraction needs the floating backend")
@@ -159,7 +143,7 @@ def roots_bracketed(p: MonicPoly, brackets, backend: Backend):
             continue
         if (flo > 0) == (fhi > 0):
             raise NoSignChange(f"no sign change on [{lo}, {hi}]")
-        out.append(sign_change_root(p.evaluate, lo, hi, flo, fhi, tol))
+        out.append(narrow(p.evaluate, [lo, hi, flo, fhi], tol)[0])
     return tuple(sorted(out))
 
 

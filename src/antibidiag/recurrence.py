@@ -27,7 +27,7 @@ from functools import cached_property
 
 from .errors import NonPositiveEntry, SquareOutOfRange
 from .matrixkit import CoefficientVector
-from .poly import MonicPoly, lin_comb, parity_of_degree, shift_up, with_parity
+from .poly import MonicPoly, lin_comb, parity_of_degree, shift_up
 from .scalars import Backend, primitive_part
 
 
@@ -89,15 +89,18 @@ def _tagged(chain) -> tuple:
 
 
 def _level(r, k, backend: Backend) -> tuple:
-    """A step's result r of degree len(r) - 1 as a stored level: on the rational
-    backend the integers without their content; in float64 r[:-1] divided by
-    the leading coefficient under a leading 1.0, with the coefficients the
-    parity of k forbids set to zero (k None: no parity, the top q_n)."""
+    """A step's result r of degree k as a stored level: on the rational backend
+    the integers without their content; in float64 r[:-1] divided by the
+    leading coefficient under a leading 1.0, with each nonzero coefficient the
+    parity of k forbids set to 0.0 and a zero kept as it is, so -0.0 stays -0.0
+    (k None: no parity, the top q_n)."""
     if backend.exact:
         return primitive_part(r)
-    lead = r[-1]
-    q = MonicPoly(tuple([c / lead for c in r[:-1]]) + (backend.one,))
-    return q.coeffs if k is None else with_parity(q, parity_of_degree(k), backend).coeffs
+    q = [c / r[-1] for c in r[:-1]]
+    for j in () if k is None else range(k - 1, -1, -2):
+        if q[j] != 0:
+            q[j] = 0.0
+    return (*q, 1.0)
 
 
 def _ratio(num, den, backend: Backend):

@@ -83,28 +83,24 @@ def primitive_part(ints):
     return tuple(v // g for v in ints)
 
 
-def sign_change_bracket(f, lo: float, hi: float, flo: float, fhi: float, tol: float):
-    """(lo, hi, f(lo), f(hi)) for a sign-change bracket of width <= tol in [lo, hi],
-    where flo = f(lo) and fhi = f(hi) are nonzero and of opposite signs, or
-    (x, x, 0.0, 0.0) at a probe where f is exactly 0.0.  Plain bisection, at most
-    ceil(log2(width/tol)) evaluations, stopping early where the ends are adjacent
-    floats; the midpoint 0.5*lo + 0.5*hi cannot overflow.  The interlacing chain
-    narrows by sixteenths, four or five halvings, too few for a faster step to pay."""
-    while hi - lo > tol:
+def narrow(f, b, tol: float, halvings=math.inf) -> list:
+    """Bisect the sign-change bracket b = [lo, hi, f(lo), f(hi)] of f in place, at
+    most ``halvings`` times, and return it; f(lo) and f(hi) are nonzero and of
+    opposite signs, and stay f's true values at the ends.  Within width tol, at a
+    probe where f is exactly 0.0 or where the ends are adjacent floats, b becomes
+    [m, m, None, None], m the root: the probe, or the midpoint 0.5*lo + 0.5*hi,
+    which cannot overflow.  At most ceil(log2(width/tol)) evaluations."""
+    lo, hi, flo, fhi = b
+    while hi - lo > tol and halvings:
+        halvings -= 1
         x = 0.5 * lo + 0.5 * hi
-        if not lo < x < hi:  # the ends are adjacent floats
-            break
-        fx = f(x)
+        fx = f(x) if lo < x < hi else 0.0  # adjacent ends: x is one of them
         if fx == 0.0:
-            return x, x, fx, fx
-        if (fx > 0) == (fhi > 0):
+            lo = hi = x
+        elif (fx > 0) == (fhi > 0):
             hi, fhi = x, fx
         else:
             lo, flo = x, fx
-    return lo, hi, flo, fhi
-
-
-def sign_change_root(f, lo: float, hi: float, flo: float, fhi: float, tol: float) -> float:
-    """The midpoint of the ``sign_change_bracket`` of width <= tol: a root of f."""
-    lo, hi, _, _ = sign_change_bracket(f, lo, hi, flo, fhi, tol)
-    return lo if lo == hi else 0.5 * lo + 0.5 * hi
+    m = lo if lo == hi else 0.5 * lo + 0.5 * hi
+    b[:] = (lo, hi, flo, fhi) if hi - lo > tol else (m, m, None, None)
+    return b

@@ -160,7 +160,7 @@ def eigensolve_tridiagonal(T: StructuredMatrix, backend: Backend, near=()):
             if mid == a or mid == b:
                 break
             a, b = (a, mid) if mid > lo[k] and (mid >= hi[k] or above(k, mid)) else (mid, b)
-        out.append(0.5 * a + 0.5 * b)
+        out.append(a if a == b else 0.5 * a + 0.5 * b)
     return tuple(out)
 
 

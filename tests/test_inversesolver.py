@@ -42,6 +42,7 @@ from antibidiag.errors import (
 )
 from antibidiag.cli import main
 from antibidiag.poly import MonicPoly
+from antibidiag.scalars import narrow
 from antibidiag.sampling import (
     case_rng,
     random_coefficients,
@@ -560,6 +561,23 @@ class TestChainOnBrackets:
             want += len(calls)
         roots = 20 * sum(k // 2 for k in range(1, 24))
         assert got <= 0.7 * want, (got / roots, want / roots)
+
+
+    def test_a_chain_bisection_takes_at_most_four_evaluations_on_average(self, fb, monkeypatch):
+        # the chain halves a bracket four times a call, so it takes four
+        # evaluations, not a fifth for a width a few ulps above 1/16 of it
+        calls, probes = [], []
+
+        def counted(f, b, tol, *halvings):
+            calls.append(b)
+            return narrow(lambda x: probes.append(x) or f(x), b, tol, *halvings)
+
+        monkeypatch.setattr(inversesolver, "narrow", counted)
+        for i in range(100):
+            n = (8, 16, 24, 32, 48)[i % 5]
+            trace = solve(validate_spectrum(random_spectrum(case_rng(1, "f64-roundtrip", i), n)), fb)
+            assert trace.warnings == ()
+        assert len(calls) > 10_000 and len(probes) <= 4.0 * len(calls)
 
 
 class TestChainEvaluator:

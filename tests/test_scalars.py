@@ -8,7 +8,7 @@ import pytest
 from antibidiag import TolerancePolicy, float64, poly_eval, rational, solve, validate_spectrum
 from antibidiag.errors import BackendUnsupported
 from antibidiag.poly import MonicPoly
-from antibidiag.scalars import sign_change_bracket, sign_change_root
+from antibidiag.scalars import narrow
 
 from oracles import frac_equal, rational_op_oracle
 
@@ -95,13 +95,14 @@ def _probed(f, limit=math.inf):
 
 
 def _assert_root_contract(f, lo, hi, tol):
-    """Run sign_change_root on [lo, hi]; the result lies within tol of a sign
-    change among the ends and the probes, and the kernel took at most
+    """Narrow [lo, hi] to tol; it collapses to a root that lies within tol of a
+    sign change among the ends and the probes, and the kernel took at most
     ceil(log2(width/tol)) evaluations, one per halving."""
     flo, fhi = f(lo), f(hi)
     # log2 of the width and of tol apart: width/tol overflows past about 1e295
     g, log = _probed(f, max(0, math.ceil(math.log2(hi - lo) - math.log2(tol))))
-    r = sign_change_root(g, lo, hi, flo, fhi, tol)
+    r, r_hi, *ends = narrow(g, [lo, hi, flo, fhi], tol)
+    assert r == r_hi and ends == [None, None]
     assert all(lo < x < hi for x, _ in log)
     if (r, 0.0) in log:
         return r
@@ -122,35 +123,54 @@ def test_kernel_finds_rising_and_falling_crossings(sign):
         assert abs(r - c) <= 1e-13
 
 
-@pytest.mark.parametrize("tol", [1e-13, 1e-3, 0.5, 9 / 16])
-def test_kernel_returns_its_bracket_with_the_true_values_at_its_ends(tol):
-    # the bracket returned is made of probes (or the first ends), carries f
-    # itself at both ends, and sign_change_root is its midpoint
+@pytest.mark.parametrize("halvings", [1, 2, 4, 7])
+def test_kernel_returns_its_bracket_with_the_true_values_at_its_ends(halvings):
+    # a bracket stopped by its halvings is made of probes (or the first ends),
+    # halved exactly, once per evaluation, and carries f itself at both ends
     rng = random.Random(12)
     for _ in range(50):
         c = rng.uniform(-3.0, 3.0)
         f = lambda x: (x - c) * (1.0 + x * x) ** 2
         g, log = _probed(f)
-        lo, hi, flo, fhi = sign_change_bracket(g, -4.0, 5.0, f(-4.0), f(5.0), tol)
-        assert (flo, fhi) == (f(lo), f(hi))
-        assert -4.0 <= lo <= c <= hi <= 5.0 and hi - lo <= tol
-        assert lo == hi or (flo < 0 < fhi)
+        b = [-4.0, 5.0, f(-4.0), f(5.0)]
+        lo, hi, flo, fhi = narrow(g, b, 1e-13, halvings)
+        assert b == [lo, hi, flo, fhi] and (flo, fhi) == (f(lo), f(hi))
+        assert -4.0 <= lo <= c <= hi <= 5.0 and hi - lo == 9.0 / 2**halvings
+        assert flo < 0 < fhi and len(log) == halvings
         assert {lo, hi} <= {-4.0, 5.0} | {x for x, _ in log}
-        want = lo if lo == hi else 0.5 * lo + 0.5 * hi
-        assert sign_change_root(f, -4.0, 5.0, f(-4.0), f(5.0), tol) == want
+
+
+@pytest.mark.parametrize("tol", [1e-13, 1e-3, 0.5, 9 / 16])
+def test_kernel_collapses_a_bracket_that_reaches_tol(tol):
+    # width 9/2**h <= tol after h halvings, the least such h, 4 at exactly 9/16;
+    # the point is the midpoint of the last bracket, one halving of the one
+    # before it, so more halvings than needed change nothing
+    rng = random.Random(12)
+    h = math.ceil(math.log2(9.0 / tol))
+    for _ in range(50):
+        c = rng.uniform(-3.0, 3.0)
+        f = lambda x: (x - c) * (1.0 + x * x) ** 2
+        g, log = _probed(f)
+        m, m_hi, *ends = narrow(g, [-4.0, 5.0, f(-4.0), f(5.0)], tol)
+        assert m == m_hi and ends == [None, None] and len(log) == h
+        lo, hi, _, _ = narrow(f, [-4.0, 5.0, f(-4.0), f(5.0)], tol, h - 1)
+        assert hi - lo > tol and m in (0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi)
+        assert abs(m - c) <= tol / 2
+        assert narrow(f, [-4.0, 5.0, f(-4.0), f(5.0)], tol, h) == [m, m, None, None]
 
 
 def test_kernel_returns_a_probe_where_f_is_exactly_zero():
     # the first midpoint of [0, 1] is the root of x - 0.5
     g, log = _probed(lambda x: x - 0.5)
-    assert sign_change_root(g, 0.0, 1.0, -0.5, 0.5, 1e-13) == 0.5
+    assert narrow(g, [0.0, 1.0, -0.5, 0.5], 1e-13) == [0.5, 0.5, None, None]
     assert log == [(0.5, 0.0)]
 
 
 def test_kernel_takes_no_step_on_a_bracket_already_within_tol():
     g, log = _probed(lambda x: x - 1.0)
     lo, hi = 1.0 - 2e-14, 1.0 + 3e-14
-    assert sign_change_root(g, lo, hi, lo - 1.0, hi - 1.0, 1e-13) == 0.5 * (lo + hi)
+    m = 0.5 * (lo + hi)
+    assert narrow(g, [lo, hi, lo - 1.0, hi - 1.0], 1e-13) == [m, m, None, None]
     assert log == []
 
 
@@ -170,7 +190,7 @@ def test_kernel_keeps_its_bound_on_a_bracket_wider_than_the_float_range():
     # from its halves
     f = lambda x: math.inf if x > 1.0 else -1.0
     g, _ = _probed(f, math.ceil(math.log2(1.5e308 / 2 + 1e308 / 2) + 1 - math.log2(1e-13)))
-    assert abs(sign_change_root(g, -1e308, 1.5e308, -1.0, math.inf, 1e-13) - 1.0) <= 1e-13
+    assert abs(narrow(g, [-1e308, 1.5e308, -1.0, math.inf], 1e-13)[0] - 1.0) <= 1e-13
 
 
 def test_a_chain_with_an_inf_bracket_end_returns(fb):

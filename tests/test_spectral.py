@@ -98,6 +98,21 @@ def test_eigensolve_midpoint_stays_finite_near_the_float_range(fb, diag, off):
     assert all(map(math.isfinite, eig)) and eig[-1] == pytest.approx(diag[0], rel=1e-15)
 
 
+@pytest.mark.parametrize("ulps", [1, 3, 5, 2**40 + 1])
+@pytest.mark.parametrize("n", [1, 3])
+def test_eigensolve_returns_a_point_gershgorin_interval_as_it_is(fb, ulps, n):
+    # c*I has the Gershgorin interval [c, c], and at c below about 2.5e-311 the
+    # width root_tol * c underflows to 0.0, so c is every eigenvalue; the
+    # midpoint 0.5*c + 0.5*c would round an odd multiple of the least subnormal
+    c = ulps * math.ulp(0.0)
+    assert eigensolve_tridiagonal(_tridiagonal([c] * n, [0.0] * (n - 1)), fb) == (c,) * n
+
+
+def test_a_subnormal_spectrum_round_trips_exactly(fb):
+    for lam in (5e-324, 1.5e-323):
+        assert solve_roundtrip(validate_spectrum((lam,)), fb).max_error == 0.0
+
+
 def test_eigensolve_roots_kill_charpoly(fb):
     rng = random.Random(31)
     for n in range(1, 11):
