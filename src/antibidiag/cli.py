@@ -33,6 +33,7 @@ from .matrixkit import (
     build_antibidiagonal,
     build_antidiagonal_unit,
     build_jacobi_special,
+    jacobi_tridiagonal,
     matmul,
 )
 from .poly import poly_eval
@@ -52,6 +53,7 @@ from .spectral import (
     eigensolve_tridiagonal,
     relative_spectrum_error,
     signature_sequence,
+    tridiagonal_eigenvalues,
 )
 
 EXIT_OK = 0
@@ -176,10 +178,8 @@ def _nums(seq, backend):
     return [_num(v, backend) for v in seq]
 
 
-def _matrix(M, backend):
-    if M is None:
-        return None
-    return [[_num(v, backend) for v in row] for row in M.entries]
+def _matrix(M):
+    return None if M is None else list(map(list, M.entries))  # only float64 reports carry one
 
 
 # --- report rendering ---
@@ -266,14 +266,15 @@ def _cmd_solve(args, backend, out) -> int:
         B = build_jacobi_special(cv, backend)
         max_residual = max(abs(poly_eval(forward.top, lam)) for lam in spectrum.lambdas)
         if args.roundtrip:
-            eig = eigensolve_tridiagonal(B, backend, near=spectrum.lambdas)
+            J = jacobi_tridiagonal(cv, backend)
+            eig = tridiagonal_eigenvalues(*J, backend, near=spectrum.lambdas)
             roundtrip_error = relative_spectrum_error(eig, spectrum.lambdas)
     report = {
         "input": _nums(spectrum.lambdas, backend),
         "a": None if trace.a is None else _nums(trace.a, backend),
         "a_squared": _nums((trace.a1, *trace.a_squared), backend),
-        "antibidiagonal": _matrix(A, backend),
-        "jacobi": _matrix(B, backend),
+        "antibidiagonal": _matrix(A),
+        "jacobi": _matrix(B),
         "diagnostics": {
             "max_residual": max_residual,
             "roundtrip_error": roundtrip_error,
@@ -295,7 +296,7 @@ def _cmd_forward(args, backend, out) -> int:
     )
     eig = None
     if args.eigs:
-        eig = list(eigensolve_tridiagonal(build_jacobi_special(cv, backend), backend))
+        eig = list(tridiagonal_eigenvalues(*jacobi_tridiagonal(cv, backend), backend))
     report = {
         "a": _nums(cv.a, backend),
         "p_coeffs": _nums(ps.top.coeffs, backend),
@@ -339,8 +340,8 @@ def _cmd_sqrt(args, backend, out) -> int:
         "mus": _nums(values, backend),
         "spectrum": _nums(result.spectrum.lambdas, backend),
         "a": _nums(result.a.a, backend),
-        "antibidiagonal": _matrix(result.antibidiagonal, backend),
-        "jacobi": _matrix(result.jacobi, backend),
+        "antibidiagonal": _matrix(result.antibidiagonal),
+        "jacobi": _matrix(result.jacobi),
         "diagnostics": {"spectrum_error": spec_err},
     }
     _emit(report, args.format, out)

@@ -36,13 +36,13 @@ from .matrixkit import (
     CoefficientVector,
     StructuredMatrix,
     build_antibidiagonal,
-    build_jacobi_special,
+    jacobi_tridiagonal,
     matmul,
 )
 from .poly import elementary_symmetric, from_roots, lin_comb, shift_up
 from .recurrence import CharPolySequence, _level, _ratio
 from .scalars import Backend, narrow
-from .spectral import eigensolve_tridiagonal, relative_spectrum_error
+from .spectral import relative_spectrum_error, tridiagonal_eigenvalues
 
 # A modulus gap below this fraction of lambda_1 draws a warning.  Scaling a
 # spectrum scales a by the same factor, so the test must be relative.
@@ -305,13 +305,13 @@ class RoundtripResult:
 
 
 def solve_roundtrip(spectrum: Spectrum, backend: Backend) -> RoundtripResult:
-    """Solve, rebuild the Jacobi matrix, eigensolve it independently, and
-    report the worst relative eigenvalue error against the input."""
+    """Solve, eigensolve the Jacobi matrix's band independently, and report
+    the worst relative eigenvalue error against the input."""
     if backend.exact:
         raise BackendUnsupported("roundtrip eigensolve needs the floating backend")
     trace = solve(spectrum, backend)
-    B = build_jacobi_special(trace.coefficient_vector, backend)
-    eig = eigensolve_tridiagonal(B, backend, near=spectrum.lambdas)
+    J = jacobi_tridiagonal(trace.coefficient_vector, backend)
+    eig = tridiagonal_eigenvalues(*J, backend, near=spectrum.lambdas)
     return RoundtripResult(trace, eig, relative_spectrum_error(eig, spectrum.lambdas))
 
 

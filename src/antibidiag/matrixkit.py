@@ -54,25 +54,32 @@ def build_antibidiagonal(a: CoefficientVector, backend: Backend) -> StructuredMa
     """The symmetric matrix whose nonzeros fill the two central antidiagonals:
     entry (i, j), 1-based, is a_{|i-j|+1} where i + j is n + 1 or n + 2, so
     row 1 = (0,..,0,a_n), row 2 = (0,..,0,a_{n-2},a_{n-1}), ..."""
-    n, zero = a.n, backend.zero
-    v = [backend.convert(x) for x in a.a]  # 0-based: the rule reads i + j in {n-1, n}
-    rows = (
-        tuple([v[abs(i - j)] if n - 1 <= i + j <= n else zero for j in range(n)])
-        for i in range(n)
-    )
-    return StructuredMatrix(n, tuple(rows))
+    n = a.n
+    v = [backend.convert(x) for x in a.a]  # 0-based: row i holds j = n-1-i and n-i
+    rows = [[backend.zero] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[n - 1 - i] = v[abs(2 * i - n + 1)]
+        if i:
+            row[n - i] = v[abs(2 * i - n)]
+    return StructuredMatrix(n, tuple(map(tuple, rows)))
+
+
+def jacobi_tridiagonal(a: CoefficientVector, backend: Backend):
+    """(diag, off) of the special Jacobi matrix: diagonal (a_1, 0, ..., 0) and
+    codiagonal a_2..a_n, as lists of backend scalars."""
+    v = [backend.convert(x) for x in a.a]
+    return v[:1] + [backend.zero] * (a.n - 1), v[1:]
 
 
 def build_jacobi_special(a: CoefficientVector, backend: Backend) -> StructuredMatrix:
     """Tridiagonal matrix with diagonal (a_1, 0, ..., 0) and codiagonal a_2..a_n:
     entry (i, j), 1-based, is a_{max(i,j)} where |i - j| = 1 or i = j = 1."""
-    n, zero = a.n, backend.zero
-    v = [backend.convert(x) for x in a.a]
-    rows = (
-        tuple([v[max(i, j)] if abs(i - j) == 1 or i == j == 0 else zero for j in range(n)])
-        for i in range(n)
-    )
-    return StructuredMatrix(n, tuple(rows))
+    diag, off = jacobi_tridiagonal(a, backend)
+    rows = [[backend.zero] * a.n for _ in diag]
+    rows[0][0] = diag[0]
+    for i, b in enumerate(off):
+        rows[i][i + 1] = rows[i + 1][i] = b
+    return StructuredMatrix(a.n, tuple(map(tuple, rows)))
 
 
 def build_antidiagonal_unit(n: int, backend: Backend) -> StructuredMatrix:

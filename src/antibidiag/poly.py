@@ -69,12 +69,15 @@ class MonicPoly:
 
 
 def from_roots(roots, backend: Backend) -> MonicPoly:
-    """Monic polynomial with the given simple roots (empty product is 1).
+    """Monic polynomial with the given simple finite roots (empty product is 1).
 
     Floating backend rejects two roots closer than 10*root_tol times the larger
     of their moduli, so the test does not depend on the scale of the roots; the
     rational backend rejects exact duplicates, and multiplies integer roots
-    out on integers.
+    out on integers.  Sorted neighbours tell whether any pair fails: below
+    separation 1 only pairs of one sign can, and the end of larger modulus fails
+    with its inner neighbour too; from 1 on, any two roots of one sign fail, and
+    of three sorted roots two neighbours share a sign.
     """
     roots = list(roots)
     one, zero = backend.one, backend.zero
@@ -83,9 +86,11 @@ def from_roots(roots, backend: Backend) -> MonicPoly:
     else:
         roots = [backend.convert(r) for r in roots]
     sep = 0 if backend.exact else 10 * backend.policy.root_tol
-    for r, s in combinations(roots, 2):
-        if abs(r - s) <= sep * max(abs(r), abs(s)):
-            raise DuplicateRoots(f"roots {r} and {s} are not separated")
+    ordered = sorted(roots)
+    if any(abs(r - s) <= sep * max(abs(r), abs(s)) for r, s in zip(ordered, ordered[1:])):
+        for r, s in combinations(roots, 2):  # name the first pair in input order
+            if abs(r - s) <= sep * max(abs(r), abs(s)):
+                raise DuplicateRoots(f"roots {r} and {s} are not separated")
     coeffs = [one]
     for r in roots:
         # multiply by (x - r)

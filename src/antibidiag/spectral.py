@@ -104,10 +104,19 @@ def _newton(diag, off, t):
 
 
 def eigensolve_tridiagonal(T: StructuredMatrix, backend: Backend, near=()):
-    """All eigenvalues of a symmetric tridiagonal matrix, ascending; the k-th is
-    where the Sturm count steps from k-1 to k, bisected from the Gershgorin
-    interval to width <= root_tol * min(1, largest Gershgorin bound modulus),
-    so a matrix of small entries keeps its relative precision.
+    """All eigenvalues of a dense symmetric tridiagonal matrix, ascending: its
+    band, read by ``_extract_tridiagonal``, through ``tridiagonal_eigenvalues``."""
+    return tridiagonal_eigenvalues(*_extract_tridiagonal(T, backend.policy), backend, near)
+
+
+_LADDER = tuple((1 - 10.0**e, 1 + 10.0**e) for e in range(-15, 0, 2))
+
+
+def tridiagonal_eigenvalues(diag, off, backend: Backend, near=()):
+    """Eigenvalues of the symmetric tridiagonal matrix (diag, off), ascending; the
+    k-th is where the Sturm count steps from k-1 to k, bisected from the Gershgorin
+    interval to width <= root_tol * min(1, largest Gershgorin bound modulus), so a
+    matrix of small entries keeps its relative precision.
 
     A count memory keeps bounds lo[j] <= lambda_j < hi[j]: a Sturm count c at
     x lowers hi[j] to x for j < c and raises lo[j] to x for j >= c.  The
@@ -117,15 +126,13 @@ def eigensolve_tridiagonal(T: StructuredMatrix, backend: Backend, near=()):
     bit-identical to plain bisection, each distinct midpoint is counted at most
     once, and seeds only save counts.  ``near`` holds the expected eigenvalues:
     the k-th smallest seed t takes two Newton steps on det(T - xI) (``_newton``)
-    and eigenvalue k is first decided at t(1 -+ eps), eps = 1e-15, 1e-13, ...,
-    1e-1; once [lo[k], hi[k]] lies within one pair, the wider ones fall outside
-    it and take no count.
+    and eigenvalue k is first decided at the pairs t(1 -+ eps), eps = 1e-15, 1e-13,
+    ..., 1e-1 (``_LADDER``), until [lo[k], hi[k]] lies within one: wider ones take no count.
 
     Raises SquareOutOfRange if a nonzero codiagonal entry squares outside the
     normal float64 range, where the Sturm pivots lose precision or overflow."""
     if backend.exact:
         raise BackendUnsupported("eigensolver needs the floating backend")
-    diag, off = _extract_tridiagonal(T, backend.policy)
     for b in off:
         if b != 0.0 and not sys.float_info.min <= b * b <= sys.float_info.max:
             raise SquareOutOfRange(f"codiagonal entry {b} squares to {b * b} in float64")
@@ -135,31 +142,36 @@ def eigensolve_tridiagonal(T: StructuredMatrix, backend: Backend, near=()):
     ends = glo - tol, ghi + tol
     lo, hi = [ends[0]] * n, [ends[1]] * n
 
-    def above(k, x):
-        """Whether x lies above eigenvalue k; a count only where the bounds cannot tell."""
-        if lo[k] < x < hi[k]:
-            c = sturm_count(diag, off, x)
-            j = c - 1  # lo and hi are nondecreasing in j: the bounds that move are runs from c
-            while j >= 0 and x < hi[j]:
-                hi[j], j = x, j - 1
-            j = c
-            while j < n and lo[j] < x:
-                lo[j], j = x, j + 1
-        return x >= hi[k]
+    def count(x):
+        c = sturm_count(diag, off, x)
+        j = c - 1  # lo and hi are nondecreasing in j: the bounds that move are runs from c
+        while j >= 0 and x < hi[j]:
+            hi[j], j = x, j - 1
+        j = c
+        while j < n and lo[j] < x:
+            lo[j], j = x, j + 1
 
     for k, t in enumerate(sorted(near)[:n]):
         t = _newton(diag, off, _newton(diag, off, t))
-        for e in range(-15, 0, 2):
-            above(k, t * (1 - 10.0**e))
-            above(k, t * (1 + 10.0**e))
+        for f, g in _LADDER:
+            x, y = t * f, t * g
+            for z in (x, y):
+                if lo[k] < z < hi[k]:
+                    count(z)
+            if lo[k] >= min(x, y) and hi[k] <= max(x, y):
+                break
     out = []
     for k in range(n):
         a, b = ends  # plain bisection, each pass halves the bracket or stops
+        lk, hk = lo[k], hi[k]
         while b - a > tol:
             mid = 0.5 * a + 0.5 * b
             if mid == a or mid == b:
                 break
-            a, b = (a, mid) if mid > lo[k] and (mid >= hi[k] or above(k, mid)) else (mid, b)
+            if lk < mid < hk:
+                count(mid)
+                lk, hk = lo[k], hi[k]
+            a, b = (a, mid) if mid > lk and mid >= hk else (mid, b)
         out.append(a if a == b else 0.5 * a + 0.5 * b)
     return tuple(out)
 

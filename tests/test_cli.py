@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from antibidiag import cli
+from antibidiag import cli, spectral
 from antibidiag.cli import main
 from antibidiag.sampling import (
     MAX_DEFAULT_N,
@@ -514,6 +514,12 @@ def test_float_solve_text_is_pinned(capsys, name, fmt):
     _assert_pinned(capsys, args, f"float-solve-{name}.{fmt}")
 
 
+def test_float_solve_csv_is_pinned(capsys):
+    # the CSV flattener prints every entry of both matrices
+    args = ["solve", "--roundtrip", "--spectrum=" + _PINNED_FLOAT_SPECTRA["n16"], "--format", "csv"]
+    _assert_pinned(capsys, args, "float-solve-n16.csv")
+
+
 @pytest.mark.parametrize("name", list(_PINNED_FLOAT_SPECTRA))
 def test_float_roundtrip_text_is_pinned(capsys, name):
     # every recovered eigenvalue, which the eigensolve computes
@@ -531,6 +537,23 @@ def test_float_sqrt_text_is_pinned(capsys, name):
 @pytest.mark.parametrize("name", list(_PINNED_FLOAT_SPECTRA))
 def test_float_forward_eigs_text_is_pinned(capsys, name):
     # the unseeded eigensolve, on the a that the pinned solve text reports
+    a = json.loads((_PINNED / f"float-solve-{name}.json").read_text())["a"]
+    args = ["forward", "--eigs", "--a=" + ",".join(map(repr, a))]
+    _assert_pinned(capsys, args, f"float-forward-eigs-{name}.json")
+
+
+@pytest.mark.parametrize("name", list(_PINNED_FLOAT_SPECTRA))
+def test_roundtrip_commands_eigensolve_the_band_of_a(capsys, monkeypatch, name):
+    """solve --roundtrip, roundtrip and forward --eigs read J's band off a:
+    they scan no dense matrix, and their texts stay the pinned ones."""
+
+    def no_dense_scan(*args):
+        raise AssertionError("a dense matrix was scanned for its band")
+
+    monkeypatch.setattr(spectral, "_extract_tridiagonal", no_dense_scan)
+    spectrum = "--spectrum=" + _PINNED_FLOAT_SPECTRA[name]
+    _assert_pinned(capsys, ["solve", "--roundtrip", spectrum], f"float-solve-{name}.json")
+    _assert_pinned(capsys, ["roundtrip", spectrum], f"float-roundtrip-{name}.json")
     a = json.loads((_PINNED / f"float-solve-{name}.json").read_text())["a"]
     args = ["forward", "--eigs", "--a=" + ",".join(map(repr, a))]
     _assert_pinned(capsys, args, f"float-forward-eigs-{name}.json")

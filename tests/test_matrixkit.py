@@ -21,7 +21,7 @@ from antibidiag.errors import (
     SizeMismatch,
     StructuralZero,
 )
-from antibidiag.matrixkit import StructuredMatrix, conjugate_signs, determinant
+from antibidiag.matrixkit import StructuredMatrix, conjugate_signs, determinant, jacobi_tridiagonal
 from antibidiag.sampling import random_coefficients, random_rational_coefficients
 
 from oracles import (
@@ -100,6 +100,10 @@ def test_builders_match_the_slot_map_reference(fb, rb):
             )
             for M, want in pairs:
                 assert M.n == n and repr(M.entries) == repr(want), n
+            # the band of the Jacobi matrix, read off a without the dense grid
+            J = build_jacobi_special_reference(a.a, backend)
+            band = [J[i][i] for i in range(n)], [J[i][i + 1] for i in range(n - 1)]
+            assert repr(jacobi_tridiagonal(a, backend)) == repr(band), n
 
 
 def test_positive_entries_enforced():

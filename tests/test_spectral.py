@@ -23,6 +23,7 @@ from antibidiag import (
     validate_spectrum,
 )
 from antibidiag.errors import (
+    AntibidiagError,
     BackendUnsupported,
     NonPositiveEntry,
     NotTridiagonal,
@@ -30,7 +31,7 @@ from antibidiag.errors import (
     SquareOutOfRange,
     TooLarge,
 )
-from antibidiag.matrixkit import StructuredMatrix, conjugate_signs
+from antibidiag.matrixkit import StructuredMatrix, conjugate_signs, jacobi_tridiagonal
 from antibidiag.sampling import (
     case_rng,
     random_coefficients,
@@ -38,7 +39,7 @@ from antibidiag.sampling import (
     random_spectrum,
 )
 from antibidiag import spectral
-from antibidiag.spectral import gershgorin_bounds, sturm_count
+from antibidiag.spectral import gershgorin_bounds, sturm_count, tridiagonal_eigenvalues
 
 from oracles import (
     check_class_plus_reference,
@@ -452,6 +453,63 @@ def test_seeds_cut_the_sturm_counts_of_the_roundtrip_at_n48(fb, monkeypatch):
     assert counts[True] <= 0.15 * counts[False]
     # about two per eigenvalue: the polished seed's pair at 1e-15 brackets it
     assert counts[True] <= 3 * 48 * 10
+
+
+# --- the kernel on the band of J, with no dense matrix ---
+
+
+def _outcome(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs)
+    except AntibidiagError as exc:
+        return type(exc), str(exc)
+
+
+def _roundtrip_spectra():
+    """The f64-roundtrip workload's spectra at seeds 1-3, then the scaled
+    corpus random_spectrum(case_rng(5, f"scaled{n}", i), n) * 10**e, e = -16..5."""
+    for seed in (1, 2, 3):
+        for i in range(10):
+            n = (8, 16, 24, 32, 48)[i % 5]
+            yield random_spectrum(case_rng(seed, "f64-roundtrip", i), n)
+    for n in (8, 16, 24, 32):
+        for i in range(2):
+            base = random_spectrum(case_rng(5, f"scaled{n}", i), n)
+            for e in range(-16, 6):
+                yield tuple(v * 10.0**e for v in base)
+
+
+def test_kernel_on_the_band_equals_the_dense_eigensolve(fb):
+    solved = 0
+    for lam in _roundtrip_spectra():
+        try:
+            a = solve(validate_spectrum(lam), fb).coefficient_vector
+        except AntibidiagError:
+            continue
+        solved += 1
+        diag, off = jacobi_tridiagonal(a, fb)
+        B = build_jacobi_special(a, fb)
+        for near in ((), lam):
+            want = _outcome(eigensolve_tridiagonal, B, fb, near=near)
+            assert _outcome(tridiagonal_eigenvalues, diag, off, fb, near=near) == want, lam
+    assert solved >= 150
+
+
+def test_roundtrip_sturm_counts_are_pinned(fb, monkeypatch):
+    """The seeded eigensolves of the f64-roundtrip workload's first 100
+    spectra at seed 1 take 5591 counts: a kernel change that adds any shows."""
+    calls = [0]
+    real = spectral.sturm_count
+
+    def counted(diag, off, x):
+        calls[0] += 1
+        return real(diag, off, x)
+
+    monkeypatch.setattr(spectral, "sturm_count", counted)
+    for i in range(100):
+        n = (8, 16, 24, 32, 48)[i % 5]
+        solve_roundtrip(validate_spectrum(random_spectrum(case_rng(1, "f64-roundtrip", i), n)), fb)
+    assert calls[0] == 5591
 
 
 # --- Newton-polished seeds: they never raise and never change a result ---
