@@ -15,6 +15,8 @@ import argparse
 import csv
 import functools
 import json
+import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -121,7 +123,10 @@ def _make_backend(args) -> Backend:
 def _parse_token(tok: str, backend: Backend):
     tok = tok.strip()
     try:
-        if backend.exact:
+        if backend.exact:  # refuse an exponent e before 10**|e| outgrows the int-to-str digit limit
+            exp, limit = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\Z", tok), sys.get_int_max_str_digits()
+            if exp and limit and abs(int(exp[1])) >= limit:
+                raise ValueError(f"10**{abs(int(exp[1]))} has more digits than the limit {limit}")
             return Fraction(tok)
         return float(Fraction(tok)) if "/" in tok else float(tok)
     except (ValueError, ZeroDivisionError) as exc:
@@ -254,10 +259,12 @@ def _cmd_solve(args, backend, out) -> int:
         raise err.BackendUnsupported("--roundtrip eigensolves the result; use --backend float64")
     _, values = _values_from(args, backend, "spectrum")
     spectrum = validate_spectrum(values)
-    trace = solve(spectrum, backend)
+    result = solve_roundtrip(spectrum, backend) if args.roundtrip else None
+    trace = solve(spectrum, backend) if result is None else result.trace
     gap = spectrum.min_modulus_gap()
     forward = forward_q_squared(trace.a1, trace.a_squared, backend)
-    A = B = roundtrip_error = None
+    A = B = None
+    warnings = list(trace.warnings)
     if backend.exact:
         max_residual = "0" if forward.same_top(trace.chain) else "1"
     else:
@@ -265,10 +272,9 @@ def _cmd_solve(args, backend, out) -> int:
         A = build_antibidiagonal(cv, backend)
         B = build_jacobi_special(cv, backend)
         max_residual = max(abs(poly_eval(forward.top, lam)) for lam in spectrum.lambdas)
-        if args.roundtrip:
-            J = jacobi_tridiagonal(cv, backend)
-            eig = tridiagonal_eigenvalues(*J, backend, near=spectrum.lambdas)
-            roundtrip_error = relative_spectrum_error(eig, spectrum.lambdas)
+        if not math.isfinite(max_residual):
+            max_residual = None
+            warnings.append("the unscaled residual overflowed float64; max_residual is null")
     report = {
         "input": _nums(spectrum.lambdas, backend),
         "a": None if trace.a is None else _nums(trace.a, backend),
@@ -277,10 +283,10 @@ def _cmd_solve(args, backend, out) -> int:
         "jacobi": _matrix(B),
         "diagnostics": {
             "max_residual": max_residual,
-            "roundtrip_error": roundtrip_error,
+            "roundtrip_error": None if result is None else result.max_error,
             "min_modulus_gap": None if gap is None else _num(gap, backend),
         },
-        "warnings": list(trace.warnings),
+        "warnings": warnings,
     }
     _emit(report, args.format, out)
     return EXIT_OK

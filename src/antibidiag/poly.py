@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 from .errors import BackendUnsupported, DuplicateRoots, IndexOutOfRange, NoSignChange
 from .scalars import Backend, narrow
@@ -168,11 +168,5 @@ def lin_comb(c1, c2, s, t=1):
     multiple of the step on q/q[-1] and u/u[-1] that keeps integers integers.
     On monic float64 q and u it is the step itself, bit for bit: 1.0*a is a,
     and a + (-v)*b is a - v*b."""
-    n = max(len(c1), len(c2))
     z = c1[0] * 0
-    out = []
-    for k in range(n):
-        a = c1[k] if k < len(c1) else z
-        b = c2[k] if k < len(c2) else z
-        out.append(t * a + s * b)
-    return tuple(out)
+    return tuple(t * a + s * b for a, b in zip_longest(c1, c2, fillvalue=z))

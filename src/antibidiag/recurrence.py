@@ -62,10 +62,6 @@ class CharPolySequence:
         ])
 
     @property
-    def n(self) -> int:
-        return len(self.chain) - 1
-
-    @property
     def top(self) -> MonicPoly:
         return self.polys[-1]
 

@@ -19,7 +19,7 @@ from .errors import (
     TooLarge,
 )
 from .matrixkit import StructuredMatrix, check_index_set, matmul, minor
-from .scalars import Backend, TolerancePolicy
+from .scalars import Backend
 
 MINOR_ENUM_GUARD = 10**7
 
@@ -28,21 +28,16 @@ MINOR_ENUM_GUARD = 10**7
 _TINY = 1e-300
 
 
-def _extract_tridiagonal(T: StructuredMatrix, policy: TolerancePolicy):
-    n = T.n
-    scale = max(1.0, float(T.maxnorm()))
-    diag = [float(T.entries[i][i]) for i in range(n)]
-    off = []
+def _extract_tridiagonal(T: StructuredMatrix):
+    """T's band (diag, off) as stored; T must be exactly tridiagonal and symmetric."""
+    M, n = T.entries, T.n
     for i in range(n):
         for j in range(n):
-            if abs(i - j) > 1 and abs(float(T.entries[i][j])) > policy.eq_abs * scale:
+            if abs(i - j) > 1 and M[i][j] != 0:
                 raise NotTridiagonal(f"entry ({i + 1},{j + 1}) is nonzero")
-    for i in range(n - 1):
-        lo, hi = float(T.entries[i + 1][i]), float(T.entries[i][i + 1])
-        if abs(lo - hi) > policy.eq_abs * scale:
-            raise NotTridiagonal("matrix is not symmetric")
-        off.append(0.5 * (lo + hi))
-    return diag, off
+    if any(M[i + 1][i] != M[i][i + 1] for i in range(n - 1)):
+        raise NotTridiagonal("matrix is not symmetric")
+    return [float(M[i][i]) for i in range(n)], [float(M[i][i + 1]) for i in range(n - 1)]
 
 
 def _zero_pivot(diag, off) -> float:
@@ -104,9 +99,9 @@ def _newton(diag, off, t):
 
 
 def eigensolve_tridiagonal(T: StructuredMatrix, backend: Backend, near=()):
-    """All eigenvalues of a dense symmetric tridiagonal matrix, ascending: its
-    band, read by ``_extract_tridiagonal``, through ``tridiagonal_eigenvalues``."""
-    return tridiagonal_eigenvalues(*_extract_tridiagonal(T, backend.policy), backend, near)
+    """All eigenvalues of an exactly tridiagonal, exactly symmetric dense matrix,
+    ascending: its band (``_extract_tridiagonal``) through ``tridiagonal_eigenvalues``."""
+    return tridiagonal_eigenvalues(*_extract_tridiagonal(T), backend, near)
 
 
 _LADDER = tuple((1 - 10.0**e, 1 + 10.0**e) for e in range(-15, 0, 2))

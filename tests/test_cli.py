@@ -6,6 +6,7 @@ import shlex
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -186,6 +187,7 @@ def test_verify_all_deterministic():
         (["solve", "--spectrum", "1/0,-1"], 3),  # unreadable input
         (["solve", "--spectrum", "1/0,-1", "--backend", "rational"], 3),
         (["solve", "--spectrum", "3,-two,1"], 3),
+        (["solve", "--spectrum", "1e5000,-1,1/2"], 1),  # float64 reads inf
         (["solve", "--spectrum", "3,-2,1", "--tol-abs", "-1"], 3),
         (["verify-all", "--sizes", "1,x"], 3),
     ],
@@ -377,6 +379,74 @@ def test_verify_all_reports_a_roundtrip_breakdown():
     assert not roundtrip["passed"]
     assert roundtrip["detail"].startswith("breakdown at n=99 case 0: NonPositiveA: a_14^2 = ")
     assert len(results) == 5 and all(r["passed"] for r in results.values())
+
+
+# (check patched in cli, its failing replacement, battery, detail); with
+# --sizes 1,2,3 --cases 1 each battery fails on its first case
+_FAILING_CHECKS = [
+    ("solve_roundtrip", lambda spec, b: SimpleNamespace(
+        max_error=0.0, trace=SimpleNamespace(certificates=())),
+     "roundtrip", "incomplete interlacing chain at n=2"),
+    ("forward_p", lambda cv, b: SimpleNamespace(top=SimpleNamespace(coeffs=None)),
+     "recurrence-equivalence", "p/q mismatch at n=1 case 0"),
+    ("check_sigma_inequality", lambda spec: SimpleNamespace(holds=False),
+     "sigma-inequality", "sigma inequality failed at n=3 case 0"),
+    ("classify_sign_regular", lambda *args: SimpleNamespace(all_conforming=False),
+     "sign-regularity", "sign-regularity failed at n=2 case 0"),
+    ("cauchy_binet_check", lambda *args: (0, 1, False),
+     "cauchy-binet", "Cauchy-Binet failed at case 0"),
+    ("relative_spectrum_error", lambda eig, target: 1.0,
+     "jacobi-sqrt", "square spectrum error 1.000e+00 at n=1"),
+]
+
+
+@pytest.mark.parametrize("name, failing, battery, detail", _FAILING_CHECKS, ids=[c[2] for c in _FAILING_CHECKS])
+def test_verify_all_reports_a_failing_battery(monkeypatch, name, failing, battery, detail):
+    monkeypatch.setattr(cli, name, failing)
+    code, text = run(["verify-all", "--sizes", "1,2,3", "--cases", "1", "--format", "pretty"])
+    lines = text.splitlines()
+    assert code == 2 and lines[-1] == "FAILURES present"
+    assert [line for line in lines if line.startswith("FAIL ")] == [f"FAIL  {battery}: {detail}"]
+
+
+@pytest.mark.parametrize("exc", [ZeroDivisionError("division by zero"), ValueError("math domain error")])
+def test_an_arithmetic_error_escaping_a_command_is_a_breakdown(monkeypatch, capsys, exc):
+    def raises(args, backend, out):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "solve", raises)
+    assert run(["solve", "--spectrum", "3,-2,1"]) == (2, "")
+    assert capsys.readouterr().err == f"numerical breakdown [{type(exc).__name__}]: {exc}\n"
+
+
+@pytest.mark.parametrize(
+    "args", [["solve", "--spectrum=1e200,-1,0.5"], ["solve", "--roundtrip", "--spectrum=1.5e308,-1,0.5"]]
+)
+def test_an_overflowed_residual_reads_null_in_valid_json(args):
+    def refuse(name):
+        raise ValueError(f"{name} is not a JSON value (RFC 8259)")
+
+    code, text = run(args)
+    report = json.loads(text, parse_constant=refuse)
+    assert code == 0 and report["diagnostics"]["max_residual"] is None
+    assert report["warnings"][-1] == "the unscaled residual overflowed float64; max_residual is null"
+
+
+def test_rational_exponent_literals_obey_the_int_str_digit_limit(capsys):
+    # 10**4300 has 4301 digits, one more than the default limit allows an integer literal
+    rational = ["solve", "--backend", "rational", "--spectrum"]
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        for spectrum in ("1e4300,-1,1/2", "1e-4300,-1e-4301", "1E+4_300,-1"):
+            assert run([*rational, spectrum]) == (3, "")
+            assert "10**4300 has more digits than the limit 4300" in capsys.readouterr().err
+        code, text = run([*rational, "1e4299,-1,1/2"])
+        assert code == 0 and json.loads(text)["input"][0] == "1" + "0" * 4299
+        sys.set_int_max_str_digits(0)  # no limit, no guard
+        assert run([*rational, "1e4300,-1,1/2"])[0] == 0
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_rational_solve_draws_no_gap_warning():

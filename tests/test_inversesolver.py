@@ -34,6 +34,7 @@ from antibidiag.errors import (
     NonFiniteA,
     NonFiniteValue,
     NonPositive,
+    NonPositiveA,
     NonPositiveLead,
     NotAlternating,
     NotDecreasing,
@@ -147,7 +148,14 @@ class TestSolve:
         trace = solve(validate_spectrum((Fraction(3), Fraction(-2), Fraction(1))), rb)
         assert trace.a1 == 2
         assert trace.a_squared == (Fraction(2), Fraction(3))
-        assert trace.a is None
+        assert trace.a is None and trace.certificates is None
+        with pytest.raises(BackendUnsupported):
+            trace.coefficient_vector
+
+    def test_unvalidated_spectrum_with_negative_sigma_1_is_a_breakdown(self, fb):
+        # (1, -2) breaks the modulus order; unvalidated, a_1 = sigma_1 = -1
+        with pytest.raises(NonPositiveA):
+            solve(inversesolver.Spectrum((1.0, -2.0)), fb)
 
     def test_overflowing_square_is_breakdown(self, fb):
         # a_2^2 = lambda_1 * |lambda_2| = 1e399 is beyond float64.
@@ -290,11 +298,15 @@ class TestJacobiSqrt:
         assert B[0][0] * B[1][1] - B[0][1] * B[1][0] == pytest.approx(4.0, abs=1e-10)
         assert B[0][0] + B[1][1] == pytest.approx(5.0, abs=1e-12)
 
-    def test_input_validation(self, fb):
+    def test_input_validation(self, fb, rb):
         with pytest.raises(NotDecreasing):
             PositiveTuple((1.0, 2.0))
         with pytest.raises(NonPositive):
             PositiveTuple((2.0, 0.0))
+        with pytest.raises(EmptyInput):
+            PositiveTuple(())
+        with pytest.raises(BackendUnsupported):
+            jacobi_sqrt(PositiveTuple((4.0, 1.0)), rb)
 
     def test_random_property(self, fb):
         rng = random.Random(50)

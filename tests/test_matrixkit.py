@@ -116,6 +116,8 @@ def test_positive_entries_enforced():
 
 
 def test_antidiagonal_unit(fb):
+    with pytest.raises(EmptyInput):
+        build_antidiagonal_unit(0, fb)
     assert build_antidiagonal_unit(1, fb).entries == ((1.0,),)
     assert build_antidiagonal_unit(2, fb).entries == ((0.0, 1.0), (1.0, 0.0))
     assert build_antidiagonal_unit(3, fb).entries == (
@@ -135,6 +137,8 @@ def test_minor_examples(fb):
         minor(J3, (1, 2), (3,), fb)
     with pytest.raises(SizeMismatch):
         minor(J3, (2, 1), (1, 2), fb)
+    with pytest.raises(SizeMismatch):
+        minor(J3, (), (), fb)
 
 
 def test_determinant_bareiss_vs_cofactor_oracle():
@@ -313,6 +317,11 @@ def test_sign_normalize_random_conjugations(fb, rb):
                 got, e, neg = sign_normalize(X, backend)
                 want_a, want_e, want_neg = sign_normalize_reference(X, backend)
                 assert (repr(got.a), e, neg) == (repr(want_a), want_e, want_neg), n
+
+
+def test_conjugate_signs_needs_one_sign_per_row(fb):
+    with pytest.raises(SizeMismatch):
+        conjugate_signs(build_antidiagonal_unit(3, fb), (1, -1), fb)
 
 
 def test_sign_normalize_structural_zero(fb):

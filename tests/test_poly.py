@@ -37,6 +37,15 @@ def test_from_roots_degree_one_and_empty(fb):
     assert from_roots((), fb).coeffs == (1.0,)
 
 
+@pytest.mark.parametrize(
+    "coeffs, parity", [((), None), ((1.0, 2.0), None), ((1.0, 1.0), "twin")]
+)
+def test_monic_poly_rejects_a_malformed_polynomial(coeffs, parity):
+    # no coefficients, a leading coefficient other than 1, an unknown parity tag
+    with pytest.raises(ValueError):
+        MonicPoly(coeffs, parity)
+
+
 def test_from_roots_duplicate_rejection(fb, rb):
     with pytest.raises(DuplicateRoots):
         from_roots((1.0, 1.0 + 1e-15), fb)

@@ -70,6 +70,8 @@ def test_sqrt_only_in_float_backend(fb, rb):
     assert fb.sqrt(4.0) == 2.0
     with pytest.raises(BackendUnsupported):
         rb.sqrt(Fraction(4))
+    with pytest.raises(ValueError):
+        fb.sqrt(-1.0)
 
 
 def test_convert(fb, rb):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,30 @@ def test_eigensolve_rejects(fb, rb):
         eigensolve_tridiagonal(dense, fb)
     with pytest.raises(BackendUnsupported):
         eigensolve_tridiagonal(StructuredMatrix(1, ((Fraction(1),),)), rb)
+
+
+@pytest.mark.parametrize(
+    "i, j, v, message",
+    [
+        (0, 2, 1e-300, "entry (1,3) is nonzero"),
+        (2, 0, 5e-324, "entry (3,1) is nonzero"),
+        (1, 0, math.nextafter(1.0, 2.0), "matrix is not symmetric"),
+    ],
+)
+def test_eigensolve_reads_an_exact_band(fb, i, j, v, message):
+    # nothing is rounded away: a tiny off-band entry, or a codiagonal entry
+    # one ulp off its mirror, is refused
+    rows = [list(r) for r in _tridiagonal([1.0, 2.0, 3.0], [1.0, 1.0]).entries]
+    rows[i][j] = v
+    with pytest.raises(NotTridiagonal, match=re.escape(message)):
+        eigensolve_tridiagonal(StructuredMatrix(3, tuple(map(tuple, rows))), fb)
+
+
+def test_band_is_read_as_stored(fb):
+    # -0.0 off the band is exactly zero, and a codiagonal near the largest
+    # float is read as it is (an average of the two mirrors would overflow)
+    T = StructuredMatrix(3, ((1.0, 1e308, -0.0), (1e308, 0.0, 0.0), (-0.0, 0.0, 2.0)))
+    assert spectral._extract_tridiagonal(T) == ([1.0, 0.0, 2.0], [1e308, 0.0])
 
 
 def test_eigensolve_refuses_a_codiagonal_whose_square_underflows(fb):
@@ -196,6 +221,8 @@ def test_classify_guard(fb):
     M = StructuredMatrix(40, tuple(tuple(0.0 for _ in range(40)) for _ in range(40)))
     with pytest.raises(TooLarge):
         classify_sign_regular(M, 40, tuple(1 for _ in range(40)), fb)
+    with pytest.raises(SizeMismatch):  # an order above n
+        classify_sign_regular(build_antidiagonal_unit(2, fb), 3, (1, 1, 1), fb)
 
 
 def test_reconstructed_matrices_are_sign_regular(fb):
@@ -235,6 +262,19 @@ def test_cauchy_binet_examples(fb, rb):
     assert equal and lhs == pytest.approx(minor_of(B, (1, 3), (2, 3), fb))
     one = cauchy_binet_check(J, B, (2,), (3,), fb)
     assert one[2] and one[0] == pytest.approx(matmul(J, B, fb).entries[1][2])
+
+
+@pytest.mark.parametrize(
+    "nx, ny, rows, cols, error",
+    [
+        (3, 2, (1,), (1,), SizeMismatch),  # factor dimensions differ
+        (3, 3, (1, 2), (3,), SizeMismatch),  # index set sizes differ
+        (30, 30, tuple(range(1, 16)), tuple(range(1, 16)), TooLarge),  # C(30, 15) * 15^3 terms
+    ],
+)
+def test_cauchy_binet_rejects(fb, nx, ny, rows, cols, error):
+    with pytest.raises(error):
+        cauchy_binet_check(build_antidiagonal_unit(nx, fb), build_antidiagonal_unit(ny, fb), rows, cols, fb)
 
 
 def minor_of(M, rows, cols, backend):
