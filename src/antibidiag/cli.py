@@ -167,88 +167,78 @@ def _values_from(args, backend, *keys):
     raise err.SizeMismatch(f"provide {' or '.join('--' + k for k in keys + ('input',))}")
 
 
-def _num(x, backend: Backend):
-    if not backend.exact:
-        return float(x)
-    # Exact values outgrow the int-to-str digit limit; lift it only to render.
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(x)
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
-def _nums(seq, backend):
-    return [_num(v, backend) for v in seq]
-
-
-def _matrix(M):
-    return None if M is None else list(map(list, M.entries))  # only float64 reports carry one
-
-
 # --- report rendering ---
 
 
-def _indexed(value):
-    """A list of dicts as a dict keyed "1", "2", ...; any other value as is."""
-    if isinstance(value, list) and value and isinstance(value[0], dict):
-        return {str(i): v for i, v in enumerate(value, start=1)}
-    return value
-
-
-def _flatten(prefix, value, rows):
-    value = _indexed(value)
-    if isinstance(value, dict):
-        for k, v in value.items():
-            _flatten(f"{prefix}.{k}" if prefix else k, v, rows)
-    elif isinstance(value, list) and value and isinstance(value[0], list):
-        for i, row in enumerate(value, start=1):
-            rows.append([f"{prefix}.row{i}"] + [str(v) for v in row])
-    elif isinstance(value, list):
-        rows.append([prefix] + [str(v) for v in value])
-    else:
-        rows.append([prefix, str(value)])
-
-
-def _render_pretty(report: dict) -> str:
-    lines = []
-
-    def fmt(v):
-        return f"{v:.12g}" if isinstance(v, float) else str(v)
-
-    def emit(key, value, indent=0):
-        pad = "  " * indent
-        value = _indexed(value)
+def _walk(report: dict, path=()):
+    """(path, value) for every node under a report, depth first; a list of
+    dicts reads as a dict keyed "1", "2", ..."""
+    for key, value in report.items():
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            value = {str(i): v for i, v in enumerate(value, start=1)}
+        yield (*path, key), value
         if isinstance(value, dict):
-            lines.append(f"{pad}{key}:")
-            for k, v in value.items():
-                emit(k, v, indent + 1)
-        elif isinstance(value, list) and value and isinstance(value[0], list):
-            lines.append(f"{pad}{key}:")
-            cells = [[fmt(v) for v in row] for row in value]
-            width = max(len(c) for row in cells for c in row)
-            for row in cells:
-                lines.append(pad + "  [ " + "  ".join(c.rjust(width) for c in row) + " ]")
-        elif isinstance(value, list):
-            lines.append(f"{pad}{key}: " + ", ".join(fmt(v) for v in value))
-        else:
-            lines.append(f"{pad}{key}: {fmt(value)}")
+            yield from _walk(value, (*path, key))
 
-    for k, v in report.items():
-        emit(k, v)
-    return "\n".join(lines)
+
+def _finite(value) -> bool:
+    if isinstance(value, (list, tuple)):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def _fraction(x) -> str:
+    if isinstance(x, Fraction):
+        return str(x)
+    raise TypeError(f"{type(x).__name__} is not a report value")
+
+
+def _pretty(v) -> str:
+    return f"{v:.12g}" if isinstance(v, float) else str(v)
 
 
 def _emit(report: dict, fmt: str, out) -> None:
-    if fmt == "json":
-        print(json.dumps(report), file=out)
-    elif fmt == "csv":
-        rows: list[list[str]] = []
-        _flatten("", report, rows)
-        csv.writer(out, lineterminator="\n").writerows(rows)
-    else:
-        print(_render_pretty(report), file=out)
+    """Write a report of plain values (floats, Fractions, tuples, a matrix as
+    its row tuples): as JSON, each Fraction its string; as CSV, keys dotted
+    and a matrix one row per row; or as indented text, floats .12g and
+    matrices right-aligned.  A float that is inf or NaN is a breakdown."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # exact values outgrow the int-to-str digit limit
+    try:
+        try:
+            text = json.dumps(report, allow_nan=False, default=_fraction)
+        except ValueError:
+            key = next(".".join(path) for path, v in _walk(report) if not _finite(v))
+            raise err.NonFiniteResult(f"{key} holds inf or NaN in float64") from None
+        if fmt == "json":
+            print(text, file=out)
+            return
+        lines = []
+        for path, v in _walk(report):
+            leaf = v if isinstance(v, (list, tuple)) else (v,)
+            matrix = leaf and isinstance(leaf[0], (list, tuple))
+            if fmt == "csv":
+                key = ".".join(path)
+                if matrix:
+                    lines += ([f"{key}.row{i}", *map(str, row)] for i, row in enumerate(v, start=1))
+                elif not isinstance(v, dict):
+                    lines.append([key, *map(str, leaf)])
+                continue
+            pad = "  " * (len(path) - 1)
+            if isinstance(v, dict) or matrix:
+                lines.append(f"{pad}{path[-1]}:")
+            if matrix:
+                cells = [[_pretty(c) for c in row] for row in v]
+                width = max(len(c) for row in cells for c in row)
+                lines += (f"{pad}  [ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in cells)
+            elif not isinstance(v, dict):
+                lines.append(f"{pad}{path[-1]}: " + ", ".join(map(_pretty, leaf)))
+        if fmt == "csv":
+            csv.writer(out, lineterminator="\n").writerows(lines)
+        else:
+            print("\n".join(lines), file=out)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # --- commands ---
@@ -261,7 +251,6 @@ def _cmd_solve(args, backend, out) -> int:
     spectrum = validate_spectrum(values)
     result = solve_roundtrip(spectrum, backend) if args.roundtrip else None
     trace = solve(spectrum, backend) if result is None else result.trace
-    gap = spectrum.min_modulus_gap()
     forward = forward_q_squared(trace.a1, trace.a_squared, backend)
     A = B = None
     warnings = list(trace.warnings)
@@ -269,22 +258,22 @@ def _cmd_solve(args, backend, out) -> int:
         max_residual = "0" if forward.same_top(trace.chain) else "1"
     else:
         cv = trace.coefficient_vector
-        A = build_antibidiagonal(cv, backend)
-        B = build_jacobi_special(cv, backend)
+        A = build_antibidiagonal(cv, backend).entries
+        B = build_jacobi_special(cv, backend).entries
         max_residual = max(abs(poly_eval(forward.top, lam)) for lam in spectrum.lambdas)
         if not math.isfinite(max_residual):
             max_residual = None
             warnings.append("the unscaled residual overflowed float64; max_residual is null")
     report = {
-        "input": _nums(spectrum.lambdas, backend),
-        "a": None if trace.a is None else _nums(trace.a, backend),
-        "a_squared": _nums((trace.a1, *trace.a_squared), backend),
-        "antibidiagonal": _matrix(A),
-        "jacobi": _matrix(B),
+        "input": spectrum.lambdas,
+        "a": trace.a,
+        "a_squared": (trace.a1, *trace.a_squared),
+        "antibidiagonal": A,
+        "jacobi": B,
         "diagnostics": {
             "max_residual": max_residual,
             "roundtrip_error": None if result is None else result.max_error,
-            "min_modulus_gap": None if gap is None else _num(gap, backend),
+            "min_modulus_gap": spectrum.min_modulus_gap(),
         },
         "warnings": warnings,
     }
@@ -300,13 +289,11 @@ def _cmd_forward(args, backend, out) -> int:
     match = all(
         backend.approx_equal(x, y) for x, y in zip(ps.top.coeffs, qs.top.coeffs)
     )
-    eig = None
-    if args.eigs:
-        eig = list(tridiagonal_eigenvalues(*jacobi_tridiagonal(cv, backend), backend))
+    eig = tridiagonal_eigenvalues(*jacobi_tridiagonal(cv, backend), backend) if args.eigs else None
     report = {
-        "a": _nums(cv.a, backend),
-        "p_coeffs": _nums(ps.top.coeffs, backend),
-        "q_coeffs": _nums(qs.top.coeffs, backend),
+        "a": cv.a,
+        "p_coeffs": ps.top.coeffs,
+        "q_coeffs": qs.top.coeffs,
         "systems_match": match,
         "eigenvalues": eig,
     }
@@ -323,11 +310,11 @@ def _cmd_roundtrip(args, backend, out) -> int:
     spectrum = validate_spectrum(values)
     result = solve_roundtrip(spectrum, backend)
     report = {
-        "input": _nums(spectrum.lambdas, backend),
-        "a": _nums(result.trace.a, backend),
-        "recovered": _nums(result.recovered, backend),
+        "input": spectrum.lambdas,
+        "a": result.trace.a,
+        "recovered": result.recovered,
         "max_error": result.max_error,
-        "warnings": list(result.trace.warnings),
+        "warnings": result.trace.warnings,
     }
     _emit(report, args.format, out)
     return EXIT_OK
@@ -343,11 +330,11 @@ def _cmd_sqrt(args, backend, out) -> int:
     eig = eigensolve_tridiagonal(result.jacobi, backend, near=values)
     spec_err = relative_spectrum_error(eig, values)
     report = {
-        "mus": _nums(values, backend),
-        "spectrum": _nums(result.spectrum.lambdas, backend),
-        "a": _nums(result.a.a, backend),
-        "antibidiagonal": _matrix(result.antibidiagonal),
-        "jacobi": _matrix(result.jacobi),
+        "mus": values,
+        "spectrum": result.spectrum.lambdas,
+        "a": result.a.a,
+        "antibidiagonal": result.antibidiagonal.entries,
+        "jacobi": result.jacobi.entries,
         "diagnostics": {"spectrum_error": spec_err},
     }
     _emit(report, args.format, out)
@@ -368,7 +355,7 @@ def _cmd_signreg(args, backend, out) -> int:
     m = check_class_plus(A, max_power, backend)
     report = {
         "n": n,
-        "signature": list(signature_sequence(n)),
+        "signature": signature_sequence(n),
         "orders": [
             {
                 "order": v.order,

@@ -93,6 +93,10 @@ class NonFiniteA(NumericalBreakdown):
     """A squared codiagonal entry overflowed the floating range."""
 
 
+class NonFiniteResult(NumericalBreakdown):
+    """A float64 result to be reported is inf or NaN."""
+
+
 class SquareOutOfRange(NumericalBreakdown):
     """The square of a positive entry underflows to zero or overflows float64."""
 

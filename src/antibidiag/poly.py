@@ -167,6 +167,7 @@ def lin_comb(c1, c2, s, t=1):
     s = -v*q[-1] (for v = p/r on integers, t = r*u[-1] and s = -p*q[-1]): a
     multiple of the step on q/q[-1] and u/u[-1] that keeps integers integers.
     On monic float64 q and u it is the step itself, bit for bit: 1.0*a is a,
-    and a + (-v)*b is a - v*b."""
-    z = c1[0] * 0
+    and a + (-v)*b is a - v*b.  The pad is c1's leading coefficient times 0:
+    a low coefficient may have overflowed to inf, and inf * 0 is NaN."""
+    z = c1[-1] * 0
     return tuple(t * a + s * b for a, b in zip_longest(c1, c2, fillvalue=z))

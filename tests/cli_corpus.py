@@ -9,7 +9,8 @@ every request whose output changed:
 
 It takes no options.  pytest does not collect it (its name does not start
 with ``test_``).  The requests are the benchmark's three workload mixes at
-seeds 1-3, every command in every format, edge and error inputs, the accuracy
+seeds 1-3, every command in every format (also at n = 1, and a float64
+forward pass that overflows), edge and error inputs, the accuracy
 ladder, the scaled, near-range and subnormal spectra, and ``verify-all``.
 """
 
@@ -72,6 +73,19 @@ def requests():
         ["signreg", "--spectrum", "3,-2,1", "--max-power", "1"],
         ["signreg", "--backend", "rational", "--a", "3/2,5,7/3,1/4,2"],
         ["verify-all", "--sizes", "2,3", "--cases", "2"],
+        # n = 1
+        ["solve", "--spectrum", "2.5"],
+        ["solve", "--roundtrip", "--spectrum", "2.5"],
+        ["solve", "--backend", "rational", "--spectrum", "5/2"],
+        ["forward", "--a", "2.5", "--eigs"],
+        ["forward", "--backend", "rational", "--a", "5/2"],
+        ["roundtrip", "--spectrum", "2.5"],
+        ["sqrt", "--mus", "6.25"],
+        ["signreg", "--a", "2.5"],
+        ["signreg", "--backend", "rational", "--a", "5/2"],
+        # a float64 forward pass that overflows
+        ["forward", "--a", "1e100,1e100,1e100,1e100"],
+        ["forward", "--a", "1e100,1e100,1e100,1e100,1e100"],
     ):
         reqs += _every_format(argv)
 

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import shlex
 import sys
 from fractions import Fraction
@@ -10,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from antibidiag import cli, spectral
+from antibidiag import cli, errors, spectral
 from antibidiag.cli import main
 from antibidiag.sampling import (
     MAX_DEFAULT_N,
@@ -668,3 +669,75 @@ def test_rational_solve_reports_a_residual_when_a_square_is_off(monkeypatch):
     code, text = run(["solve", "--backend", "rational", "--spectrum", "3,-2,1"])
     assert code == 0
     assert json.loads(text)["diagnostics"]["max_residual"] == "1"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+@pytest.mark.parametrize("a", ["1e100,1e100,1e100,1e100", "1e100,1e100,1e100,1e100,1e100"])
+def test_a_non_finite_float_in_a_report_is_a_breakdown(capsys, a, fmt):
+    # the forward pass overflows; no format prints Infinity or NaN
+    assert run(["forward", "--a", a, "--format", fmt]) == (2, "")
+    err = capsys.readouterr().err
+    assert err == "numerical breakdown [NonFiniteResult]: p_coeffs holds inf or NaN in float64\n"
+
+
+def test_the_breakdown_names_the_first_non_finite_key():
+    report = {"a": (1.0,), "d": {"m": ((0.0, 1.0), (math.nan, 2.0))}, "z": math.inf}
+    with pytest.raises(errors.NonFiniteResult, match=r"^d\.m holds inf or NaN"):
+        cli._emit(report, "json", io.StringIO())
+
+
+def _pinned_float_args(command, name):
+    spectrum = _PINNED_FLOAT_SPECTRA[name]
+    if command == "roundtrip":
+        return ["roundtrip", "--spectrum=" + spectrum]
+    if command == "sqrt":  # mus are the squared moduli, as in the pinned JSON
+        return ["sqrt", "--mus=" + ",".join(repr(float(v) ** 2) for v in spectrum.split(","))]
+    a = json.loads((_PINNED / f"float-solve-{name}.json").read_text())["a"]
+    return ["forward", "--eigs", "--a=" + ",".join(map(repr, a))]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "pretty"])
+@pytest.mark.parametrize("name", ["worked", "n16"])
+@pytest.mark.parametrize("command", ["roundtrip", "sqrt", "forward-eigs"])
+def test_float_csv_and_pretty_texts_are_pinned(capsys, command, name, fmt):
+    args = [*_pinned_float_args(command, name), "--format", fmt]
+    _assert_pinned(capsys, args, f"float-{command}-{name}.{fmt}")
+
+
+_PINNED_RATIONAL_A = {"worked": "2,1/3,3", "n5": "3/2,5,7/3,1/4,2"}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+@pytest.mark.parametrize("name", list(_PINNED_RATIONAL_A))
+def test_rational_forward_text_is_pinned(capsys, name, fmt):
+    args = ["forward", "--backend", "rational", "--a", _PINNED_RATIONAL_A[name], "--format", fmt]
+    _assert_pinned(capsys, args, f"rational-forward-{name}.{fmt}")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "pretty"])
+def test_exact_report_renders_past_the_int_str_limit_in_csv_and_pretty(fmt):
+    spectrum = random_rational_spectrum(case_rng(0, "render", 64), 64, max_num=4000)
+    args = ["solve", "--backend", "rational", "--spectrum=" + ",".join(map(str, spectrum)), "--format", fmt]
+    limit = sys.get_int_max_str_digits()
+    code, text = run(args)
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    json_report = json.loads(run(args[:-2])[1])
+    longest = max(json_report["a_squared"], key=len)
+    assert len(longest) > limit and longest in text
+
+
+def test_the_int_str_limit_is_restored_when_rendering_raises(monkeypatch):
+    seen = []
+
+    def fail(v):
+        seen.append(sys.get_int_max_str_digits())
+        raise RuntimeError("render")
+
+    monkeypatch.setattr(cli, "_pretty", fail)
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(RuntimeError, match="render"):
+        run(["forward", "--backend", "rational", "--a", "2,1/3,3", "--format", "pretty"])
+    assert seen == [0] and sys.get_int_max_str_digits() == limit
+    assert run(["forward", "--a", "1e100,1e100,1e100,1e100"])[0] == 2
+    assert sys.get_int_max_str_digits() == limit
