@@ -36,7 +36,6 @@ from .poly import (
     elementary_symmetric,
     from_roots,
     poly_eval,
-    reflect_negate,
     roots_bracketed,
 )
 from .recurrence import CharPolySequence, forward_p, forward_q, forward_q_squared
@@ -85,7 +84,6 @@ __all__ = [
     "minor",
     "poly_eval",
     "rational",
-    "reflect_negate",
     "roots_bracketed",
     "sign_normalize",
     "signature_sequence",

@@ -115,13 +115,6 @@ def elementary_symmetric(roots, j: int):
     return e[j]
 
 
-def reflect_negate(p: MonicPoly) -> MonicPoly:
-    """(-1)**deg * p(-x): the monic polynomial whose roots are negated."""
-    n = p.degree
-    coeffs = tuple(c if (n - k) % 2 == 0 else -c for k, c in enumerate(p.coeffs))
-    return MonicPoly(coeffs, p.parity)
-
-
 def poly_eval(p: MonicPoly, x):
     """Horner evaluation: ``p.evaluate(x)``."""
     return p.evaluate(x)
@@ -156,8 +149,8 @@ def roots_bracketed(p: MonicPoly, brackets, backend: Backend):
 
 
 def shift_up(coeffs):
-    """Multiply by x."""
-    return (coeffs[0] * 0,) + tuple(coeffs)
+    """Multiply by x, padding with the leading coefficient times 0 (as ``lin_comb``)."""
+    return (coeffs[-1] * 0,) + tuple(coeffs)
 
 
 def lin_comb(c1, c2, s, t=1):

@@ -52,13 +52,8 @@ def sturm_count(diag, off, x: float) -> int:
     The scale of the zero-pivot replacement is computed only when a pivot is
     exactly 0.0, so the common call does no O(n) ``max``; the counts are
     bit-identical to computing the scale on every call."""
-    count = 0
-    d = diag[0] - x
-    if d == 0.0:
-        d = _zero_pivot(diag, off)
-    if d < 0:
-        count += 1
-    for a, b in zip(diag[1:], off):
+    count, d = 0, 1.0  # a sentinel pivot over a zero codiagonal: the first is diag[0] - x
+    for a, b in zip(diag, (0.0, *off)):
         d = (a - x) - b * b / d
         if d == 0.0:
             d = _zero_pivot(diag, off)
@@ -83,12 +78,8 @@ def _newton(diag, off, t):
     only by nonzero pivots, so it never raises, and returns t itself on an
     exactly zero pivot, a zero or non-finite sum, or a step outside t(1 -+ 1e-3)
     (a nan step included)."""
-    d = diag[0] - t
-    if d == 0.0:
-        return t
-    dp = -1.0
-    s = dp / d
-    for a, b in zip(diag[1:], off):
+    d, dp, s = 1.0, 0.0, 0.0  # the sentinel of ``sturm_count``: first dp = -1, s = -1/d
+    for a, b in zip(diag, (0.0, *off)):
         q = b * b / d
         d, dp = (a - t) - q, -1.0 + q * dp / d
         if d == 0.0:
@@ -118,8 +109,9 @@ def tridiagonal_eigenvalues(diag, off, backend: Backend, near=()):
     float64 count is monotone in x (Kahan 1966; Demmel, Dhillon & Ren, ETNA 3,
     1995), so a midpoint at or below lo[k] is decided low and one at or above
     hi[k] high with no count, as a count would decide them: the eigenvalues are
-    bit-identical to plain bisection, each distinct midpoint is counted at most
-    once, and seeds only save counts.  ``near`` holds the expected eigenvalues:
+    bit-identical to plain bisection (but a point Gershgorin interval, c*I, is
+    returned as it is), each distinct midpoint is counted at most once, and
+    seeds only save counts.  ``near`` holds the expected eigenvalues:
     the k-th smallest seed t takes two Newton steps on det(T - xI) (``_newton``)
     and eigenvalue k is first decided at the pairs t(1 -+ eps), eps = 1e-15, 1e-13,
     ..., 1e-1 (``_LADDER``), until [lo[k], hi[k]] lies within one: wider ones take no count.
@@ -134,7 +126,7 @@ def tridiagonal_eigenvalues(diag, off, backend: Backend, near=()):
     glo, ghi = gershgorin_bounds(diag, off)
     tol = backend.policy.root_tol * min(1.0, max(-glo, ghi))
     n = len(diag)
-    ends = glo - tol, ghi + tol
+    ends = (glo, ghi) if glo == ghi else (glo - tol, ghi + tol)
     lo, hi = [ends[0]] * n, [ends[1]] * n
 
     def count(x):
@@ -166,7 +158,7 @@ def tridiagonal_eigenvalues(diag, off, backend: Backend, near=()):
             if lk < mid < hk:
                 count(mid)
                 lk, hk = lo[k], hi[k]
-            a, b = (a, mid) if mid > lk and mid >= hk else (mid, b)
+            a, b = (a, mid) if mid >= hk else (mid, b)
         out.append(a if a == b else 0.5 * a + 0.5 * b)
     return tuple(out)
 

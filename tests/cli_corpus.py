@@ -88,6 +88,9 @@ def requests():
         ["forward", "--a", "1e100,1e100,1e100,1e100,1e100"],
     ):
         reqs += _every_format(argv)
+    for v in ("1e-300", "1e300"):  # n = 1 at both ends of the point-interval path
+        for argv in (["roundtrip", "--spectrum", v], ["forward", "--a", v, "--eigs"], ["sqrt", "--mus", v]):
+            reqs += _every_format(argv)
 
     reqs += [  # edge and error inputs
         ["solve", "--spectrum", "1,2"],

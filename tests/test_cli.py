@@ -251,6 +251,21 @@ def test_tiny_spectrum_solves_at_its_own_scale():
     assert json.loads(text)["diagnostics"]["roundtrip_error"] < 1e-12
 
 
+@pytest.mark.parametrize("v", ["2.5", "1e-300", "1e300"])
+def test_n1_requests_return_the_one_entry_as_the_eigenvalue(v):
+    # a 1 x 1 matrix (c) has the point Gershgorin interval [c, c], which the
+    # eigensolve returns as it is; at 1e-300 a widened interval would not round back
+    x = float(v)
+    report = json.loads(run(["roundtrip", "--spectrum", v])[1])
+    assert report["recovered"] == [x] and report["max_error"] == 0.0
+    report = json.loads(run(["solve", "--roundtrip", "--spectrum", v])[1])
+    assert report["diagnostics"]["roundtrip_error"] == 0.0
+    assert json.loads(run(["forward", "--a", v, "--eigs"])[1])["eigenvalues"] == [x]
+    report = json.loads(run(["sqrt", "--mus", v])[1])
+    (j,), = report["jacobi"]  # (sqrt(x))**2, which may round off x
+    assert report["diagnostics"]["spectrum_error"] == abs(j - x) / x
+
+
 def test_sqrt_whose_codiagonal_squares_underflow_is_a_breakdown(capsys):
     code, text = run(["sqrt", "--mus", "1e-200,1e-201"])
     assert code == 2 and text == ""

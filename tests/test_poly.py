@@ -10,7 +10,6 @@ from antibidiag import (
     elementary_symmetric,
     from_roots,
     poly_eval,
-    reflect_negate,
     roots_bracketed,
 )
 from antibidiag.errors import (
@@ -81,23 +80,6 @@ def test_elementary_symmetric_matches_brute_force():
         vals = [Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(n)]
         for j in range(n + 1):
             assert elementary_symmetric(vals, j) == brute_sigma(vals, j)
-
-
-def test_reflect_negate_worked_example(fb):
-    p = from_roots((3.0, -2.0, 1.0), fb)
-    r = reflect_negate(p)
-    assert r.coeffs == tuple(float(c) for c in expand_roots([-3, 2, -1]))
-    assert reflect_negate(r).coeffs == p.coeffs  # involution
-
-
-def test_reflect_negate_even_parity_fixed_point(fb):
-    p = MonicPoly((-3.0, 0.0, 1.0), "even")  # x^2 - 3
-    assert reflect_negate(p).coeffs == p.coeffs
-
-
-def test_reflect_negate_degree_one(fb):
-    p = MonicPoly((-4.0, 1.0))  # x - 4
-    assert reflect_negate(p).coeffs == (4.0, 1.0)
 
 
 def test_eval_examples(fb):
@@ -262,3 +244,11 @@ def test_lin_comb_pads_with_a_zero_of_the_leading_coefficient():
     assert r == (math.inf, 0.0, 1.0)
     assert math.copysign(1.0, r[1]) == 1.0
     assert poly.lin_comb((3, 0, 1), (5,), -2, 3) == (-1, 0, 3)
+
+
+def test_shift_up_pads_with_a_zero_of_the_leading_coefficient():
+    # an inf constant coefficient must not make the new constant term NaN
+    r = poly.shift_up((math.inf, 0.0, 1.0))
+    assert r == (0.0, math.inf, 0.0, 1.0)
+    assert math.copysign(1.0, r[0]) == 1.0
+    assert poly.shift_up((-3, 0, 1)) == (0, -3, 0, 1)

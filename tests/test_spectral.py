@@ -319,6 +319,8 @@ def _assert_plain(diag, off, fb):
     # the eigensolver's width: root_tol, scaled down by a Gershgorin bound below 1
     glo, ghi = gershgorin_bounds(diag, off)
     want, _ = plain_sturm_bisection(diag, off, fb.policy.root_tol * min(1.0, max(-glo, ghi)))
+    if glo == ghi:  # a point interval, c*I, is returned as it is, not widened and bisected
+        want = (glo,) * len(diag)
     assert eigensolve_tridiagonal(_tridiagonal(diag, off), fb) == want
 
 
@@ -419,6 +421,8 @@ def test_count_memory_matches_plain_bisection_under_any_seeds(fb):
         glo, ghi = gershgorin_bounds(diag, off)
         tol = fb.policy.root_tol * min(1.0, max(-glo, ghi))
         want, _ = plain_sturm_bisection(diag, off, tol)
+        if glo == ghi:  # a point interval, c*I, is returned as it is
+            want = (glo,) * len(diag)
         T = _tridiagonal(diag, off)
         for seeds in _seedings(diag, off, want, tol, rng):
             assert eigensolve_tridiagonal(T, fb, near=seeds) == want, (name, seeds)
@@ -558,6 +562,8 @@ def test_roundtrip_sturm_counts_are_pinned(fb, monkeypatch):
 def _assert_seeded(diag, off, fb, seeds):
     glo, ghi = gershgorin_bounds(diag, off)
     want, _ = plain_sturm_bisection(diag, off, fb.policy.root_tol * min(1.0, max(-glo, ghi)))
+    if glo == ghi:  # a point interval, c*I, is returned as it is
+        want = (glo,) * len(diag)
     assert eigensolve_tridiagonal(_tridiagonal(diag, off), fb, near=seeds) == want, (diag, seeds)
 
 
@@ -653,6 +659,76 @@ def test_roundtrip_precision_does_not_depend_on_units(fb, scale):
     for lam in spectra:
         spec = validate_spectrum(tuple(v * scale for v in lam))
         assert solve_roundtrip(spec, fb).max_error <= 1e-12
+
+
+# --- the one-loop Sturm kernels against their two-step form ---
+
+
+def _two_step_sturm_count(diag, off, x):
+    """``sturm_count`` with its first pivot, diag[0] - x, written out before the loop."""
+    count = 0
+    d = diag[0] - x
+    if d == 0.0:
+        d = spectral._zero_pivot(diag, off)
+    if d < 0:
+        count += 1
+    for a, b in zip(diag[1:], off):
+        d = (a - x) - b * b / d
+        if d == 0.0:
+            d = spectral._zero_pivot(diag, off)
+        if d < 0:
+            count += 1
+    return count
+
+
+def _two_step_newton(diag, off, t):
+    """``_newton`` with its first pivot and derivative written out before the loop."""
+    d = diag[0] - t
+    if d == 0.0:
+        return t
+    dp = -1.0
+    s = dp / d
+    for a, b in zip(diag[1:], off):
+        q = b * b / d
+        d, dp = (a - t) - q, -1.0 + q * dp / d
+        if d == 0.0:
+            return t
+        s += dp / d
+    x = t - 1.0 / s if s != 0.0 else t
+    return x if abs(x - t) <= 1e-3 * abs(t) else t
+
+
+def _two_step_cases(fb):
+    """(diag, off, points): random bands n = 1..48 at their eigenvalues, off
+    them by 1e-6 and at random points; exactly zero first pivots, a -0.0
+    diagonal, codiagonals whose squares lie near the ends of the normal range,
+    and the 1e-150 band whose first Newton pivot squares to 0.0."""
+    rng = random.Random(5100)
+    for n in range(1, 49):
+        diag, off = _random_jacobi(rng, n)
+        glo, ghi = gershgorin_bounds(diag, off)
+        eigs = tridiagonal_eigenvalues(diag, off, fb)
+        yield diag, off, [*eigs, *(v * (1 + 1e-6) for v in eigs), *(rng.uniform(glo, ghi) for _ in eigs)]
+    for diag, off in (([2.0, 1.0, 3.0], [1.0, 0.5]), ([0.0, 0.0], [1.0]), ([-0.0, 1.0, -0.0], [2.0, 1.0])):
+        yield diag, off, [diag[0], 0.0, -0.0, 1.0, -1.0]
+    for b in (1.5e-154, 2e-154, 1e154, 1.3e154):
+        diag = [b, -b, 0.5 * b, 2 * b]
+        yield diag, [b] * 3, [*tridiagonal_eigenvalues(diag, [b] * 3, fb), b, 1e-3 * b]
+    T = build_jacobi_special(CoefficientVector((1e-150, 1e-150)), fb)
+    t = math.nextafter(1e-150, 1.0)
+    yield [T.entries[0][0], T.entries[1][1]], [T.entries[0][1]], [t, 1e-150, 2e-150]
+
+
+def test_one_loop_kernels_equal_their_two_step_form_bit_for_bit(fb):
+    moved = 0
+    for diag, off, points in _two_step_cases(fb):
+        for x in [*points, math.inf, -math.inf, math.nan]:
+            got, want = sturm_count(diag, off, x), _two_step_sturm_count(diag, off, x)
+            assert repr(got) == repr(want), (diag, off, x)
+            got, want = spectral._newton(diag, off, x), _two_step_newton(diag, off, x)
+            assert repr(got) == repr(want), (diag, off, x)
+            moved += repr(got) != repr(x)
+    assert moved > 1000  # most Newton steps are taken, not refused
 
 
 # --- class-plus power from the theorem against power-by-power enumeration ---
