@@ -95,26 +95,28 @@ def eigensolve_tridiagonal(T: StructuredMatrix, backend: Backend, near=()):
     return tridiagonal_eigenvalues(*_extract_tridiagonal(T), backend, near)
 
 
-_LADDER = tuple((1 - 10.0**e, 1 + 10.0**e) for e in range(-15, 0, 2))
+_LADDER = (0.0, 2.0**-52, *(10.0**e for e in range(-15, 0, 2)))
 
 
 def tridiagonal_eigenvalues(diag, off, backend: Backend, near=()):
-    """Eigenvalues of the symmetric tridiagonal matrix (diag, off), ascending; the
-    k-th is where the Sturm count steps from k-1 to k, bisected from the Gershgorin
-    interval to width <= root_tol * min(1, largest Gershgorin bound modulus), so a
-    matrix of small entries keeps its relative precision.
+    """Eigenvalues of the symmetric tridiagonal matrix (diag, off), ascending.  The
+    k-th is where the float64 Sturm count steps past k: the adjacent floats a < b
+    in the Gershgorin interval [glo, ghi] with count(a) <= k < count(b), the count
+    read as 0 at glo and n at ghi (rounding can put a step just outside, as for
+    diag (1, 1), off (0.5,), whose eigenvalues are glo and ghi), returned as
+    0.5*a + 0.5*b (as a, if a == b: c*I returns c).  The float64 count is
+    monotone in x (Kahan 1966; Demmel, Dhillon & Ren, ETNA 3, 1995), so this is a
+    property of the float band alone: neither the seeds nor ``root_tol`` change it.
 
     A count memory keeps bounds lo[j] <= lambda_j < hi[j]: a Sturm count c at
-    x lowers hi[j] to x for j < c and raises lo[j] to x for j >= c.  The
-    float64 count is monotone in x (Kahan 1966; Demmel, Dhillon & Ren, ETNA 3,
-    1995), so a midpoint at or below lo[k] is decided low and one at or above
-    hi[k] high with no count, as a count would decide them: the eigenvalues are
-    bit-identical to plain bisection (but a point Gershgorin interval, c*I, is
-    returned as it is), each distinct midpoint is counted at most once, and
-    seeds only save counts.  ``near`` holds the expected eigenvalues:
-    the k-th smallest seed t takes two Newton steps on det(T - xI) (``_newton``)
-    and eigenvalue k is first decided at the pairs t(1 -+ eps), eps = 1e-15, 1e-13,
-    ..., 1e-1 (``_LADDER``), until [lo[k], hi[k]] lies within one: wider ones take no count.
+    x lowers hi[j] to x for j < c and raises lo[j] to x for j >= c.  ``near``
+    holds the expected eigenvalues: the k-th smallest seed t takes two Newton
+    steps on det(T - xI) (``_newton``) and eigenvalue k is first decided at t,
+    then at t(1 -+ eps), eps = 2**-52, 1e-15, 1e-13, ..., 1e-1 (``_LADDER``),
+    until [lo[k], hi[k]] lies within a pair: wider ones take no count.  Then
+    [lo[k], hi[k]] is bisected until no float lies inside it.  The worst case is
+    an eigenvalue at or near 0, bisected down through the exponent range: about
+    1200 counts for the exact 0 of diag (0, 0, 0), off (1, 1).
 
     Raises SquareOutOfRange if a nonzero codiagonal entry squares outside the
     normal float64 range, where the Sturm pivots lose precision or overflow."""
@@ -124,10 +126,8 @@ def tridiagonal_eigenvalues(diag, off, backend: Backend, near=()):
         if b != 0.0 and not sys.float_info.min <= b * b <= sys.float_info.max:
             raise SquareOutOfRange(f"codiagonal entry {b} squares to {b * b} in float64")
     glo, ghi = gershgorin_bounds(diag, off)
-    tol = backend.policy.root_tol * min(1.0, max(-glo, ghi))
     n = len(diag)
-    ends = (glo, ghi) if glo == ghi else (glo - tol, ghi + tol)
-    lo, hi = [ends[0]] * n, [ends[1]] * n
+    lo, hi = [glo] * n, [ghi] * n
 
     def count(x):
         c = sturm_count(diag, off, x)
@@ -140,26 +140,18 @@ def tridiagonal_eigenvalues(diag, off, backend: Backend, near=()):
 
     for k, t in enumerate(sorted(near)[:n]):
         t = _newton(diag, off, _newton(diag, off, t))
-        for f, g in _LADDER:
-            x, y = t * f, t * g
+        for eps in _LADDER:
+            x, y = t * (1 - eps), t * (1 + eps)
             for z in (x, y):
                 if lo[k] < z < hi[k]:
                     count(z)
             if lo[k] >= min(x, y) and hi[k] <= max(x, y):
                 break
     out = []
-    for k in range(n):
-        a, b = ends  # plain bisection, each pass halves the bracket or stops
-        lk, hk = lo[k], hi[k]
-        while b - a > tol:
-            mid = 0.5 * a + 0.5 * b
-            if mid == a or mid == b:
-                break
-            if lk < mid < hk:
-                count(mid)
-                lk, hk = lo[k], hi[k]
-            a, b = (a, mid) if mid >= hk else (mid, b)
-        out.append(a if a == b else 0.5 * a + 0.5 * b)
+    for k in range(n):  # each count moves lo[k] or hi[k] to mid
+        while lo[k] < (mid := 0.5 * lo[k] + 0.5 * hi[k]) < hi[k]:
+            count(mid)
+        out.append(mid if lo[k] < hi[k] else lo[k])  # c*I: 0.5*c + 0.5*c rounds a subnormal
     return tuple(out)
 
 

@@ -11,7 +11,7 @@ It takes no options.  pytest does not collect it (its name does not start
 with ``test_``).  The requests are the benchmark's three workload mixes at
 seeds 1-3, every command in every format (also at n = 1, and a float64
 forward pass that overflows), edge and error inputs, the accuracy
-ladder, the scaled, near-range and subnormal spectra, and ``verify-all``.
+ladder, the scaled, near-range, subnormal and graded spectra, and ``verify-all``.
 """
 
 from __future__ import annotations
@@ -130,6 +130,14 @@ def requests():
     for spectrum in near_range + subnormal:
         reqs += [["solve", "--roundtrip", "--spectrum=" + spectrum],
                  ["roundtrip", "--spectrum=" + spectrum]]
+    graded = {  # spectrum: the a that float64 solve returns for it
+        "1,-1e-5,1e-10": "0.9999900001,0.0031622618487405483,3.162293471517151e-08",
+        "1,-0.5,1e-9": "0.500000001,0.7071067801258873,3.162277657006102e-05",
+        "1,-1e-4,1e-8,-1e-12": "0.9999000099990001,0.009999500037496875,9.999999949995e-07,"
+                               "1.0000499987500624e-10",
+    }
+    for spectrum, a in graded.items():
+        reqs += [["roundtrip", "--spectrum=" + spectrum], ["forward", "--eigs", "--a=" + a]]
 
     for n in range(8, 97, 8):  # the accuracy ladder, up to the sampler's largest n
         for i in range(2):

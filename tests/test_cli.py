@@ -340,7 +340,7 @@ _VERIFY_ALL_PINNED = {
     "sizes": [1, 2, 3, 4, 5, 13],
     "results": [
         {"battery": "roundtrip", "passed": True,
-         "detail": "worst relative eigenvalue error 2.231e-13"},
+         "detail": "worst relative eigenvalue error 2.145e-14"},
         {"battery": "recurrence-equivalence", "passed": True,
          "detail": "p- and q-systems agree exactly"},
         {"battery": "sigma-inequality", "passed": True,
@@ -611,6 +611,13 @@ def test_float_roundtrip_text_is_pinned(capsys, name):
     # every recovered eigenvalue, which the eigensolve computes
     args = ["roundtrip", "--spectrum=" + _PINNED_FLOAT_SPECTRA[name]]
     _assert_pinned(capsys, args, f"float-roundtrip-{name}.json")
+
+
+def test_float_roundtrip_graded_text_is_pinned(capsys):
+    # moduli from 1 down to 1e-12: each recovered eigenvalue is right to its
+    # own scale, so max_error reads a few ulps
+    _assert_pinned(capsys, ["roundtrip", "--spectrum=1,-1e-4,1e-8,-1e-12"],
+                   "float-roundtrip-graded.json")
 
 
 @pytest.mark.parametrize("name", list(_PINNED_FLOAT_SPECTRA))

@@ -315,12 +315,14 @@ def _random_jacobi(rng, n):
     return [rng.uniform(-5.0, 5.0) for _ in range(n)], [rng.uniform(0.05, 3.0) for _ in range(n - 1)]
 
 
+def _canonical(diag, off):
+    """Plain bisection at width 0: each eigenvalue bisected down to the adjacent
+    floats where the Sturm count steps (a point interval, c*I, gives c)."""
+    return plain_sturm_bisection(diag, off, 0.0, max_iter=5000)
+
+
 def _assert_plain(diag, off, fb):
-    # the eigensolver's width: root_tol, scaled down by a Gershgorin bound below 1
-    glo, ghi = gershgorin_bounds(diag, off)
-    want, _ = plain_sturm_bisection(diag, off, fb.policy.root_tol * min(1.0, max(-glo, ghi)))
-    if glo == ghi:  # a point interval, c*I, is returned as it is, not widened and bisected
-        want = (glo,) * len(diag)
+    want, _ = _canonical(diag, off)
     assert eigensolve_tridiagonal(_tridiagonal(diag, off), fb) == want
 
 
@@ -362,7 +364,7 @@ def test_shared_brackets_count_each_midpoint_once(fb, monkeypatch):
             B = build_jacobi_special(solve(lam, fb).coefficient_vector, fb)
             diag = [B.entries[i][i] for i in range(n)]
             off = [B.entries[i][i + 1] for i in range(n - 1)]
-            _, mids = plain_sturm_bisection(diag, off, fb.policy.root_tol)
+            _, mids = _canonical(diag, off)
             calls.clear()
             eigensolve_tridiagonal(B, fb)
             assert sorted(calls) == sorted(set(mids))
@@ -419,10 +421,8 @@ def test_count_memory_matches_plain_bisection_under_any_seeds(fb):
     rng = random.Random(4700)
     for name, (diag, off) in _count_memory_families():
         glo, ghi = gershgorin_bounds(diag, off)
-        tol = fb.policy.root_tol * min(1.0, max(-glo, ghi))
-        want, _ = plain_sturm_bisection(diag, off, tol)
-        if glo == ghi:  # a point interval, c*I, is returned as it is
-            want = (glo,) * len(diag)
+        tol = fb.policy.root_tol * min(1.0, max(-glo, ghi))  # the seeds' offsets
+        want, _ = _canonical(diag, off)
         T = _tridiagonal(diag, off)
         for seeds in _seedings(diag, off, want, tol, rng):
             assert eigensolve_tridiagonal(T, fb, near=seeds) == want, (name, seeds)
@@ -495,7 +495,8 @@ def test_seeds_cut_the_sturm_counts_of_the_roundtrip_at_n48(fb, monkeypatch):
             counts[seeded] += len(calls)
         assert eigs[True] == eigs[False]
     assert counts[True] <= 0.15 * counts[False]
-    # about two per eigenvalue: the polished seed's pair at 1e-15 brackets it
+    # about two and a half per eigenvalue: a count at the polished seed and its
+    # pair at 2**-52 bracket it within a few floats, which one or two more split
     assert counts[True] <= 3 * 48 * 10
 
 
@@ -541,7 +542,9 @@ def test_kernel_on_the_band_equals_the_dense_eigensolve(fb):
 
 def test_roundtrip_sturm_counts_are_pinned(fb, monkeypatch):
     """The seeded eigensolves of the f64-roundtrip workload's first 100
-    spectra at seed 1 take 5591 counts: a kernel change that adds any shows."""
+    spectra at seed 1 take 6501 counts: a kernel change that adds any shows.
+    A bisection to width root_tol took 5591; bisecting each bracket down to
+    adjacent floats also splits the last few floats that width left inside."""
     calls = [0]
     real = spectral.sturm_count
 
@@ -553,17 +556,78 @@ def test_roundtrip_sturm_counts_are_pinned(fb, monkeypatch):
     for i in range(100):
         n = (8, 16, 24, 32, 48)[i % 5]
         solve_roundtrip(validate_spectrum(random_spectrum(case_rng(1, "f64-roundtrip", i), n)), fb)
-    assert calls[0] == 5591
+    assert calls[0] == 6501
+
+
+# --- what each eigenvalue is, with no oracle ---
+
+
+def _assert_count_steps(diag, off, eig):
+    # the float below e_k counts at most k eigenvalues, the float above more,
+    # with the count read as 0 at the Gershgorin interval's lower end and below
+    # and as n at its upper end and above
+    glo, ghi = gershgorin_bounds(diag, off)
+
+    def count(x):
+        return 0 if x <= glo else len(diag) if x >= ghi else sturm_count(diag, off, x)
+
+    for k, e in enumerate(eig):
+        below, above = count(math.nextafter(e, -math.inf)), count(math.nextafter(e, math.inf))
+        assert below <= k < above, (diag, off, k, e)
+
+
+def _step_bands(fb):
+    """Random bands, the count-memory families and the band of every
+    f64-roundtrip workload J, each with its seed lists: none, random ones and,
+    for a workload J, the prescribed spectrum."""
+    rng = random.Random(4900)
+    bands = [_random_jacobi(rng, n) for n in (1, 2, 3, 8, 21, 48) for _ in range(2)]
+    bands += [band for _, band in _count_memory_families()]
+    # eigenvalues 0.5 and 1.5 are the Gershgorin ends, and the float count
+    # steps below 0.5: count(0.5) is 1, and so is count(nextafter(0.5, 0))
+    bands.append(([1.0, 1.0], [0.5]))
+    for diag, off in bands:
+        glo, ghi = gershgorin_bounds(diag, off)
+        yield diag, off, ((), [rng.uniform(glo, ghi) for _ in diag], [0.0] * len(diag))
+    for lam in _roundtrip_spectra():
+        try:
+            a = solve(validate_spectrum(lam), fb).coefficient_vector
+        except AntibidiagError:
+            continue
+        diag, off = jacobi_tridiagonal(a, fb)
+        yield diag, off, ((), lam)
+
+
+def test_each_eigenvalue_is_where_its_sturm_count_steps(fb):
+    for diag, off, seedings in _step_bands(fb):
+        for seeds in seedings:
+            _assert_count_steps(diag, off, tridiagonal_eigenvalues(diag, off, fb, near=seeds))
+
+
+def test_an_exactly_zero_eigenvalue_bisects_through_the_subnormals(fb, monkeypatch):
+    # eigenvalues -sqrt(2), 0, sqrt(2): the middle one is bracketed down to 0.0
+    # by counts at ever smaller subnormals, the costliest case of the kernel
+    calls = []
+    real = spectral.sturm_count
+    monkeypatch.setattr(spectral, "sturm_count", lambda d, o, x: calls.append(x) or real(d, o, x))
+    eig = tridiagonal_eigenvalues([0.0] * 3, [1.0] * 2, fb)
+    assert repr(eig[1]) == "0.0" and len(calls) <= 2200
+    _assert_count_steps([0.0] * 3, [1.0] * 2, eig)
+
+
+@pytest.mark.parametrize("spectrum", ["1,-1e-5,1e-10", "1,-0.5,1e-9", "1,-1e-4,1e-8,-1e-12"])
+def test_a_graded_spectrum_reports_its_true_round_trip_error(fb, spectrum):
+    # a is right to about 1e-16 here, and so is the float J's spectrum; the
+    # report must not add an error of its own on the smallest eigenvalue
+    lam = validate_spectrum(tuple(map(float, spectrum.split(","))))
+    assert solve_roundtrip(lam, fb).max_error <= 1e-15
 
 
 # --- Newton-polished seeds: they never raise and never change a result ---
 
 
 def _assert_seeded(diag, off, fb, seeds):
-    glo, ghi = gershgorin_bounds(diag, off)
-    want, _ = plain_sturm_bisection(diag, off, fb.policy.root_tol * min(1.0, max(-glo, ghi)))
-    if glo == ghi:  # a point interval, c*I, is returned as it is
-        want = (glo,) * len(diag)
+    want, _ = _canonical(diag, off)
     assert eigensolve_tridiagonal(_tridiagonal(diag, off), fb, near=seeds) == want, (diag, seeds)
 
 
