@@ -23,6 +23,7 @@ from pathlib import Path
 
 from . import errors as err
 from .inversesolver import (
+    ROUNDTRIP_TOL,
     PositiveTuple,
     check_sigma_inequality,
     jacobi_sqrt,
@@ -253,7 +254,7 @@ def _cmd_solve(args, backend, out) -> int:
     trace = solve(spectrum, backend) if result is None else result.trace
     forward = forward_q_squared(trace.a1, trace.a_squared, backend)
     A = B = None
-    warnings = list(trace.warnings)
+    warnings = list(trace.warnings if result is None else result.warnings)
     if backend.exact:
         max_residual = "0" if forward.same_top(trace.chain) else "1"
     else:
@@ -314,7 +315,7 @@ def _cmd_roundtrip(args, backend, out) -> int:
         "a": result.trace.a,
         "recovered": result.recovered,
         "max_error": result.max_error,
-        "warnings": result.trace.warnings,
+        "warnings": result.warnings,
     }
     _emit(report, args.format, out)
     return EXIT_OK
@@ -395,7 +396,7 @@ def _battery_roundtrip(seed, sizes, cases, backend):
         worst = max(worst, res.max_error)
         if n > 1 and len(res.trace.certificates) != n - 1:
             return False, f"incomplete interlacing chain at n={n}"
-    return worst <= 1e-8, f"worst relative eigenvalue error {worst:.3e}"
+    return worst <= ROUNDTRIP_TOL, f"worst relative eigenvalue error {worst:.3e}"
 
 
 def _battery_recurrence(seed, sizes, cases):

@@ -48,6 +48,10 @@ from .spectral import relative_spectrum_error, tridiagonal_eigenvalues
 # spectrum scales a by the same factor, so the test must be relative.
 GAP_WARN_RATIO = 1e-6
 
+# A round trip whose worst relative eigenvalue error exceeds this draws a
+# warning; it is also the bound of verify-all's roundtrip battery.
+ROUNDTRIP_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -180,12 +184,33 @@ class ReconstructionTrace:
         return self._checks[1]
 
     @cached_property
+    def _notes(self) -> tuple:
+        """The two a-priori warnings, each () or a one-tuple: a coefficient of
+        q_n below the normal float64 range (the spectrum's products
+        underflowed), and a minimum modulus gap below GAP_WARN_RATIO * lambda_1.
+        A measured check's warning goes between them."""
+        n, lam1 = self.spectrum.n, float(self.spectrum.lambdas[0])
+        qn, underflow, small_gap = self.qs[n].coeffs, (), ()
+        j = next((j for j, c in enumerate(qn) if abs(c) < sys.float_info.min), None)
+        if j is not None and n > 1:  # q_1 = x - lambda_1 is read off, not reconstructed
+            underflow = (
+                f"q_{n} coefficient {j} = {qn[j]:.3e} is below the normal float64 range; "
+                "the reconstruction may have lost precision",
+            )
+        gap = self.spectrum.min_modulus_gap()
+        if gap is not None and float(gap) < GAP_WARN_RATIO * lam1:
+            small_gap = (
+                f"minimum modulus gap {float(gap):.3e} is below {GAP_WARN_RATIO} * lambda_1; "
+                "reconstruction is ill-conditioned, consider --backend rational",
+            )
+        return underflow, small_gap
+
+    @cached_property
     def _checks(self):
         """The interlacing chain at width root_tol * min(1, lambda_1), never below
         the least subnormal, as the eigensolver scales its width; then the
-        warnings: a coefficient of q_n below the normal float64 range (the
-        spectrum's products underflowed), a level that fails, which cuts the
-        chain, and a minimum modulus gap below GAP_WARN_RATIO * lambda_1.
+        warnings: a level that fails, which cuts the chain, between the two
+        ``_notes``.
 
         q_k, k < n, has the parity of k, exactly under ``MonicPoly.evaluate``, so
         only its upper floor(k/2) roots are kept, as sign-change brackets.  Level k
@@ -197,16 +222,9 @@ class ReconstructionTrace:
         chain width is a point."""
         if self.backend.exact:
             return (None, (), ()), ()
-        kept, warns = [], []
+        kept, failed = [], ()
         lam1, n = float(self.spectrum.lambdas[0]), self.spectrum.n
         tol = max(self.backend.policy.root_tol * min(1.0, lam1), math.ulp(0.0))
-        qn = self.qs[n].coeffs
-        j = next((j for j, c in enumerate(qn) if abs(c) < sys.float_info.min), None)
-        if j is not None and n > 1:  # q_1 = x - lambda_1 is read off, not reconstructed
-            warns.append(
-                f"q_{n} coefficient {j} = {qn[j]:.3e} is below the normal float64 range; "
-                "the reconstruction may have lost precision"
-            )
         lam = tuple(sorted(map(float, self.spectrum.lambdas)))
         outer, f = [[x, x, None, None] for x in lam[n - 1 - (n - 1) // 2 :]], None
         for k in range(n - 1, 0, -1):
@@ -234,17 +252,12 @@ class ReconstructionTrace:
                 if not lam[j] < -b[0] < lam[j + 1]:
                     failure = "interlacing violated"
             if failure:
-                warns.append(f"level {k}: {failure}")
+                failed = (f"level {k}: {failure}",)
                 break
             kept.append((k, q, inner))
             outer, f = [[0.0, 0.0, None, None]] * (k % 2) + inner, q
-        gap = self.spectrum.min_modulus_gap()
-        if gap is not None and float(gap) < GAP_WARN_RATIO * lam1:
-            warns.append(
-                f"minimum modulus gap {float(gap):.3e} is below {GAP_WARN_RATIO} * lambda_1; "
-                "reconstruction is ill-conditioned, consider --backend rational"
-            )
-        return (tol, lam, tuple(kept)), tuple(warns)
+        underflow, small_gap = self._notes
+        return (tol, lam, tuple(kept)), underflow + failed + small_gap
 
 
 def solve(spectrum: Spectrum, backend: Backend) -> ReconstructionTrace:
@@ -302,6 +315,16 @@ class RoundtripResult:
     trace: ReconstructionTrace
     recovered: tuple
     max_error: float
+
+    @property
+    def warnings(self) -> tuple:
+        """The trace's two notes around the measured error, in the interlacing
+        chain's place: a correct a reproduces the spectrum, so the round trip
+        measures the error that the chain only infers from q_k's rounding."""
+        underflow, small_gap = self.trace._notes
+        err = self.max_error
+        measured = () if err <= ROUNDTRIP_TOL else (f"round-trip error {err:.3e} exceeds {ROUNDTRIP_TOL:g}",)
+        return underflow + measured + small_gap
 
 
 def solve_roundtrip(spectrum: Spectrum, backend: Backend) -> RoundtripResult:

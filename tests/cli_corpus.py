@@ -11,7 +11,8 @@ It takes no options.  pytest does not collect it (its name does not start
 with ``test_``).  The requests are the benchmark's three workload mixes at
 seeds 1-3, every command in every format (also at n = 1, and a float64
 forward pass that overflows), edge and error inputs, the accuracy
-ladder, the scaled, near-range, subnormal and graded spectra, and ``verify-all``.
+ladder, the scaled, near-range, subnormal and graded spectra, ``verify-all``,
+and ``roundtrip`` in every format on the spectra with the largest errors.
 """
 
 from __future__ import annotations
@@ -158,6 +159,12 @@ def requests():
     for seed in ("0", "1"):
         for fmt in ("json", "pretty"):
             reqs.append(["verify-all", "--cases", "5", "--seed", seed, "--format", fmt])
+
+    # roundtrip where its error is largest: the f64-roundtrip n = 48 spectra
+    # at seed 1 and the ladder spectrum that solves wrong by 1e-2
+    spectra = [r.spectrum for r in WORKLOADS["f64-roundtrip"].requests(1, 100) if r.n == 48]
+    for spectrum in (*spectra, random_spectrum(case_rng(11, "ladder64", 22), 64)):
+        reqs += _every_format(["roundtrip", "--spectrum=" + _join(spectrum)])
     return reqs
 
 

@@ -726,6 +726,33 @@ def test_float_csv_and_pretty_texts_are_pinned(capsys, command, name, fmt):
     _assert_pinned(capsys, args, f"float-{command}-{name}.{fmt}")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "pretty"])
+def test_float_roundtrip_n48_csv_and_pretty_are_pinned(capsys, fmt):
+    # its round-trip error is 6.2e-8, so every renderer prints the warning
+    args = [*_pinned_float_args("roundtrip", "n48"), "--format", fmt]
+    _assert_pinned(capsys, args, f"float-roundtrip-n48.{fmt}")
+
+
+@pytest.mark.parametrize("command", [["solve", "--roundtrip"], ["roundtrip"]])
+@pytest.mark.parametrize(
+    "spectrum, warnings",
+    [
+        # wrong by 1e-2, and the interlacing chain finds nothing on it
+        (",".join(map(repr, random_spectrum(case_rng(11, "ladder64", 22), 64))),
+         ["round-trip error 1.009e-02 exceeds 1e-08"]),
+        # accurate to a few ulps: only the flat gap note
+        ("1,-1e-4,1e-8,-1e-12",
+         ["minimum modulus gap 9.999e-09 is below 1e-06 * lambda_1; "
+          "reconstruction is ill-conditioned, consider --backend rational"]),
+        ("3e-9,-2e-9,1e-9", []),
+    ],
+    ids=["ladder64", "graded", "tiny"],
+)
+def test_round_trip_reports_warn_on_their_measured_error(command, spectrum, warnings):
+    code, text = run([*command, "--spectrum=" + spectrum])
+    assert code == 0 and json.loads(text)["warnings"] == warnings
+
+
 _PINNED_RATIONAL_A = {"worked": "2,1/3,3", "n5": "3/2,5,7/3,1/4,2"}
 
 

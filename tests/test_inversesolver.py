@@ -448,6 +448,20 @@ class TestChecksOnRead:
         assert main(args, out=io.StringIO()) == 0
         assert calls == []
 
+    def test_round_trip_reports_run_no_chain_until_it_is_read(self, fb, monkeypatch):
+        # they warn on the error they measure, so they evaluate no level below q_n
+        lam = validate_spectrum(random_spectrum(case_rng(1, "f64-roundtrip", 4), 48))
+        degrees = []
+        _record_evaluations(monkeypatch, degrees.append)
+        for command in (["solve", "--roundtrip"], ["roundtrip"]):
+            argv = [*command, "--spectrum=" + ",".join(map(repr, lam.lambdas))]
+            assert main(argv, out=io.StringIO()) == 0
+        res = solve_roundtrip(lam, fb)
+        assert res.warnings == ("round-trip error 6.245e-08 exceeds 1e-08",)
+        assert not any(p.degree < 48 for p in degrees)
+        assert len(res.trace.certificates) == 47 and res.trace.warnings == ()
+        assert {p.degree for p in degrees} >= set(range(1, 48))
+
     def test_a_level_without_a_sign_change_cuts_the_chain(self, fb, monkeypatch):
         # x^2 + 1 has no real root, so level 2 finds no sign change
         qs = inversesolver.ReconstructionTrace.qs.fget
