@@ -148,6 +148,8 @@ def _load_input(path: Path, backend: Backend, keys):
             doc = json.loads(text)
             for key in keys:
                 if key in doc:
+                    if not isinstance(doc[key], list):  # a string would be read per character
+                        raise err.UsageError(f"key {key!r} of {path} is not a JSON array")
                     return key, tuple(_parse_token(str(v), backend) for v in doc[key])
             raise err.SizeMismatch(f"input file has no key {' or '.join(map(repr, keys))}")
     except (OSError, ValueError, TypeError) as exc:

@@ -21,6 +21,7 @@ from functools import cached_property
 
 from .errors import (
     BackendUnsupported,
+    DuplicateRoots,
     EmptyInput,
     NonFiniteA,
     NonFiniteValue,
@@ -351,9 +352,11 @@ def jacobi_sqrt(mus: PositiveTuple, backend: Backend) -> SqrtResult:
     of the square roots of the prescribed positive spectrum, solve, and square."""
     if backend.exact:
         raise BackendUnsupported("square roots need the floating backend")
-    lam = tuple(
-        (-1) ** j * backend.sqrt(backend.convert(m)) for j, m in enumerate(mus.mus)
-    )
+    lam = tuple((-1) ** j * backend.sqrt(backend.convert(m)) for j, m in enumerate(mus.mus))
+    if k := next((k for k in range(1, len(lam)) if lam[k - 1] == -lam[k]), 0):
+        raise DuplicateRoots(  # sqrt is monotone: only its rounding ties two roots
+            f"mu_{k} = {mus.mus[k - 1]} and mu_{k + 1} = {mus.mus[k]} share one float64 square root"
+        )
     spectrum = validate_spectrum(lam)
     trace = solve(spectrum, backend)
     a = trace.coefficient_vector

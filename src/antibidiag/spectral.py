@@ -8,7 +8,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, ulp
 
 from .errors import (
     BackendUnsupported,
@@ -23,9 +23,8 @@ from .scalars import Backend
 
 MINOR_ENUM_GUARD = 10**7
 
-# Pivot-underflow guard for the Sturm count (zero pivots become a tiny
-# negative, the conventional limiting choice).
-_TINY = 1e-300
+# An exactly-zero Sturm pivot becomes the nearest negative float, the limit d -> 0-.
+_ZERO_PIVOT = -ulp(0.0)
 
 
 def _extract_tridiagonal(T: StructuredMatrix):
@@ -40,23 +39,17 @@ def _extract_tridiagonal(T: StructuredMatrix):
     return [float(M[i][i]) for i in range(n)], [float(M[i][i + 1]) for i in range(n - 1)]
 
 
-def _zero_pivot(diag, off) -> float:
-    """The value an exactly-zero pivot is replaced with: -_TINY times the
-    largest entry modulus, at least 1."""
-    return -_TINY * max(1.0, max(abs(d) for d in diag), max((abs(e) for e in off), default=0.0))
-
-
 def sturm_count(diag, off, x: float) -> int:
     """Number of eigenvalues strictly below x, from the shifted LDL^T pivot signs.
 
-    The scale of the zero-pivot replacement is computed only when a pivot is
-    exactly 0.0, so the common call does no O(n) ``max``; the counts are
-    bit-identical to computing the scale on every call."""
+    An exactly-zero pivot is taken as -5e-324, the limit d -> 0- with no float
+    between: the stored pivot is nondecreasing in the computed one, so the count
+    is monotone in x, unless a - x overflows (diagonal entries near +-1.7e308)."""
     count, d = 0, 1.0  # a sentinel pivot over a zero codiagonal: the first is diag[0] - x
     for a, b in zip(diag, (0.0, *off)):
         d = (a - x) - b * b / d
         if d == 0.0:
-            d = _zero_pivot(diag, off)
+            d = _ZERO_PIVOT
         if d < 0:
             count += 1
     return count
@@ -104,9 +97,10 @@ def tridiagonal_eigenvalues(diag, off, backend: Backend, near=()):
     in the Gershgorin interval [glo, ghi] with count(a) <= k < count(b), the count
     read as 0 at glo and n at ghi (rounding can put a step just outside, as for
     diag (1, 1), off (0.5,), whose eigenvalues are glo and ghi), returned as
-    0.5*a + 0.5*b (as a, if a == b: c*I returns c).  The float64 count is
-    monotone in x (Kahan 1966; Demmel, Dhillon & Ren, ETNA 3, 1995), so this is a
-    property of the float band alone: neither the seeds nor ``root_tol`` change it.
+    0.5*a + 0.5*b (as a, if a == b: c*I returns c).  With an exactly-zero pivot
+    taken as -5e-324 the float64 count is monotone in x (Kahan 1966; Demmel,
+    Dhillon & Ren, ETNA 3, 1995), so this is a property of the float band alone:
+    neither the seeds nor ``root_tol`` change it.
 
     A count memory keeps bounds lo[j] <= lambda_j < hi[j]: a Sturm count c at
     x lowers hi[j] to x for j < c and raises lo[j] to x for j >= c.  ``near``

@@ -119,6 +119,7 @@ def requests():
         ["sqrt", "--mus", "1,4"],
         ["sqrt", "--mus", "1e-200,1e-201"],
         ["sqrt", "--mus", "1e300,1"],
+        ["sqrt", "--mus", "3,2.9999999999999996"],
         ["signreg", "--a", "1,2,3,4,5,6,7,8,9,10,11,12,13"],
         ["verify-all", "--sizes", "0"],
         ["verify-all", "--sizes", ""],

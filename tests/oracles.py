@@ -145,7 +145,6 @@ def plain_sturm_bisection(diag, off, tol, max_iter=200):
     comparable bit for bit.  Returns the eigenvalues and the list of every
     midpoint a count was taken at."""
     n = len(diag)
-    scale = max(1.0, max(abs(d) for d in diag), max((abs(e) for e in off), default=0.0))
 
     def count(x):
         c = 0
@@ -154,7 +153,7 @@ def plain_sturm_bisection(diag, off, tol, max_iter=200):
             if i:
                 d = (diag[i] - x) - off[i - 1] * off[i - 1] / d
             if d == 0.0:
-                d = -1e-300 * scale
+                d = -5e-324
             if d < 0:
                 c += 1
         return c

@@ -272,6 +272,15 @@ def test_sqrt_whose_codiagonal_squares_underflow_is_a_breakdown(capsys):
     assert "[SquareOutOfRange]" in capsys.readouterr().err
 
 
+def test_sqrt_whose_square_roots_round_to_one_float_is_a_breakdown(capsys):
+    # the tuple is strictly decreasing, but both square roots are 1.7320508075688772
+    code, text = run(["sqrt", "--mus", "3,2.9999999999999996"])
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert "[DuplicateRoots]: mu_1 = 3.0 and mu_2 = 2.9999999999999996" in err
+    assert "lambda" not in err
+
+
 def test_sqrt_whose_codiagonal_squares_overflow_is_a_breakdown(capsys):
     # J = A A has the codiagonal entry 1e225, which squares to inf
     code, text = run(["sqrt", "--mus", "1e300,1"])
@@ -522,6 +531,18 @@ def test_input_without_the_commands_key_is_a_usage_error(tmp_path, capsys, comma
     code, text = run([command, "--input", _input_file(tmp_path, doc)])
     assert code == 3 and text == ""
     assert "[SizeMismatch]: input file has no key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [("forward", {"a": "12"}), ("solve", {"spectrum": 3}), ("sqrt", {"mus": {"1": 9}})],
+)
+def test_input_key_that_is_not_an_array_is_a_usage_error(tmp_path, capsys, command, doc):
+    # a string would otherwise be read one character at a time: "12" as a = (1, 2)
+    code, text = run([command, "--input", _input_file(tmp_path, doc)])
+    assert code == 3 and text == ""
+    key = next(iter(doc))
+    assert f"[UsageError]: key '{key}' of " in capsys.readouterr().err
 
 
 def test_readme_cli_examples_exit_0():

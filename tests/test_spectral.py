@@ -429,10 +429,21 @@ def test_count_memory_matches_plain_bisection_under_any_seeds(fb):
 
 
 def test_count_memory_families_reach_exact_zero_pivots(fb, monkeypatch):
-    # the integer matrices must exercise the zero-pivot rule on the seeded path
+    # the integer matrices must exercise the zero-pivot rule on the seeded path:
+    # each count's pivots are replayed and every exactly-zero one is recorded
     hits = []
-    real = spectral._zero_pivot
-    monkeypatch.setattr(spectral, "_zero_pivot", lambda d, o: hits.append(1) or real(d, o))
+    real = spectral.sturm_count
+
+    def replayed(diag, off, x):
+        d = 1.0
+        for a, b in zip(diag, (0.0, *off)):
+            d = (a - x) - b * b / d
+            if d == 0.0:
+                hits.append(x)
+                d = spectral._ZERO_PIVOT
+        return real(diag, off, x)
+
+    monkeypatch.setattr(spectral, "sturm_count", replayed)
     for name, (diag, off) in _count_memory_families():
         if name.startswith("integer"):
             eigensolve_tridiagonal(_tridiagonal(diag, off), fb, near=[0.0] * len(diag))
@@ -623,6 +634,63 @@ def test_a_graded_spectrum_reports_its_true_round_trip_error(fb, spectrum):
     assert solve_roundtrip(lam, fb).max_error <= 1e-15
 
 
+# --- the zero-pivot rule: a monotone count, and eigenvalues no seed changes ---
+
+# entries that make exactly-zero pivots meet tiny and huge codiagonal squares;
+# every codiagonal square lies in the normal float64 range
+_WIDE_DIAG = (0.0, 1.0, -1.0, 0.5, 2.0, 1e-150, -1e-150, 1e154, -1e154, 1e-300)
+_WIDE_OFF = (1.0, 0.5, 1e-150, 1e-17, 1e150, 3e-152, 1e-100, 1e154, 1.3e154)
+
+
+def _wide_bands(draws):
+    rng = random.Random(11)
+    for _ in range(draws):
+        n = rng.randint(2, 5)
+        yield [rng.choice(_WIDE_DIAG) for _ in range(n)], [rng.choice(_WIDE_OFF) for _ in range(n - 1)]
+
+
+def test_sturm_count_is_monotone_on_bands_of_tiny_and_huge_entries():
+    # the 7 consecutive floats around 0.0, each Gershgorin end and each
+    # diagonal entry, where exactly-zero pivots fall
+    for diag, off in _wide_bands(20000):
+        for x in (0.0, *gershgorin_bounds(diag, off), *diag):
+            _assert_monotone_around(diag, off, x, steps=3)
+
+
+def test_no_seed_changes_an_eigenvalue_on_bands_of_tiny_and_huge_entries(fb):
+    for diag, off in _wide_bands(300):
+        want = tridiagonal_eigenvalues(diag, off, fb)
+        for seeds in ([v * (1 + 1e-9) for v in want], [v * (1 - 1e-6) for v in want], [0.0] * len(diag)):
+            assert tridiagonal_eigenvalues(diag, off, fb, near=seeds) == want, (diag, off, seeds)
+
+
+def _exact_count(diag, off, x):
+    """Eigenvalues of (diag, off) strictly below x, from the signs of the LDL^T
+    pivots of T - xI in rational arithmetic; no pivot may be exactly zero."""
+    x, count = Fraction(x), 0
+    for i, a in enumerate(diag):
+        d = Fraction(a) - x - (Fraction(off[i - 1]) ** 2 / d if i else 0)
+        assert d != 0, (diag, off, x)
+        count += d < 0
+    return count
+
+
+def test_eigenvalues_lie_within_two_ulps_of_an_exact_count_step(fb):
+    # a count that falls across 0.0 returns 0.0 for the eigenvalue near 1e-300
+    # (for J of a, near 1.5e-302), unseeded or seeded with zeros
+    J = jacobi_tridiagonal(CoefficientVector((1e150, 3e-152, 0.5, 1e150, 3e-152)), fb)
+    for (diag, off), rough in (
+        (([0.0, -1.0, 1.0], [1e-150, 1e-17]), [-1.0, 1e-300, 1.0]),
+        (J, [-1e150, -1.5e-302, 1.5e-302, 1e150, 1e150]),
+    ):
+        for seeds in ((), rough, [0.0] * len(diag)):
+            for k, e in enumerate(tridiagonal_eigenvalues(diag, off, fb, near=seeds)):
+                below = above = e
+                for _ in range(2):
+                    below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+                assert _exact_count(diag, off, below) <= k < _exact_count(diag, off, above), (diag, seeds, k, e)
+
+
 # --- Newton-polished seeds: they never raise and never change a result ---
 
 
@@ -733,13 +801,13 @@ def _two_step_sturm_count(diag, off, x):
     count = 0
     d = diag[0] - x
     if d == 0.0:
-        d = spectral._zero_pivot(diag, off)
+        d = spectral._ZERO_PIVOT
     if d < 0:
         count += 1
     for a, b in zip(diag[1:], off):
         d = (a - x) - b * b / d
         if d == 0.0:
-            d = spectral._zero_pivot(diag, off)
+            d = spectral._ZERO_PIVOT
         if d < 0:
             count += 1
     return count
