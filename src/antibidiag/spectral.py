@@ -8,7 +8,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, ulp
+from math import comb, inf, nan, ulp
 
 from .errors import (
     BackendUnsupported,
@@ -39,17 +39,19 @@ def _extract_tridiagonal(T: StructuredMatrix):
     return [float(M[i][i]) for i in range(n)], [float(M[i][i + 1]) for i in range(n - 1)]
 
 
-def sturm_count(diag, off, x: float) -> int:
-    """Number of eigenvalues strictly below x, from the shifted LDL^T pivot signs.
+def sturm_count(diag, e2, x: float) -> int:
+    """Number of eigenvalues below x, from the signs of the shifted LDL^T pivots,
+    on the squared codiagonal e2 = (0.0, off_1**2, ..., off_{n-1}**2), as LAPACK's
+    dstebz takes E2.  Ties: where x makes a pivot exactly zero the count is its
+    limit from above, so an eigenvalue at x counts as below it (diag (0.0,) counts
+    1 at 0.0, diag (1.0, 1.0) over a zero codiagonal 2 at 1.0).
 
-    An exactly-zero pivot is taken as -5e-324, the limit d -> 0- with no float
-    between: the stored pivot is nondecreasing in the computed one, so the count
-    is monotone in x, unless a - x overflows (diagonal entries near +-1.7e308)."""
-    count, d = 0, 1.0  # a sentinel pivot over a zero codiagonal: the first is diag[0] - x
-    for a, b in zip(diag, (0.0, *off)):
-        d = (a - x) - b * b / d
-        if d == 0.0:
-            d = _ZERO_PIVOT
+    An exactly-zero pivot (+-0.0) is taken as -5e-324, the limit d -> 0- with no
+    float between: the stored pivot is nondecreasing in the computed one, so the
+    count is monotone in x, unless a - x overflows (diagonal entries near +-1.7e308)."""
+    count, d = 0, 1.0  # a sentinel pivot over e2[0] = 0.0: the first is diag[0] - x
+    for a, b2 in zip(diag, e2):
+        d = (a - x) - b2 / d or _ZERO_PIVOT
         if d < 0:
             count += 1
     return count
@@ -64,22 +66,26 @@ def gershgorin_bounds(diag, off):
     return lo, hi
 
 
-def _newton(diag, off, t):
-    """One Newton step on det(T - xI) from t, by the pivot recurrence
-    d_i = (diag_i - x) - off_i^2/d_{i-1} and its derivative
-    d_i' = -1 + off_i^2 d_{i-1}'/d_{i-1}^2: t - 1/sum(d_i'/d_i).  It divides
-    only by nonzero pivots, so it never raises, and returns t itself on an
-    exactly zero pivot, a zero or non-finite sum, or a step outside t(1 -+ 1e-3)
-    (a nan step included)."""
-    d, dp, s = 1.0, 0.0, 0.0  # the sentinel of ``sturm_count``: first dp = -1, s = -1/d
-    for a, b in zip(diag, (0.0, *off)):
-        q = b * b / d
-        d, dp = (a - t) - q, -1.0 + q * dp / d
-        if d == 0.0:
-            return t
-        s += dp / d
+def _newton(diag, e2, t):
+    """The Sturm count at t (``sturm_count``, bit for bit) and one Newton step
+    on det(T - xI) from t, from one pass of the pivot recurrence
+    d_i = (diag_i - x) - e2_i/d_{i-1}.  The step is t - 1/sum(d_i'/d_i), with
+    the ratio r_i = d_i'/d_i carried as r_i = (q r_{i-1} - 1)/d_i, q = e2_i/d_{i-1}.
+    It divides only by nonzero pivots, so it never raises.  The stepped point is
+    t itself on an exactly-zero pivot (the count then goes on as ``sturm_count``'s),
+    a zero or non-finite sum, or a step outside t(1 -+ 1e-3) (a nan step included)."""
+    count, d, r, s = 0, 1.0, 0.0, 0.0  # the sentinel of ``sturm_count``: first r = -1/d
+    for a, b2 in zip(diag, e2):
+        q = b2 / d
+        d = (a - t) - q
+        if not d:
+            d, s = _ZERO_PIVOT, nan  # a nan sum takes no step
+        if d < 0:
+            count += 1
+        r = (q * r - 1.0) / d
+        s += r
     x = t - 1.0 / s if s != 0.0 else t  # a non-finite sum steps by 0 or to nan
-    return x if abs(x - t) <= 1e-3 * abs(t) else t
+    return count, x if abs(x - t) <= 1e-3 * abs(t) else t
 
 
 def eigensolve_tridiagonal(T: StructuredMatrix, backend: Backend, near=()):
@@ -104,27 +110,31 @@ def tridiagonal_eigenvalues(diag, off, backend: Backend, near=()):
 
     A count memory keeps bounds lo[j] <= lambda_j < hi[j]: a Sturm count c at
     x lowers hi[j] to x for j < c and raises lo[j] to x for j >= c.  ``near``
-    holds the expected eigenvalues: the k-th smallest seed t takes two Newton
-    steps on det(T - xI) (``_newton``) and eigenvalue k is first decided at t,
-    then at t(1 -+ eps), eps = 2**-52, 1e-15, 1e-13, ..., 1e-1 (``_LADDER``),
-    until [lo[k], hi[k]] lies within a pair: wider ones take no count.  Then
-    [lo[k], hi[k]] is bisected until no float lies inside it.  The worst case is
-    an eigenvalue at or near 0, bisected down through the exponent range: about
-    1200 counts for the exact 0 of diag (0, 0, 0), off (1, 1).
+    holds the expected eigenvalues: the k-th smallest seed t takes Newton passes
+    on det(T - xI) (``_newton``), each of which counts at t and steps, while t
+    lies in (lo[k], hi[k]) and the last step exceeded 2**-50 |t|, at most three.
+    Eigenvalue k is then first decided at t, then at t(1 -+ eps), eps = 2**-52,
+    1e-15, 1e-13, ..., 1e-1 (``_LADDER``), until [lo[k], hi[k]] lies within a
+    pair: wider ones take no count.  Then [lo[k], hi[k]] is bisected until no
+    float lies inside it.  The worst case is an eigenvalue at or near 0,
+    bisected down through the exponent range: about 1200 counts for the exact 0
+    of diag (0, 0, 0), off (1, 1).
 
     Raises SquareOutOfRange if a nonzero codiagonal entry squares outside the
     normal float64 range, where the Sturm pivots lose precision or overflow."""
     if backend.exact:
         raise BackendUnsupported("eigensolver needs the floating backend")
+    e2 = [0.0]  # the squared codiagonal both pivot loops take
     for b in off:
-        if b != 0.0 and not sys.float_info.min <= b * b <= sys.float_info.max:
-            raise SquareOutOfRange(f"codiagonal entry {b} squares to {b * b} in float64")
+        b2 = b * b
+        if b != 0.0 and not sys.float_info.min <= b2 <= sys.float_info.max:
+            raise SquareOutOfRange(f"codiagonal entry {b} squares to {b2} in float64")
+        e2.append(b2)
     glo, ghi = gershgorin_bounds(diag, off)
     n = len(diag)
     lo, hi = [glo] * n, [ghi] * n
 
-    def count(x):
-        c = sturm_count(diag, off, x)
+    def note(x, c):
         j = c - 1  # lo and hi are nondecreasing in j: the bounds that move are runs from c
         while j >= 0 and x < hi[j]:
             hi[j], j = x, j - 1
@@ -133,18 +143,22 @@ def tridiagonal_eigenvalues(diag, off, backend: Backend, near=()):
             lo[j], j = x, j + 1
 
     for k, t in enumerate(sorted(near)[:n]):
-        t = _newton(diag, off, _newton(diag, off, t))
+        passes, step = 0, inf
+        while passes < 3 and lo[k] < t < hi[k] and abs(step) > 2.0**-50 * abs(t):
+            c, x = _newton(diag, e2, t)
+            note(t, c)
+            passes, t, step = passes + 1, x, x - t
         for eps in _LADDER:
             x, y = t * (1 - eps), t * (1 + eps)
             for z in (x, y):
                 if lo[k] < z < hi[k]:
-                    count(z)
+                    note(z, sturm_count(diag, e2, z))
             if lo[k] >= min(x, y) and hi[k] <= max(x, y):
                 break
     out = []
     for k in range(n):  # each count moves lo[k] or hi[k] to mid
         while lo[k] < (mid := 0.5 * lo[k] + 0.5 * hi[k]) < hi[k]:
-            count(mid)
+            note(mid, sturm_count(diag, e2, mid))
         out.append(mid if lo[k] < hi[k] else lo[k])  # c*I: 0.5*c + 0.5*c rounds a subnormal
     return tuple(out)
 
