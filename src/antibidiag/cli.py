@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="spectrum -> positive coefficient vector")
     common(p)
     p.add_argument("--spectrum", help="comma-separated eigenvalues")
-    p.add_argument("--roundtrip", action="store_true", help="also eigensolve the result")
+    p.add_argument("--roundtrip", action="store_true", help="no effect: float64 solve always round-trips")
 
     p = sub.add_parser("forward", help="coefficients -> characteristic polynomials")
     common(p)
@@ -252,11 +252,17 @@ def _cmd_solve(args, backend, out) -> int:
         raise err.BackendUnsupported("--roundtrip eigensolves the result; use --backend float64")
     _, values = _values_from(args, backend, "spectrum")
     spectrum = validate_spectrum(values)
-    result = solve_roundtrip(spectrum, backend) if args.roundtrip else None
-    trace = solve(spectrum, backend) if result is None else result.trace
+    result = A = B = None
+    if backend.exact:
+        trace, warnings = solve(spectrum, backend), []
+    else:
+        try:
+            result = solve_roundtrip(spectrum, backend)
+            trace, warnings = result.trace, list(result.warnings)
+        except err.SquareOutOfRange as exc:  # J's band cannot be eigensolved; a is still reported
+            trace = solve(spectrum, backend)
+            warnings = [*trace._notes[0], f"the round trip could not run: {exc}", *trace._notes[1]]
     forward = forward_q_squared(trace.a1, trace.a_squared, backend)
-    A = B = None
-    warnings = list(trace.warnings if result is None else result.warnings)
     if backend.exact:
         max_residual = "0" if forward.same_top(trace.chain) else "1"
     else:

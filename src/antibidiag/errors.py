@@ -66,7 +66,7 @@ class EmptyInput(SpectrumError):
 
 
 class NonFiniteValue(SpectrumError):
-    """A spectrum element is infinite or NaN."""
+    """A spectrum element, or a prescribed mu of `sqrt`, is infinite or NaN."""
 
 
 class NonPositiveLead(SpectrumError):

@@ -106,7 +106,9 @@ class PositiveTuple:
     def __post_init__(self):
         if not self.mus:
             raise EmptyInput("empty tuple")
-        for v in self.mus:
+        for k, v in enumerate(self.mus, start=1):
+            if not -math.inf < v < math.inf:
+                raise NonFiniteValue(f"mu_{k} = {v} is not finite")
             if not v > 0:
                 raise NonPositive(f"{v} is not strictly positive")
         for k in range(len(self.mus) - 1):

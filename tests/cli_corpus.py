@@ -12,7 +12,8 @@ with ``test_``).  The requests are the benchmark's three workload mixes at
 seeds 1-3, every command in every format (also at n = 1, and a float64
 forward pass that overflows), edge and error inputs, the accuracy
 ladder, the scaled, near-range, subnormal and graded spectra, ``verify-all``,
-and ``roundtrip`` in every format on the spectra with the largest errors.
+``roundtrip`` in every format on the spectra with the largest errors, and
+plain ``solve`` where its round trip cannot run or finds a wrong result.
 """
 
 from __future__ import annotations
@@ -164,8 +165,14 @@ def requests():
     # roundtrip where its error is largest: the f64-roundtrip n = 48 spectra
     # at seed 1 and the ladder spectrum that solves wrong by 1e-2
     spectra = [r.spectrum for r in WORKLOADS["f64-roundtrip"].requests(1, 100) if r.n == 48]
-    for spectrum in (*spectra, random_spectrum(case_rng(11, "ladder64", 22), 64)):
+    ladder64 = random_spectrum(case_rng(11, "ladder64", 22), 64)
+    for spectrum in (*spectra, ladder64):
         reqs += _every_format(["roundtrip", "--spectrum=" + _join(spectrum)])
+
+    # plain solve where its round trip cannot run (a_2^2 is subnormal) and where
+    # it finds a wrong result
+    for spectrum in ("1e-150,-1e-160", "1e-155,-5e-156", _join(ladder64)):
+        reqs.append(["solve", "--spectrum=" + spectrum])
     return reqs
 
 

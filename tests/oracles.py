@@ -140,10 +140,11 @@ def plain_sturm_bisection(diag, off, tol, max_iter=200):
     """Eigenvalues of the symmetric tridiagonal matrix with diagonal ``diag``
     and codiagonal ``off``, ascending, each bisected on its own from the
     Gershgorin interval to width <= tol, with no bracket shared between
-    eigenvalues.  The Sturm count, the zero-pivot rule and the midpoints use
-    the same float64 operations as the library's, so the results are
-    comparable bit for bit.  Returns the eigenvalues and the list of every
-    midpoint a count was taken at."""
+    eigenvalues.  The Sturm count, the zero-pivot rule and the midpoints
+    (0.5*lo + 0.5*hi, and lo itself once lo == hi) use the same float64
+    operations as the library's, so the results are comparable bit for bit.
+    Returns the eigenvalues and the list of every midpoint a count was taken
+    at."""
     n = len(diag)
 
     def count(x):
@@ -167,7 +168,7 @@ def plain_sturm_bisection(diag, off, tol, max_iter=200):
     for k in range(1, n + 1):
         lo, hi = glo - tol, ghi + tol
         for _ in range(max_iter):
-            mid = 0.5 * (lo + hi)
+            mid = 0.5 * lo + 0.5 * hi
             if hi - lo <= tol or mid == lo or mid == hi:
                 break
             mids.append(mid)
@@ -175,7 +176,7 @@ def plain_sturm_bisection(diag, off, tol, max_iter=200):
                 hi = mid
             else:
                 lo = mid
-        eigs.append(0.5 * (lo + hi))
+        eigs.append(lo if lo == hi else 0.5 * lo + 0.5 * hi)
     return tuple(eigs), mids
 
 

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from antibidiag import cli, errors, spectral
+from antibidiag import cli, errors, solve, spectral, validate_spectrum
 from antibidiag.cli import main
 from antibidiag.sampling import (
     MAX_DEFAULT_N,
@@ -279,6 +279,14 @@ def test_sqrt_whose_square_roots_round_to_one_float_is_a_breakdown(capsys):
     err = capsys.readouterr().err
     assert "[DuplicateRoots]: mu_1 = 3.0 and mu_2 = 2.9999999999999996" in err
     assert "lambda" not in err
+
+
+@pytest.mark.parametrize("mus, named", [("inf,1", "mu_1 = inf"), ("1e400,1", "mu_1 = inf"), ("4,nan", "mu_2 = nan")])
+def test_sqrt_rejects_a_non_finite_mu_by_its_own_name(capsys, mus, named):
+    # 1e400 reads as inf in float64; nan is not finite, not "not strictly positive"
+    assert run(["sqrt", "--mus", mus]) == (1, "")
+    err = capsys.readouterr().err
+    assert f"rejected [NonFiniteValue]: {named} is not finite" in err and "lambda" not in err
 
 
 def test_sqrt_whose_codiagonal_squares_overflow_is_a_breakdown(capsys):
@@ -568,10 +576,8 @@ def test_parser_is_built_once(monkeypatch):
 
 
 def test_options_of_one_call_do_not_carry_into_the_next():
-    code, text = run(["solve", "--roundtrip", "--backend", "float64", "--spectrum", "3,-2,1"])
-    assert code == 0 and json.loads(text)["diagnostics"]["roundtrip_error"] is not None
-    code, text = run(["solve", "--spectrum", "3,-2,1"])
-    assert code == 0 and json.loads(text)["diagnostics"]["roundtrip_error"] is None
+    # --roundtrip is a usage error under --backend rational, so a carried flag would exit 3
+    assert run(["solve", "--roundtrip", "--backend", "rational", "--spectrum", "3,-2,1"]) == (3, "")
     assert run(["solve", "--backend", "rational", "--spectrum", "3,-2,1"])[0] == 0
     assert json.loads(run(["solve", "--spectrum", "3,-2,1"])[1])["a"] is not None
 
@@ -772,6 +778,51 @@ def test_float_roundtrip_n48_csv_and_pretty_are_pinned(capsys, fmt):
 def test_round_trip_reports_warn_on_their_measured_error(command, spectrum, warnings):
     code, text = run([*command, "--spectrum=" + spectrum])
     assert code == 0 and json.loads(text)["warnings"] == warnings
+
+
+def test_plain_solve_warns_on_the_ladder_spectrum_that_solves_wrong():
+    spectrum = "--spectrum=" + ",".join(map(repr, random_spectrum(case_rng(11, "ladder64", 22), 64)))
+    code, text = run(["solve", spectrum])
+    assert (code, text) == run(["solve", "--roundtrip", spectrum])
+    assert json.loads(text)["warnings"] == ["round-trip error 1.009e-02 exceeds 1e-08"]
+
+
+@pytest.mark.parametrize("n", [32, 40, 48])
+def test_plain_solve_warns_on_every_result_its_round_trip_finds_wrong(fb, n):
+    """Plain float64 solve warns from its measured round trip: on every result
+    whose round-trip error exceeds 1e-8 (3, 17 and 20 of the 20 spectra at
+    n = 32, 40 and 48, on all of which the interlacing chain is silent), and
+    on the others only as the chain's own warnings did."""
+    wrong = 0
+    for i in range(20):
+        lam = random_spectrum(case_rng(1, "silent", i), n)
+        code, text = run(["solve", "--spectrum=" + ",".join(map(repr, lam))])
+        report = json.loads(text)
+        err = report["diagnostics"]["roundtrip_error"]
+        assert code == 0
+        if err > 1e-8:
+            wrong += 1
+            assert f"round-trip error {err:.3e} exceeds 1e-08" in report["warnings"]
+        else:
+            assert set(report["warnings"]) <= set(solve(validate_spectrum(lam), fb).warnings)
+    assert wrong  # the sizes are chosen so that the coefficient pass goes wrong on some
+
+
+@pytest.mark.parametrize("command", [["solve"], ["solve", "--roundtrip"]])
+@pytest.mark.parametrize("spectrum, square", [("1e-150,-1e-160", "1e-310"), ("1e-155,-5e-156", "5e-311")])
+def test_solve_reports_a_when_the_round_trip_cannot_run(capsys, command, spectrum, square):
+    # a_2^2 is subnormal, so J's band cannot be eigensolved (SquareOutOfRange);
+    # solve still prints a, and warns between the two a-priori notes
+    code, text = run([*command, "--spectrum=" + spectrum])
+    assert (code, capsys.readouterr().err) == (0, "")
+    report = json.loads(text)
+    assert report["a_squared"][1] == float(square)
+    assert report["diagnostics"]["roundtrip_error"] is None
+    underflow, failed = report["warnings"]
+    assert underflow.startswith("q_2 coefficient 0 = ") and "below the normal float64 range" in underflow
+    assert failed.startswith("the round trip could not run: codiagonal entry ")
+    assert failed.endswith(f" squares to {square} in float64")
+    assert run(["roundtrip", "--spectrum=" + spectrum]) == (2, "")  # its whole report is the round trip
 
 
 _PINNED_RATIONAL_A = {"worked": "2,1/3,3", "n5": "3/2,5,7/3,1/4,2"}

@@ -363,6 +363,13 @@ def test_shared_brackets_match_plain_bisection_on_repeated_eigenvalues(fb):
     _assert_plain([1.0, 2.0, 1.0, 2.0, 1.0, 2.0], [0.5, 0.0, 0.5, 0.0, 0.5], fb)
 
 
+def test_shared_brackets_match_plain_bisection_at_both_ends_of_the_float_range(fb):
+    # a decoupled subnormal entry, where 0.5*(lo + hi) would round, and a point
+    # Gershgorin interval near the largest float, where lo + hi overflows
+    _assert_plain([1e-310, 0.0, -1.0], [0.0, 1e-20], fb)
+    _assert_plain([1.7e308, 1.7e308], [1e150], fb)
+
+
 def test_shared_brackets_match_plain_bisection_on_wilkinson_w21(fb):
     # W21+: eigenvalues in pairs that agree to many digits at the top
     diag = [float(abs(10 - i)) for i in range(21)]
