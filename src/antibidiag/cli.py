@@ -27,6 +27,7 @@ from .inversesolver import (
     PositiveTuple,
     check_sigma_inequality,
     jacobi_sqrt,
+    roundtrip,
     solve,
     solve_roundtrip,
     validate_spectrum,
@@ -252,15 +253,13 @@ def _cmd_solve(args, backend, out) -> int:
         raise err.BackendUnsupported("--roundtrip eigensolves the result; use --backend float64")
     _, values = _values_from(args, backend, "spectrum")
     spectrum = validate_spectrum(values)
+    trace, warnings = solve(spectrum, backend), []
     result = A = B = None
-    if backend.exact:
-        trace, warnings = solve(spectrum, backend), []
-    else:
+    if not backend.exact:
         try:
-            result = solve_roundtrip(spectrum, backend)
-            trace, warnings = result.trace, list(result.warnings)
+            result = roundtrip(trace)
+            warnings = list(result.warnings)
         except err.SquareOutOfRange as exc:  # J's band cannot be eigensolved; a is still reported
-            trace = solve(spectrum, backend)
             warnings = [*trace._notes[0], f"the round trip could not run: {exc}", *trace._notes[1]]
     forward = forward_q_squared(trace.a1, trace.a_squared, backend)
     if backend.exact:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -42,7 +41,7 @@ from .matrixkit import (
 )
 from .poly import elementary_symmetric, from_roots, lin_comb, shift_up
 from .recurrence import CharPolySequence, _level, _ratio
-from .scalars import Backend, narrow
+from .scalars import Backend, Record, narrow
 from .spectral import relative_spectrum_error, tridiagonal_eigenvalues
 
 # A modulus gap below this fraction of lambda_1 draws a warning.  Scaling a
@@ -54,8 +53,7 @@ GAP_WARN_RATIO = 1e-6
 ROUNDTRIP_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Record):
     """Ordered tuple lambda_1, ..., lambda_n with
     lambda_1 > -lambda_2 > lambda_3 > ... > (-1)**(n-1) lambda_n > 0."""
 
@@ -97,8 +95,7 @@ def validate_spectrum(values) -> Spectrum:
     return Spectrum(values)
 
 
-@dataclass(frozen=True)
-class PositiveTuple:
+class PositiveTuple(Record):
     """mu_1 > mu_2 > ... > mu_n > 0, all strict."""
 
     mus: tuple
@@ -116,8 +113,7 @@ class PositiveTuple:
                 raise NotDecreasing(f"mu_{k + 1} <= mu_{k + 2}")
 
 
-@dataclass(frozen=True)
-class SigmaCheck:
+class SigmaCheck(Record):
     sigma1: object
     sigma2: object
     sigma3: object
@@ -139,8 +135,7 @@ def check_sigma_inequality(spectrum) -> SigmaCheck:
     return SigmaCheck(s1, s2, s3, s3 > s1 * s2)
 
 
-@dataclass(frozen=True)
-class ReconstructionTrace:
+class ReconstructionTrace(Record):
     """Everything the backward pass produced: the q-system chain, a_1 and the
     squared tail.  In float64 the positive coefficient vector ``a``, the
     per-level root interlacing ``certificates`` and the ``warnings`` are
@@ -313,8 +308,7 @@ def solve(spectrum: Spectrum, backend: Backend) -> ReconstructionTrace:
     return ReconstructionTrace(spectrum, chain, a1, tuple(a_sq), backend)
 
 
-@dataclass(frozen=True)
-class RoundtripResult:
+class RoundtripResult(Record):
     trace: ReconstructionTrace
     recovered: tuple
     max_error: float
@@ -331,18 +325,20 @@ class RoundtripResult:
 
 
 def solve_roundtrip(spectrum: Spectrum, backend: Backend) -> RoundtripResult:
-    """Solve, eigensolve the Jacobi matrix's band independently, and report
-    the worst relative eigenvalue error against the input."""
+    """Solve, then ``roundtrip`` the float64 trace."""
     if backend.exact:
         raise BackendUnsupported("roundtrip eigensolve needs the floating backend")
-    trace = solve(spectrum, backend)
-    J = jacobi_tridiagonal(trace.coefficient_vector, backend)
-    eig = tridiagonal_eigenvalues(*J, backend, near=spectrum.lambdas)
-    return RoundtripResult(trace, eig, relative_spectrum_error(eig, spectrum.lambdas))
+    return roundtrip(solve(spectrum, backend))
 
 
-@dataclass(frozen=True)
-class SqrtResult:
+def roundtrip(trace: ReconstructionTrace) -> RoundtripResult:
+    """Eigensolve a float64 trace's Jacobi band; report the worst relative error."""
+    lam, backend = trace.spectrum.lambdas, trace.backend
+    eig = tridiagonal_eigenvalues(*jacobi_tridiagonal(trace.coefficient_vector, backend), backend, near=lam)
+    return RoundtripResult(trace, eig, relative_spectrum_error(eig, lam))
+
+
+class SqrtResult(Record):
     spectrum: Spectrum
     a: CoefficientVector
     antibidiagonal: StructuredMatrix

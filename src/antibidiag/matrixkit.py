@@ -13,13 +13,11 @@ structures; storage is 0-based tuples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import EmptyInput, NonFiniteEntry, NonPositiveEntry, SizeMismatch, StructuralZero
-from .scalars import Backend
+from .scalars import Backend, Record
 
-@dataclass(frozen=True)
-class CoefficientVector:
+class CoefficientVector(Record):
     """Strictly positive finite entries a_1..a_n defining both structured families."""
 
     a: tuple
@@ -38,8 +36,7 @@ class CoefficientVector:
         return len(self.a)
 
 
-@dataclass(frozen=True)
-class StructuredMatrix:
+class StructuredMatrix(Record):
     n: int
     entries: tuple  # tuple of n row-tuples
 

@@ -13,19 +13,17 @@ stay small (a few dozen), so no sparse or FFT machinery is warranted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, zip_longest
 
 from .errors import BackendUnsupported, DuplicateRoots, IndexOutOfRange, NoSignChange
-from .scalars import Backend, narrow
+from .scalars import Backend, Record, narrow
 
 EVEN = "even"
 ODD = "odd"
 
 
-@dataclass(frozen=True)
-class MonicPoly:
+class MonicPoly(Record):
     """Dense monic polynomial; ``coeffs[k]`` multiplies x**k, leading term 1.
 
     ``parity`` is metadata: "even" forces odd-index coefficients to zero,

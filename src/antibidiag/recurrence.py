@@ -21,18 +21,16 @@ backward pass of ``inversesolver.solve``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import NonPositiveEntry, SquareOutOfRange
 from .matrixkit import CoefficientVector
 from .poly import MonicPoly, lin_comb, parity_of_degree, shift_up
-from .scalars import Backend, primitive_part
+from .scalars import Backend, Record, primitive_part
 
 
-@dataclass(frozen=True)
-class CharPolySequence:
+class CharPolySequence(Record):
     """polys[k] has degree k; polys[n] is the full characteristic polynomial.
 
     ``chain`` holds the polys themselves when ``scale`` is None.  An exact

@@ -6,7 +6,6 @@ the class-plus power by the Gantmacher-Krein theorem, and a Cauchy-Binet check.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb, inf, nan, ulp
 
@@ -19,7 +18,7 @@ from .errors import (
     TooLarge,
 )
 from .matrixkit import StructuredMatrix, check_index_set, matmul, minor
-from .scalars import Backend
+from .scalars import Backend, Record
 
 MINOR_ENUM_GUARD = 10**7
 
@@ -183,8 +182,7 @@ def signature_sequence(n: int):
     return tuple((-1) ** (j // 2) for j in range(1, n + 1))
 
 
-@dataclass(frozen=True)
-class OrderVerdict:
+class OrderVerdict(Record):
     order: int
     conforming: bool
     strict: bool
@@ -194,8 +192,7 @@ class OrderVerdict:
     witness_cols: tuple | None = None
 
 
-@dataclass(frozen=True)
-class SignRegularityReport:
+class SignRegularityReport(Record):
     n: int
     verdicts: tuple
     achieved_class: int
@@ -266,17 +263,8 @@ def classify_sign_regular(
                         principal = False
                     if worst is None or v < worst[0]:
                         worst = (v, rows, cols)
-        verdicts.append(
-            OrderVerdict(
-                j,
-                conforming,
-                strict,
-                principal,
-                witness_value=None if worst is None else worst[0] * eps,
-                witness_rows=None if worst is None else worst[1],
-                witness_cols=None if worst is None else worst[2],
-            )
-        )
+        witness = () if worst is None else (worst[0] * eps, *worst[1:])
+        verdicts.append(OrderVerdict(j, conforming, strict, principal, *witness))
     achieved = 0
     for v in verdicts:
         if not v.conforming:

@@ -550,8 +550,8 @@ def interlacing_chain_reference(trace, finder):
     ``roots_bracketed``, or ``roots_bracketed_reference``)."""
     import math
     import sys
-    from dataclasses import replace
 
+    from antibidiag import Backend, TolerancePolicy
     from antibidiag.errors import NoSignChange
     from antibidiag.inversesolver import GAP_WARN_RATIO
     from antibidiag.spectral import interlaces
@@ -559,7 +559,7 @@ def interlacing_chain_reference(trace, finder):
     certs, warns = [], []
     lam1, policy = float(trace.spectrum.lambdas[0]), trace.backend.policy
     tol = max(policy.root_tol * min(1.0, lam1), math.ulp(0.0))
-    backend = replace(trace.backend, policy=replace(policy, root_tol=tol))
+    backend = Backend(trace.backend.name, trace.backend.exact, TolerancePolicy(policy.eq_abs, policy.eq_rel, tol))
     n = trace.spectrum.n
     qn = trace.qs[n].coeffs
     j = next((j for j, c in enumerate(qn) if abs(c) < sys.float_info.min), None)

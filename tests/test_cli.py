@@ -1,9 +1,9 @@
 import csv
-import dataclasses
 import io
 import json
 import math
 import shlex
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from antibidiag import cli, errors, solve, spectral, validate_spectrum
+from antibidiag import ReconstructionTrace, cli, errors, inversesolver, solve, spectral, validate_spectrum
 from antibidiag.cli import main
 from antibidiag.sampling import (
     MAX_DEFAULT_N,
@@ -26,6 +26,16 @@ def run(args):
     out = io.StringIO()
     code = main(args, out=out)
     return code, out.getvalue()
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # a cold call pays for every import; these two cost about 10 ms, and a bare
+    # isolated interpreter loads neither
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = f"import sys; sys.path.insert(0, {src!r}); import antibidiag.cli; print(*sys.modules)"
+    probed = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True, check=True)
+    loaded = set(probed.stdout.split())
+    assert "antibidiag.cli" in loaded and not loaded & {"dataclasses", "inspect"}
 
 
 def test_solve_worked_example():
@@ -712,7 +722,7 @@ def test_rational_solve_reports_a_residual_when_a_square_is_off(monkeypatch):
     def perturbed(spectrum, backend):
         trace = solve(spectrum, backend)
         a_sq = (trace.a_squared[0] + Fraction(1, 10**9),) + trace.a_squared[1:]
-        return dataclasses.replace(trace, a_squared=a_sq)
+        return ReconstructionTrace(trace.spectrum, trace.chain, trace.a1, a_sq, trace.backend)
 
     monkeypatch.setattr(cli, "solve", perturbed)
     code, text = run(["solve", "--backend", "rational", "--spectrum", "3,-2,1"])
@@ -823,6 +833,13 @@ def test_solve_reports_a_when_the_round_trip_cannot_run(capsys, command, spectru
     assert failed.startswith("the round trip could not run: codiagonal entry ")
     assert failed.endswith(f" squares to {square} in float64")
     assert run(["roundtrip", "--spectrum=" + spectrum]) == (2, "")  # its whole report is the round trip
+
+
+def test_solve_runs_the_backward_pass_once_when_the_round_trip_cannot_run(monkeypatch):
+    passes, from_roots = [], inversesolver.from_roots
+    monkeypatch.setattr(inversesolver, "from_roots", lambda *args: passes.append(args) or from_roots(*args))
+    assert run(["solve", "--spectrum=1e-150,-1e-160"])[0] == 0
+    assert len(passes) == 1
 
 
 _PINNED_RATIONAL_A = {"worked": "2,1/3,3", "n5": "3/2,5,7/3,1/4,2"}

@@ -1,14 +1,25 @@
 import math
 import random
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 
 import pytest
 
-from antibidiag import TolerancePolicy, float64, poly_eval, rational, solve, validate_spectrum
-from antibidiag.errors import BackendUnsupported
+from antibidiag import (
+    Backend,
+    CoefficientVector,
+    PositiveTuple,
+    TolerancePolicy,
+    float64,
+    poly_eval,
+    rational,
+    solve,
+    validate_spectrum,
+)
+from antibidiag.errors import BackendUnsupported, EmptyInput, NotDecreasing
 from antibidiag.poly import MonicPoly
-from antibidiag.scalars import narrow
+from antibidiag.scalars import Record, narrow
+from antibidiag.spectral import OrderVerdict
 
 from oracles import frac_equal, rational_op_oracle
 
@@ -78,6 +89,132 @@ def test_convert(fb, rb):
     assert fb.convert(Fraction(1, 2)) == 0.5
     assert rb.convert(0.5) == Fraction(1, 2)
     assert rb.convert("2/3") == Fraction(2, 3)
+
+
+# --- the frozen record ---
+
+
+class _Pair(Record):
+    first: int
+    second: tuple = ()
+
+    def __post_init__(self):
+        if self.first < 0:
+            raise ValueError("first must be >= 0")
+
+    @cached_property
+    def total(self):
+        self.calls.append(1)
+        return self.first + sum(self.second)
+
+    calls = []  # not annotated, so not a field
+
+
+class _Twin(Record):
+    first: int
+    second: tuple = ()
+
+
+def _records():
+    """Records with and without defaults and __post_init__ checks, among them
+    the two that a request builds most often."""
+    return (
+        _Pair(1, (2, 3)),
+        TolerancePolicy(),
+        float64(),
+        MonicPoly((-2.0, 1.0), None),
+        OrderVerdict(2, True, False, True, witness_value=-1.0, witness_rows=(1, 2), witness_cols=(2, 3)),
+    )
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_a_record_refuses_assignment_and_deletion(record):
+    field = next(iter(record.__annotations__))
+    before = repr(record)
+    for name in (field, "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert repr(record) == before
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_records_compare_and_hash_field_by_field(record):
+    values = tuple(getattr(record, f) for f in record.__annotations__)
+    twin = type(record)(*values)
+    assert twin is not record and twin == record and hash(twin) == hash(record)
+    assert not twin != record
+    assert record != values
+
+
+def test_records_of_another_class_are_never_equal():
+    assert _Pair(1) != _Twin(1) and _Twin(1) != _Pair(1)
+    assert _Pair(1) != _Pair(2) and _Pair(1, (2,)) != _Pair(1, (3,))
+    assert TolerancePolicy(eq_abs=1e-9) != TolerancePolicy()
+    assert float64() != rational() and float64() == float64(TolerancePolicy())
+
+
+def test_a_record_repr_shows_each_field():
+    assert repr(_Pair(1, (2,))) == "_Pair(first=1, second=(2,))"
+    assert repr(TolerancePolicy()) == "TolerancePolicy(eq_abs=1e-10, eq_rel=1e-10, root_tol=1e-13)"
+    assert repr(MonicPoly((0.5, 1.0), "odd")) == "MonicPoly(coeffs=(0.5, 1.0), parity='odd')"
+    assert repr(OrderVerdict(1, True, True, True)) == (
+        "OrderVerdict(order=1, conforming=True, strict=True, principal_conforming=True, "
+        "witness_value=None, witness_rows=None, witness_cols=None)"
+    )
+
+
+def test_a_record_takes_its_defaults_from_the_class():
+    assert _Pair(4).second == () and _Pair(first=4) == _Pair(4, ())
+    assert TolerancePolicy(1e-3) == TolerancePolicy(1e-3, 1e-10, 1e-13)
+    assert Backend("float64", False).policy == TolerancePolicy()
+    assert Backend("float64", False).policy is Backend("rational", True).policy  # shared: immutable
+    assert MonicPoly((1,)).parity is None
+    assert OrderVerdict(1, True, True, True).witness_cols is None
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _Pair(),  # a field without a default missing
+        lambda: _Pair(second=(1,)),
+        lambda: _Pair(1, third=3),  # an unknown keyword
+        lambda: _Pair(1, (), 3),  # too many positionals
+        lambda: _Pair(1, first=1),  # one field twice
+        lambda: TolerancePolicy(tol=1e-3),
+        lambda: MonicPoly(),
+        lambda: MonicPoly((1,), None, 3),
+        lambda: OrderVerdict(1, True),
+        lambda: OrderVerdict(1, True, True, True, witness=None),
+    ],
+)
+def test_a_record_rejects_a_wrong_field_list(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_a_record_runs_its_post_init_check():
+    with pytest.raises(ValueError):
+        _Pair(-1)
+    with pytest.raises(ValueError):
+        TolerancePolicy(eq_rel=0.0)
+    with pytest.raises(EmptyInput):
+        CoefficientVector(())
+    with pytest.raises(NotDecreasing):
+        PositiveTuple((1.0, 2.0))
+    for coeffs, parity in (((), None), ((1.0, 2.0), None), ((1.0,), "neither")):
+        with pytest.raises(ValueError):
+            MonicPoly(coeffs, parity)
+
+
+def test_a_cached_property_caches_on_a_record():
+    _Pair.calls.clear()
+    pair = _Pair(1, (2, 3))
+    assert pair.total == 6 and pair.total == 6 and _Pair.calls == [1]
+    assert vars(pair)["total"] == 6 and pair == _Pair(1, (2, 3))  # not a field
+    p = MonicPoly((-2.0, 0.0, 1.0), "even")
+    assert p.evaluate is p.evaluate and p.evaluate(3.0) == 7.0
 
 
 # --- the bisection kernel ---
