@@ -260,7 +260,7 @@ def _cmd_solve(args, backend, out) -> int:
             result = roundtrip(trace)
             warnings = list(result.warnings)
         except err.SquareOutOfRange as exc:  # J's band cannot be eigensolved; a is still reported
-            warnings = [*trace._notes[0], f"the round trip could not run: {exc}", *trace._notes[1]]
+            warnings = list(trace.with_notes(f"the round trip could not run: {exc}"))
     forward = forward_q_squared(trace.a1, trace.a_squared, backend)
     if backend.exact:
         max_residual = "0" if forward.same_top(trace.chain) else "1"

@@ -27,6 +27,7 @@ from .errors import (
     NonPositive,
     NonPositiveA,
     NonPositiveLead,
+    NoSignChange,
     NotAlternating,
     NotDecreasing,
     NotStrictlyDecreasingModulus,
@@ -39,10 +40,10 @@ from .matrixkit import (
     jacobi_tridiagonal,
     matmul,
 )
-from .poly import elementary_symmetric, from_roots, lin_comb, shift_up
+from .poly import elementary_symmetric, from_roots, lin_comb, roots_bracketed, shift_up
 from .recurrence import CharPolySequence, _level, _ratio
-from .scalars import Backend, Record, narrow
-from .spectral import relative_spectrum_error, tridiagonal_eigenvalues
+from .scalars import Backend, Record, TolerancePolicy
+from .spectral import interlaces, relative_spectrum_error, tridiagonal_eigenvalues
 
 # A modulus gap below this fraction of lambda_1 draws a warning.  Scaling a
 # spectrum scales a by the same factor, so the test must be relative.
@@ -164,29 +165,20 @@ class ReconstructionTrace(Record):
             raise BackendUnsupported("square roots unavailable in the exact backend")
         return CoefficientVector(self.a)
 
-    @cached_property
+    @property
     def certificates(self) -> tuple | None:
         """((k, roots_of_q_k, roots_of_q_{k+1}), ...), k descending, at the chain width."""
-        if self.backend.exact:
-            return None
-        (tol, outer, kept), certs = self._checks[0], []
-        for k, q, brackets in kept:
-            upper = tuple(narrow(q, [*b], tol)[0] for b in brackets)
-            inner = tuple(-r for r in reversed(upper)) + (0.0,) * (k % 2) + upper
-            certs.append((k, inner, outer))
-            outer = inner
-        return tuple(certs)
+        return self._chain[0]
 
     @property
     def warnings(self) -> tuple:
-        return self._checks[1]
+        return self._chain[1]
 
-    @cached_property
-    def _notes(self) -> tuple:
-        """The two a-priori warnings, each () or a one-tuple: a coefficient of
-        q_n below the normal float64 range (the spectrum's products
-        underflowed), and a minimum modulus gap below GAP_WARN_RATIO * lambda_1.
-        A measured check's warning goes between them."""
+    def with_notes(self, *middle) -> tuple:
+        """The two a-priori warnings around ``middle``, a measured check's warning
+        or none: a coefficient of q_n below the normal float64 range (the
+        spectrum's products underflowed), then ``middle``, then a minimum
+        modulus gap below GAP_WARN_RATIO * lambda_1."""
         n, lam1 = self.spectrum.n, float(self.spectrum.lambdas[0])
         qn, underflow, small_gap = self.qs[n].coeffs, (), ()
         j = next((j for j, c in enumerate(qn) if abs(c) < sys.float_info.min), None)
@@ -201,61 +193,39 @@ class ReconstructionTrace(Record):
                 f"minimum modulus gap {float(gap):.3e} is below {GAP_WARN_RATIO} * lambda_1; "
                 "reconstruction is ill-conditioned, consider --backend rational",
             )
-        return underflow, small_gap
+        return underflow + middle + small_gap
 
     @cached_property
-    def _checks(self):
-        """The interlacing chain at width root_tol * min(1, lambda_1), never below
-        the least subnormal, as the eigensolver scales its width; then the
-        warnings: a level that fails, which cuts the chain, between the two
-        ``_notes``.
+    def _chain(self) -> tuple:
+        """(certificates, warnings): the interlacing chain at width
+        root_tol * min(1, lambda_1), never below the least subnormal, as the
+        eigensolver scales its width, and the warning of the level that cuts
+        it, if any, ``with_notes``.
 
         q_k, k < n, has the parity of k, exactly under ``MonicPoly.evaluate``, so
-        only its upper floor(k/2) roots are kept, as sign-change brackets.  Level k
-        evaluates q_k at both ends of each bracket of q_{k+1}, bisected four times
-        at a go (``narrow``) until q_k keeps one nonzero sign across it; q_k must
-        change sign across each gap between them, which, bisected four times,
-        brackets a root of q_k.  Each mirrored bracket of q_{n-1} is bisected
-        until it lies strictly between its two lambdas.  A bracket within the
-        chain width is a point."""
+        ``roots_bracketed`` finds only its upper floor(k/2) roots, one in each
+        gap between the upper roots of q_{k+1}; the rest are their mirror images
+        and, for odd k, 0.0.  A level with no sign change in a gap, or whose
+        roots do not interlace strictly with those of q_{k+1}, cuts the chain."""
         if self.backend.exact:
-            return (None, (), ()), ()
-        kept, failed = [], ()
-        lam1, n = float(self.spectrum.lambdas[0]), self.spectrum.n
-        tol = max(self.backend.policy.root_tol * min(1.0, lam1), math.ulp(0.0))
-        lam = tuple(sorted(map(float, self.spectrum.lambdas)))
-        outer, f = [[x, x, None, None] for x in lam[n - 1 - (n - 1) // 2 :]], None
-        for k in range(n - 1, 0, -1):
-            q, ends, inner, failure = self.qs[k].evaluate, [], [], None
-            for b in outer:
-                while True:
-                    qlo = q(b[0])
-                    qhi = q(b[1]) if b[0] < b[1] else qlo
-                    if b[0] == b[1] or (qlo != 0.0 != qhi and (qlo > 0) == (qhi > 0)):
-                        break
-                    narrow(f, b, tol, 4)
-                ends.append((qlo, qhi))
-            for b, c, (_, fb), (fc, _) in zip(outer, outer[1:], ends, ends[1:]):
-                if fb == 0.0 or fc == 0.0:  # a root of q_k at one of q_{k+1}
-                    failure = "interlacing violated"
-                elif (fb > 0) == (fc > 0):
-                    lo, hi = (narrow(f, d, tol)[0] for d in (b, c))
-                    failure = f"no sign change on [{lo}, {hi}]"
-                    break
-                else:
-                    inner.append(narrow(q, [b[1], c[0], fb, fc], tol, 4))
-            for j, b in zip(range(k // 2 - 1, -1, -1), () if failure or k < n - 1 else inner):
-                while b[0] < b[1] and not lam[j] < -b[1] <= -b[0] < lam[j + 1]:
-                    narrow(q, b, tol, 4)
-                if not lam[j] < -b[0] < lam[j + 1]:
-                    failure = "interlacing violated"
-            if failure:
-                failed = (f"level {k}: {failure}",)
+            return None, ()
+        policy, lam1 = self.backend.policy, float(self.spectrum.lambdas[0])
+        width = max(policy.root_tol * min(1.0, lam1), math.ulp(0.0))
+        backend = Backend(self.backend.name, False, TolerancePolicy(policy.eq_abs, policy.eq_rel, width))
+        certs, failed, outer = [], (), tuple(sorted(map(float, self.spectrum.lambdas)))
+        for k in range(self.spectrum.n - 1, 0, -1):
+            try:
+                upper = roots_bracketed(self.qs[k], zip(outer[k - k // 2 : k], outer[k - k // 2 + 1 :]), backend)
+            except NoSignChange as exc:
+                failed = (f"level {k}: {exc}",)
                 break
-            kept.append((k, q, inner))
-            outer, f = [[0.0, 0.0, None, None]] * (k % 2) + inner, q
-        underflow, small_gap = self._notes
-        return (tol, lam, tuple(kept)), underflow + failed + small_gap
+            inner = tuple(-r for r in reversed(upper)) + (0.0,) * (k % 2) + upper
+            if not interlaces(inner, outer):
+                failed = (f"level {k}: interlacing violated",)
+                break
+            certs.append((k, inner, outer))
+            outer = inner
+        return tuple(certs), self.with_notes(*failed)
 
 
 def solve(spectrum: Spectrum, backend: Backend) -> ReconstructionTrace:
@@ -318,10 +288,9 @@ class RoundtripResult(Record):
         """The trace's two notes around the measured error, in the interlacing
         chain's place: a correct a reproduces the spectrum, so the round trip
         measures the error that the chain only infers from q_k's rounding."""
-        underflow, small_gap = self.trace._notes
         err = self.max_error
         measured = () if err <= ROUNDTRIP_TOL else (f"round-trip error {err:.3e} exceeds {ROUNDTRIP_TOL:g}",)
-        return underflow + measured + small_gap
+        return self.trace.with_notes(*measured)
 
 
 def solve_roundtrip(spectrum: Spectrum, backend: Backend) -> RoundtripResult:

@@ -4,8 +4,8 @@ evaluation, and one root per sign-change bracket.
 A ``MonicPoly`` may carry a parity tag, which its one evaluator, the cached
 Horner closure ``MonicPoly.evaluate``, runs on; the q-system levels that carry
 one are stored with their forbidden coefficients zero (``recurrence._level``).
-``roots_bracketed`` bisects each bracket with ``scalars.narrow``, the kernel
-the interlacing chain of ``inversesolver`` runs on too.
+``roots_bracketed`` bisects each bracket with ``scalars.narrow``; it is the
+root finder of the interlacing chain in ``inversesolver``.
 
 Coefficients are stored dense, constant term first.  Degrees in this package
 stay small (a few dozen), so no sparse or FFT machinery is warranted.

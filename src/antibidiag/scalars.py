@@ -118,16 +118,15 @@ def primitive_part(ints):
     return tuple(v // g for v in ints)
 
 
-def narrow(f, b, tol: float, halvings=math.inf) -> list:
-    """Bisect the sign-change bracket b = [lo, hi, f(lo), f(hi)] of f in place, at
-    most ``halvings`` times, and return it; f(lo) and f(hi) are nonzero and of
-    opposite signs, and stay f's true values at the ends.  Within width tol, at a
-    probe where f is exactly 0.0 or where the ends are adjacent floats, b becomes
-    [m, m, None, None], m the root: the probe, or the midpoint 0.5*lo + 0.5*hi,
-    which cannot overflow.  At most ceil(log2(width/tol)) evaluations."""
+def narrow(f, b, tol: float) -> list:
+    """Bisect the sign-change bracket b = [lo, hi, f(lo), f(hi)] of f in place to
+    [m, m, None, None] and return it, m the root; f(lo) and f(hi) are nonzero
+    and of opposite signs.  Within width tol, at a probe where f is exactly 0.0
+    or where the ends are adjacent floats, m is the probe, or the midpoint
+    0.5*lo + 0.5*hi, which cannot overflow.  At most ceil(log2(width/tol))
+    evaluations."""
     lo, hi, flo, fhi = b
-    while hi - lo > tol and halvings:
-        halvings -= 1
+    while hi - lo > tol:
         x = 0.5 * lo + 0.5 * hi
         fx = f(x) if lo < x < hi else 0.0  # adjacent ends: x is one of them
         if fx == 0.0:
@@ -137,5 +136,5 @@ def narrow(f, b, tol: float, halvings=math.inf) -> list:
         else:
             lo, flo = x, fx
     m = lo if lo == hi else 0.5 * lo + 0.5 * hi
-    b[:] = (lo, hi, flo, fhi) if hi - lo > tol else (m, m, None, None)
+    b[:] = (m, m, None, None)
     return b
