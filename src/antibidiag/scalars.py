@@ -124,7 +124,8 @@ def narrow(f, b, tol: float) -> list:
     and of opposite signs.  Within width tol, at a probe where f is exactly 0.0
     or where the ends are adjacent floats, m is the probe, or the midpoint
     0.5*lo + 0.5*hi, which cannot overflow.  At most ceil(log2(width/tol))
-    evaluations."""
+    evaluations, or one more where the rounded midpoints leave the bracket a
+    few ulps above tol."""
     lo, hi, flo, fhi = b
     while hi - lo > tol:
         x = 0.5 * lo + 0.5 * hi

@@ -577,6 +577,53 @@ class TestChainIsOnePlainPass:
             calls.clear()
             assert len(trace.certificates) == n - 1 and calls == []
 
+    def test_warnings_read_after_certificates_evaluate_no_polynomial(self, fb, monkeypatch):
+        calls = []
+        _record_evaluations(monkeypatch, calls.append)
+        for i, n in enumerate((8, 16, 24, 32, 48)):
+            trace = solve(validate_spectrum(random_spectrum(case_rng(1, "f64-roundtrip", i), n)), fb)
+            calls.clear()
+            assert len(trace.certificates) == n - 1 and calls
+            calls.clear()
+            assert trace.warnings == () and calls == []
+
+    @pytest.mark.parametrize("n", [5, 8, 24, 48])
+    def test_each_level_mirrors_its_upper_roots_about_zero(self, fb, n):
+        # level k holds k roots, symmetric about 0 with 0.0 in the middle for
+        # odd k, and is the outer set of level k - 1; level n - 1 is checked
+        # against the sorted spectrum
+        for i in range(10):
+            lam = validate_spectrum(random_spectrum(case_rng(n, "mirror", i), n))
+            certs = solve(lam, fb).certificates
+            assert [k for k, _, _ in certs] == list(range(n - 1, 0, -1)), i
+            outer = tuple(sorted(map(float, lam.lambdas)))
+            for k, inner, got_outer in certs:
+                assert got_outer == outer and len(inner) == k
+                assert inner == tuple(-x for x in reversed(inner)) and list(inner) == sorted(inner)
+                assert k % 2 == 0 or inner[k // 2] == 0.0
+                outer = inner
+
+    def test_each_level_costs_its_bracket_ends_and_one_evaluation_per_halving(self, fb, monkeypatch):
+        # the pass finds q_k's upper roots once, each in its own gap of
+        # q_{k+1}'s upper roots: one evaluation per distinct gap end, then one
+        # probe a halving, ceil(log2(gap / width)) of them and one more where
+        # the rounded midpoints leave the bracket a few ulps above the width;
+        # nothing is narrowed again
+        degrees = []
+        _record_evaluations(monkeypatch, lambda p: degrees.append(p.degree))
+        for i, n in enumerate((8, 16, 24, 32, 48)):
+            trace = solve(validate_spectrum(random_spectrum(case_rng(1, "f64-roundtrip", i), n)), fb)
+            lam1 = float(trace.spectrum.lambdas[0])
+            width = max(fb.policy.root_tol * min(1.0, lam1), math.ulp(0.0))
+            degrees.clear()
+            certs = trace.certificates
+            assert len(certs) == n - 1 and 1 not in degrees
+            for k, _, outer in certs:
+                gaps = list(zip(outer[k - k // 2 : k], outer[k - k // 2 + 1 :]))
+                ends = {x for gap in gaps for x in gap}
+                probes = sum(max(0, math.ceil(math.log2(hi - lo) - math.log2(width))) + 1 for lo, hi in gaps)
+                assert len(ends) <= degrees.count(k) <= len(ends) + probes, (n, k)
+
 
 class TestChainEvaluator:
     """The chain runs on each polynomial's Horner closure; patching in the
