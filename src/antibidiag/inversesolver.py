@@ -77,16 +77,13 @@ def validate_spectrum(values) -> Spectrum:
     values = tuple(values)
     if not values:
         raise EmptyInput("spectrum is empty")
-    if not values[0] > 0:
-        raise NonPositiveLead(f"lambda_1 = {values[0]} must be > 0")
     for k, v in enumerate(values, start=1):
         if not -math.inf < v < math.inf:
             raise NonFiniteValue(f"lambda_{k} = {v} is not finite")
-        want_positive = k % 2 == 1
-        if v == 0 or (v > 0) != want_positive:
-            raise NotAlternating(
-                f"lambda_{k} = {v} breaks the sign pattern (-1)**(k-1)"
-            )
+        if v == 0 or (v > 0) != (k % 2 == 1):
+            if k == 1:
+                raise NonPositiveLead(f"lambda_1 = {v} must be > 0")
+            raise NotAlternating(f"lambda_{k} = {v} breaks the sign pattern (-1)**(k-1)")
     for k in range(len(values) - 1):
         if not abs(values[k]) > abs(values[k + 1]):
             raise NotStrictlyDecreasingModulus(
@@ -260,7 +257,7 @@ def solve(spectrum: Spectrum, backend: Backend) -> ReconstructionTrace:
     if not a1 > 0:
         raise NonPositiveA(f"a_1 = sigma_1 = {a1} is not positive")
     upper = tuple(c if (n - k) % 2 == 0 else 0 for k, c in enumerate(qn))
-    q = _level([-c if (n - k) % 2 else 0 for k, c in enumerate(qn[:n])], n - 1, backend)
+    q = _level([-c if (n - k) % 2 else 0 for k, c in enumerate(qn[:n])], backend)
     chain = [qn, q]  # descending degree
     a_sq = []
     for k in range(n - 2, -1, -1):
@@ -269,7 +266,7 @@ def solve(spectrum: Spectrum, backend: Backend) -> ReconstructionTrace:
         if not asq > 0:
             raise NonPositiveA(f"a_{n - k}^2 = {asq} is not positive")
         a_sq.append(asq)
-        upper, q = q, _level(r[: k + 1], k, backend)
+        upper, q = q, _level(r[: k + 1], backend)
         chain.append(q)
 
     chain = CharPolySequence.q_system(chain[::-1], backend, scale)

@@ -3,9 +3,9 @@ evaluation, and one root per sign-change bracket.
 
 A ``MonicPoly`` may carry a parity tag, which its one evaluator, the cached
 Horner closure ``MonicPoly.evaluate``, runs on; the q-system levels that carry
-one are stored with their forbidden coefficients zero (``recurrence._level``).
-``roots_bracketed`` bisects each bracket with ``scalars.narrow``; it is the
-root finder of the interlacing chain in ``inversesolver``.
+one hold zeros at their forbidden coefficients as the step computes them
+(``recurrence._level``).  ``roots_bracketed`` bisects each of its brackets
+itself; it is the root finder of the interlacing chain in ``inversesolver``.
 
 Coefficients are stored dense, constant term first.  Degrees in this package
 stay small (a few dozen), so no sparse or FFT machinery is warranted.
@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import combinations, zip_longest
 
 from .errors import BackendUnsupported, DuplicateRoots, IndexOutOfRange, NoSignChange
-from .scalars import Backend, Record, narrow
+from .scalars import Backend, Record
 
 EVEN = "even"
 ODD = "odd"
@@ -123,9 +123,13 @@ def parity_of_degree(k: int) -> str:
 
 
 def roots_bracketed(p: MonicPoly, brackets, backend: Backend):
-    """One root per sign-change bracket, ascending, each bisected to width
-    <= root_tol by ``narrow``; an end where p is exactly 0.0 is the root.  Each
-    distinct end is evaluated once, though adjacent brackets share it."""
+    """One root per sign-change bracket, ascending; an end where p is exactly
+    0.0 is the root.  Each distinct end is evaluated once, though adjacent
+    brackets share it.  Each bracket is bisected at 0.5*lo + 0.5*hi, which
+    cannot overflow, to a probe where p is exactly 0.0, adjacent floats or
+    width root_tol, and its root is that probe or the last midpoint: at most
+    ceil(log2(width/root_tol)) probes, or one more where the rounded midpoints
+    leave the bracket a few ulps above root_tol."""
     if backend.exact:
         raise BackendUnsupported("bracketed root extraction needs the floating backend")
     tol = backend.policy.root_tol
@@ -139,7 +143,17 @@ def roots_bracketed(p: MonicPoly, brackets, backend: Backend):
             continue
         if (flo > 0) == (fhi > 0):
             raise NoSignChange(f"no sign change on [{lo}, {hi}]")
-        out.append(narrow(p.evaluate, [lo, hi, flo, fhi], tol)[0])
+        f = p.evaluate
+        while hi - lo > tol:
+            x = 0.5 * lo + 0.5 * hi
+            fx = f(x) if lo < x < hi else 0.0  # adjacent ends: x is one of them
+            if fx == 0.0:
+                lo = hi = x
+            elif (fx > 0) == (fhi > 0):
+                hi, fhi = x, fx
+            else:
+                lo = x
+        out.append(lo if lo == hi else 0.5 * lo + 0.5 * hi)
     return tuple(sorted(out))
 
 

@@ -82,19 +82,16 @@ def _tagged(chain) -> tuple:
     return tuple(map(MonicPoly, chain, parities))
 
 
-def _level(r, k, backend: Backend) -> tuple:
-    """A step's result r of degree k as a stored level: on the rational backend
-    the integers without their content; in float64 r[:-1] divided by the
-    leading coefficient under a leading 1.0, with each nonzero coefficient the
-    parity of k forbids set to 0.0 and a zero kept as it is, so -0.0 stays -0.0
-    (k None: no parity, the top q_n)."""
+def _level(r, backend: Backend) -> tuple:
+    """A step's result r as a stored level: on the rational backend the
+    integers without their content; in float64 r[:-1] divided by r[-1] > 0
+    under a leading 1.0.  Below q_n, each coefficient the level's parity
+    forbids comes out 0.0 or -0.0 as computed: both operands of the step hold
+    ±0.0 there, and its multipliers are finite (1.0 and -1.0 backward, 1.0
+    and -a^2 forward)."""
     if backend.exact:
         return primitive_part(r)
-    q = [c / r[-1] for c in r[:-1]]
-    for j in () if k is None else range(k - 1, -1, -2):
-        if q[j] != 0:
-            q[j] = 0.0
-    return (*q, 1.0)
+    return (*(c / r[-1] for c in r[:-1]), 1.0)
 
 
 def _ratio(num, den, backend: Backend):
@@ -160,14 +157,14 @@ def forward_q_squared(a1, tail_sq, backend: Backend) -> CharPolySequence:
     t P_{k-2}[-1] x P_{k-1} - s P_{k-1}[-1] P_{k-2}."""
     _check_positive(a1, tail_sq)
     n = 1 + len(tail_sq)
-    chain = [_level(c, k, backend) for k, c in enumerate([(1,), (0, 1)][:n])]
+    chain = [_level(c, backend) for c in [(1,), (0, 1)][:n]]
     for k in range(2, n):
         r = _step(shift_up(chain[k - 1]), chain[k - 2], tail_sq[n - k], backend)
-        chain.append(_level(r, k, backend))
+        chain.append(_level(r, backend))
     # (x - a_1) q_{n-1} first, then - a_2^2 q_{n-2}: the rounding of this
     # order is what max_residual reports.
     top = _step(shift_up(chain[n - 1]), chain[n - 1], a1, backend)
     if n > 1:
         top = _step(top, chain[n - 2], tail_sq[0], backend)
-    chain.append(_level(top, None, backend))
+    chain.append(_level(top, backend))
     return CharPolySequence.q_system(chain, backend)

@@ -116,26 +116,3 @@ def primitive_part(ints):
     """The integers divided by their gcd, their content; not all may be 0."""
     g = math.gcd(*ints)
     return tuple(v // g for v in ints)
-
-
-def narrow(f, b, tol: float) -> list:
-    """Bisect the sign-change bracket b = [lo, hi, f(lo), f(hi)] of f in place to
-    [m, m, None, None] and return it, m the root; f(lo) and f(hi) are nonzero
-    and of opposite signs.  Within width tol, at a probe where f is exactly 0.0
-    or where the ends are adjacent floats, m is the probe, or the midpoint
-    0.5*lo + 0.5*hi, which cannot overflow.  At most ceil(log2(width/tol))
-    evaluations, or one more where the rounded midpoints leave the bracket a
-    few ulps above tol."""
-    lo, hi, flo, fhi = b
-    while hi - lo > tol:
-        x = 0.5 * lo + 0.5 * hi
-        fx = f(x) if lo < x < hi else 0.0  # adjacent ends: x is one of them
-        if fx == 0.0:
-            lo = hi = x
-        elif (fx > 0) == (fhi > 0):
-            hi, fhi = x, fx
-        else:
-            lo, flo = x, fx
-    m = lo if lo == hi else 0.5 * lo + 0.5 * hi
-    b[:] = (m, m, None, None)
-    return b

@@ -12,8 +12,11 @@ with ``test_``).  The requests are the benchmark's three workload mixes at
 seeds 1-3, every command in every format (also at n = 1, and a float64
 forward pass that overflows), edge and error inputs, the accuracy
 ladder, the scaled, near-range, subnormal and graded spectra, ``verify-all``,
-``roundtrip`` in every format on the spectra with the largest errors, and
-plain ``solve`` where its round trip cannot run or finds a wrong result.
+``roundtrip`` in every format on the spectra with the largest errors,
+plain ``solve`` where its round trip cannot run or finds a wrong result, and
+``--input`` from the JSON and CSV files under ``tests/inputs``.  It runs in
+the repository root, so that those paths and the printed argv are the same
+in every checkout.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "perfbench")]
+os.chdir(_ROOT)
 os.environ["COLUMNS"] = "80"  # argparse wraps its usage text to the terminal width
 
 from antibidiag.cli import main  # noqa: E402
@@ -173,6 +177,16 @@ def requests():
     # it finds a wrong result
     for spectrum in ("1e-150,-1e-160", "1e-155,-5e-156", _join(ladder64)):
         reqs.append(["solve", "--spectrum=" + spectrum])
+
+    reqs += [  # --input, by a path relative to the repository root
+        ["solve", "--input", "tests/inputs/spectrum.json"],
+        ["solve", "--backend", "rational", "--input", "tests/inputs/spectrum.json"],
+        ["solve", "--input", "tests/inputs/spectrum.csv"],
+        ["signreg", "--input", "tests/inputs/a.json"],
+        ["signreg", "--input", "tests/inputs/spectrum.json"],
+        ["forward", "--input", "tests/inputs/a.json"],
+        ["sqrt", "--input", "tests/inputs/mus.json"],
+    ]
     return reqs
 
 

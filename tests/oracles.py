@@ -544,10 +544,15 @@ def roots_bracketed_reference(p, brackets, backend):
 
 
 def interlacing_chain_reference(trace, finder):
-    """The float64 chain of ``ReconstructionTrace._checks`` before it kept its
-    roots as brackets: (certificates, warnings), every root of each q_k taken
-    to the chain width by ``finder(p, brackets, backend)`` (the library's
-    ``roots_bracketed``, or ``roots_bracketed_reference``)."""
+    """The float64 interlacing chain, written out on its own: (certificates,
+    warnings).  For k = n-1, ..., 1 the upper floor(k/2) roots of q_k, one in
+    each gap between the upper roots of q_{k+1}, are taken to the chain width
+    root_tol * min(1, lambda_1) by ``finder(p, brackets, backend)`` (the
+    library's ``roots_bracketed``, or ``roots_bracketed_reference``), mirrored
+    about 0 with 0.0 for odd k, and checked with ``spectral.interlaces``.  The
+    first level without a sign change or interlacing cuts the chain; its
+    warning sits between the q_n underflow note and the small-gap note.  With
+    ``roots_bracketed`` it is ``ReconstructionTrace._chain``, bit for bit."""
     import math
     import sys
 

@@ -299,6 +299,12 @@ def test_sqrt_rejects_a_non_finite_mu_by_its_own_name(capsys, mus, named):
     assert f"rejected [NonFiniteValue]: {named} is not finite" in err and "lambda" not in err
 
 
+@pytest.mark.parametrize("spectrum, named", [("nan", "nan"), ("-inf", "-inf"), ("nan,-1", "nan")])
+def test_solve_rejects_a_non_finite_lambda_1_as_non_finite(capsys, spectrum, named):
+    assert run(["solve", "--spectrum=" + spectrum]) == (1, "")
+    assert f"rejected [NonFiniteValue]: lambda_1 = {named} is not finite" in capsys.readouterr().err
+
+
 def test_sqrt_whose_codiagonal_squares_overflow_is_a_breakdown(capsys):
     # J = A A has the codiagonal entry 1e225, which squares to inf
     code, text = run(["sqrt", "--mus", "1e300,1"])

@@ -103,6 +103,12 @@ class TestValidateSpectrum:
         with pytest.raises(NonFiniteValue):
             validate_spectrum((3.0, -math.nan))
 
+    @pytest.mark.parametrize("values", [(math.nan,), (-math.inf,), (math.nan, -1.0)])
+    def test_a_non_finite_lambda_1_is_not_finite_before_it_is_not_positive(self, values):
+        # nan > 0 and -inf > 0 are both false, but neither is a non-positive lead
+        with pytest.raises(NonFiniteValue, match=r"^lambda_1 = (nan|-inf) is not finite$"):
+            validate_spectrum(values)
+
 
 class TestSigmaInequality:
     def test_worked_example(self):

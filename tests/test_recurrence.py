@@ -16,8 +16,14 @@ from antibidiag import (
     solve,
     validate_spectrum,
 )
-from antibidiag.errors import NonPositiveEntry, SquareOutOfRange
-from antibidiag.sampling import case_rng, random_rational_coefficients, random_rational_spectrum
+from antibidiag.errors import AntibidiagError, NonPositiveEntry, SquareOutOfRange
+from antibidiag.sampling import (
+    case_rng,
+    random_coefficients,
+    random_rational_coefficients,
+    random_rational_spectrum,
+    random_spectrum,
+)
 
 from oracles import charpoly_cofactor
 
@@ -139,3 +145,48 @@ def test_exact_residual_check_refuses_perturbed_outputs(rb, n):
         a_sq = list(trace.a_squared)
         a_sq[j] += Fraction(1, 10**9)
         assert not matches(trace.a1, tuple(a_sq)), j
+
+
+# --- float levels keep their parity as the step computes them ---
+
+
+def _forbidden(seq):
+    """(k, j, c) for each coefficient c = q_k[j], k < n, that the parity of k forbids."""
+    return [(k, j, c) for k, q in enumerate(seq.polys[:-1]) for j, c in enumerate(q.coeffs) if (j - k) % 2]
+
+
+def _assert_parity_clean(seq):
+    # 0.0 or -0.0: nothing rounds them back, so a step that broke parity shows
+    forbidden = _forbidden(seq)
+    assert forbidden and all(type(c) is float and c == 0.0 for _, _, c in forbidden), [
+        f for f in forbidden if f[2] != 0.0
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_float_levels_hold_zeros_where_their_parity_forbids(fb, seed):
+    # the f64-roundtrip workload's spectra (n cycles 8, 16, 24, 32, 48), also
+    # scaled toward both ends of the float range: the backward levels of solve
+    # and the forward levels of the a it returns
+    solved = set()
+    for i in range(10):
+        base = random_spectrum(case_rng(seed, "f64-roundtrip", i), (8, 16, 24, 32, 48)[i % 5])
+        for e in (0, 20, -20, 100, -100, 150, -150, 300, -300):
+            try:
+                trace = solve(validate_spectrum([v * 10.0**e for v in base]), fb)
+            except AntibidiagError:
+                continue  # the pass broke down: a^2 <= 0 or inf in float64
+            _assert_parity_clean(trace.chain)
+            _assert_parity_clean(forward_q_squared(trace.a1, trace.a_squared, fb))
+            solved.add(e)
+    assert {0, 20, -20} <= solved
+
+
+@pytest.mark.parametrize("e", [50, -50, 150, -150])
+def test_forward_levels_hold_zeros_where_their_parity_forbids(fb, e):
+    # at 10**150 the allowed coefficients overflow to inf, at 10**-150 they
+    # underflow to 0.0; the forbidden ones stay zero
+    for i in range(20):
+        n = 2 + i % 30
+        a = [v * 10.0**e for v in random_coefficients(case_rng(1, "parity", i), n)]
+        _assert_parity_clean(forward_q(CoefficientVector(a), fb))

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from functools import cached_property, partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,12 +14,13 @@ from antibidiag import (
     float64,
     poly_eval,
     rational,
+    roots_bracketed,
     solve,
     validate_spectrum,
 )
 from antibidiag.errors import BackendUnsupported, EmptyInput, NotDecreasing
 from antibidiag.poly import MonicPoly
-from antibidiag.scalars import Record, narrow
+from antibidiag.scalars import Record
 from antibidiag.spectral import OrderVerdict
 
 from oracles import frac_equal, rational_op_oracle
@@ -217,12 +219,14 @@ def test_a_cached_property_caches_on_a_record():
     assert p.evaluate is p.evaluate and p.evaluate(3.0) == 7.0
 
 
-# --- the bisection kernel ---
+# --- the bisection of roots_bracketed ---
 
 
 def _probed(f, limit=math.inf):
-    """f, logging every (x, f(x)) the kernel asks for; past limit calls it
-    fails, so a kernel that loses its bound fails rather than runs on."""
+    """f as a polynomial, of which ``roots_bracketed`` reads only ``evaluate``,
+    logging every (x, f(x)) it asks for: the two bracket ends first, then the
+    probes.  Past limit calls it fails, so a bisection that loses its bound
+    fails rather than runs on."""
     log = []
 
     def g(x):
@@ -230,22 +234,28 @@ def _probed(f, limit=math.inf):
         assert len(log) <= limit, f"more than {limit} evaluations"
         return log[-1][1]
 
-    return g, log
+    return SimpleNamespace(evaluate=g), log
+
+
+def _root(p, lo, hi, tol):
+    """The root that ``roots_bracketed`` bisects [lo, hi] to at width tol."""
+    (r,) = roots_bracketed(p, [(lo, hi)], float64(TolerancePolicy(root_tol=tol)))
+    return r
 
 
 def _assert_root_contract(f, lo, hi, tol):
-    """Narrow [lo, hi] to tol; it collapses to a root that lies within tol of a
-    sign change among the ends and the probes, and the kernel took at most
-    ceil(log2(width/tol)) evaluations, one per halving."""
+    """Bisect [lo, hi] to tol; the root lies within tol of a sign change among
+    the ends and the probes, and it took the two end evaluations plus at most
+    ceil(log2(width/tol)) probes, one per halving."""
     flo, fhi = f(lo), f(hi)
     # log2 of the width and of tol apart: width/tol overflows past about 1e295
-    g, log = _probed(f, max(0, math.ceil(math.log2(hi - lo) - math.log2(tol))))
-    r, r_hi, *ends = narrow(g, [lo, hi, flo, fhi], tol)
-    assert r == r_hi and ends == [None, None]
-    assert all(lo < x < hi for x, _ in log)
+    p, log = _probed(f, 2 + max(0, math.ceil(math.log2(hi - lo) - math.log2(tol))))
+    r = _root(p, lo, hi, tol)
+    assert sorted(log[:2]) == [(lo, flo), (hi, fhi)]
+    assert all(lo < x < hi for x, _ in log[2:])
     if (r, 0.0) in log:
         return r
-    points = sorted([(lo, flo), (hi, fhi)] + log)
+    points = sorted(log)
     below = max(p for p in points if p[0] <= r)
     above = min(p for p in points if p[0] >= r)
     assert (below[1] > 0) != (above[1] > 0)
@@ -265,31 +275,29 @@ def test_kernel_finds_rising_and_falling_crossings(sign):
 @pytest.mark.parametrize("tol", [1e-13, 1e-3, 0.5, 9 / 16])
 def test_kernel_collapses_a_bracket_that_reaches_tol(tol):
     # width 9/2**h <= tol after h halvings, the least such h, 4 at exactly 9/16,
-    # one evaluation each
+    # one evaluation each after the two ends
     rng = random.Random(12)
     h = math.ceil(math.log2(9.0 / tol))
     for _ in range(50):
         c = rng.uniform(-3.0, 3.0)
-        f = lambda x: (x - c) * (1.0 + x * x) ** 2
-        g, log = _probed(f)
-        m, m_hi, *ends = narrow(g, [-4.0, 5.0, f(-4.0), f(5.0)], tol)
-        assert m == m_hi and ends == [None, None] and len(log) == h
+        p, log = _probed(lambda x: (x - c) * (1.0 + x * x) ** 2)
+        m = _root(p, -4.0, 5.0, tol)
+        assert len(log) == 2 + h
         assert abs(m - c) <= tol / 2
 
 
 def test_kernel_returns_a_probe_where_f_is_exactly_zero():
     # the first midpoint of [0, 1] is the root of x - 0.5
-    g, log = _probed(lambda x: x - 0.5)
-    assert narrow(g, [0.0, 1.0, -0.5, 0.5], 1e-13) == [0.5, 0.5, None, None]
-    assert log == [(0.5, 0.0)]
+    p, log = _probed(lambda x: x - 0.5)
+    assert _root(p, 0.0, 1.0, 1e-13) == 0.5
+    assert log[2:] == [(0.5, 0.0)]
 
 
 def test_kernel_takes_no_step_on_a_bracket_already_within_tol():
-    g, log = _probed(lambda x: x - 1.0)
+    p, log = _probed(lambda x: x - 1.0)
     lo, hi = 1.0 - 2e-14, 1.0 + 3e-14
-    m = 0.5 * (lo + hi)
-    assert narrow(g, [lo, hi, lo - 1.0, hi - 1.0], 1e-13) == [m, m, None, None]
-    assert log == []
+    assert _root(p, lo, hi, 1e-13) == 0.5 * (lo + hi)
+    assert log[2:] == []
 
 
 @pytest.mark.parametrize("top", [1e20, 1.2e308, 1.5e308, 1.7e308])
@@ -307,8 +315,8 @@ def test_kernel_keeps_its_bound_on_a_bracket_wider_than_the_float_range():
     # stays finite, and each step halves the true width, whose log2 is taken
     # from its halves
     f = lambda x: math.inf if x > 1.0 else -1.0
-    g, _ = _probed(f, math.ceil(math.log2(1.5e308 / 2 + 1e308 / 2) + 1 - math.log2(1e-13)))
-    assert abs(narrow(g, [-1e308, 1.5e308, -1.0, math.inf], 1e-13)[0] - 1.0) <= 1e-13
+    p, _ = _probed(f, 2 + math.ceil(math.log2(1.5e308 / 2 + 1e308 / 2) + 1 - math.log2(1e-13)))
+    assert abs(_root(p, -1e308, 1.5e308, 1e-13) - 1.0) <= 1e-13
 
 
 def test_a_chain_with_an_inf_bracket_end_returns(fb):
