@@ -12,13 +12,11 @@ other arithmetic or value error escaping the numeric core is a breakdown.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import errors as err
@@ -73,40 +71,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--backend", choices=["float64", "rational"], default="float64")
-        p.add_argument("--format", choices=["json", "csv", "pretty"], default="json")
-        p.add_argument("--input", type=Path, help="JSON or CSV input file")
-        p.add_argument("--tol-abs", type=float, default=1e-10)
-        p.add_argument("--tol-rel", type=float, default=1e-10)
-        p.add_argument("--root-tol", type=float, default=1e-13)
+    common = argparse.ArgumentParser(add_help=False)  # the options of every command, built once
+    common.add_argument("--backend", choices=["float64", "rational"], default="float64")
+    common.add_argument("--format", choices=["json", "csv", "pretty"], default="json")
+    common.add_argument("--input", type=Path, help="JSON or CSV input file")
+    common.add_argument("--tol-abs", type=float, default=1e-10)
+    common.add_argument("--tol-rel", type=float, default=1e-10)
+    common.add_argument("--root-tol", type=float, default=1e-13)
 
-    p = sub.add_parser("solve", help="spectrum -> positive coefficient vector")
-    common(p)
+    p = sub.add_parser("solve", parents=[common], help="spectrum -> positive coefficient vector")
     p.add_argument("--spectrum", help="comma-separated eigenvalues")
     p.add_argument("--roundtrip", action="store_true", help="no effect: float64 solve always round-trips")
 
-    p = sub.add_parser("forward", help="coefficients -> characteristic polynomials")
-    common(p)
+    p = sub.add_parser("forward", parents=[common], help="coefficients -> characteristic polynomials")
     p.add_argument("--a", help="comma-separated positive coefficients")
     p.add_argument("--eigs", action="store_true", help="also eigensolve the Jacobi matrix")
 
-    p = sub.add_parser("roundtrip", help="solve then eigensolve, report max error")
-    common(p)
+    p = sub.add_parser("roundtrip", parents=[common], help="solve then eigensolve, report max error")
     p.add_argument("--spectrum", help="comma-separated eigenvalues")
 
-    p = sub.add_parser("sqrt", help="anti-bidiagonal square root of a Jacobi matrix")
-    common(p)
+    p = sub.add_parser("sqrt", parents=[common], help="anti-bidiagonal square root of a Jacobi matrix")
     p.add_argument("--mus", help="strictly decreasing positive eigenvalues")
 
-    p = sub.add_parser("signreg", help="sign-regularity classification")
-    common(p)
+    p = sub.add_parser("signreg", parents=[common], help="sign-regularity classification")
     p.add_argument("--a", help="coefficients of the matrix to classify")
     p.add_argument("--spectrum", help="solve first, then classify the result")
     p.add_argument("--max-power", type=int, default=None)
 
-    p = sub.add_parser("verify-all", help="run the randomized property batteries")
-    common(p)
+    p = sub.add_parser("verify-all", parents=[common], help="run the randomized property batteries")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sizes", default="1,2,3,4,5,6,7,8", help="comma-separated n values")
     p.add_argument("--cases", type=int, default=20, help="cases per battery per size")
@@ -125,12 +117,16 @@ def _make_backend(args) -> Backend:
 def _parse_token(tok: str, backend: Backend):
     tok = tok.strip()
     try:
+        if not (backend.exact or "/" in tok):  # a plain float needs no fractions
+            return float(tok)
+        import fractions
+
         if backend.exact:  # refuse an exponent e before 10**|e| outgrows the int-to-str digit limit
             exp, limit = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\Z", tok), sys.get_int_max_str_digits()
             if exp and limit and abs(int(exp[1])) >= limit:
                 raise ValueError(f"10**{abs(int(exp[1]))} has more digits than the limit {limit}")
-            return Fraction(tok)
-        return float(Fraction(tok)) if "/" in tok else float(tok)
+            return fractions.Fraction(tok)
+        return float(fractions.Fraction(tok))
     except (ValueError, ZeroDivisionError) as exc:
         raise err.UsageError(f"cannot read {tok!r} as a number: {exc}") from exc
 
@@ -192,7 +188,8 @@ def _finite(value) -> bool:
 
 
 def _fraction(x) -> str:
-    if isinstance(x, Fraction):
+    import fractions
+    if isinstance(x, fractions.Fraction):
         return str(x)
     raise TypeError(f"{type(x).__name__} is not a report value")
 
@@ -238,6 +235,7 @@ def _emit(report: dict, fmt: str, out) -> None:
             elif not isinstance(v, dict):
                 lines.append(f"{pad}{path[-1]}: " + ", ".join(map(_pretty, leaf)))
         if fmt == "csv":
+            import csv
             csv.writer(out, lineterminator="\n").writerows(lines)
         else:
             print("\n".join(lines), file=out)

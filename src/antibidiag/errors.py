@@ -98,7 +98,7 @@ class NonFiniteResult(NumericalBreakdown):
 
 
 class SquareOutOfRange(NumericalBreakdown):
-    """The square of a positive entry underflows to zero or overflows float64."""
+    """The square of a positive entry, or a band's Gershgorin width, leaves the float64 range."""
 
 
 class NotTridiagonal(NumericalBreakdown):

@@ -21,7 +21,6 @@ backward pass of ``inversesolver.solve``.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import NonPositiveEntry, SquareOutOfRange
@@ -53,9 +52,11 @@ class CharPolySequence(Record):
     def polys(self) -> tuple:
         if self.scale is None:
             return self.chain
+        import fractions
+
         d = self.scale
         return _tagged([
-            tuple(Fraction(v, c[-1] * d ** (k - j)) for j, v in enumerate(c))
+            tuple(fractions.Fraction(v, c[-1] * d ** (k - j)) for j, v in enumerate(c))
             for k, c in enumerate(self.chain)
         ])
 
@@ -96,7 +97,11 @@ def _level(r, backend: Backend) -> tuple:
 
 def _ratio(num, den, backend: Backend):
     """num / den as an output scalar: one Fraction on the rational backend."""
-    return Fraction(num, den) if backend.exact else num / den
+    if not backend.exact:
+        return num / den
+    import fractions
+
+    return fractions.Fraction(num, den)
 
 
 def _step(p, u, v, backend: Backend) -> tuple:

@@ -8,7 +8,6 @@ batteries are reproducible and order-independent.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 
 def case_rng(seed: int, label: str, index: int) -> random.Random:
@@ -37,9 +36,11 @@ def random_spectrum(rng: random.Random, n: int, min_gap=0.1, lo=0.1, hi=10.0):
 
 def random_rational_spectrum(rng: random.Random, n: int, max_num=400, den=16):
     """Valid spectrum with exact rational entries."""
+    import fractions
+
     nums = rng.sample(range(1, max_num + 1), n)
     nums.sort(reverse=True)
-    return tuple((-1) ** k * Fraction(v, den) for k, v in enumerate(nums))
+    return tuple((-1) ** k * fractions.Fraction(v, den) for k, v in enumerate(nums))
 
 
 def random_coefficients(rng: random.Random, n: int, lo=0.2, hi=3.0):
@@ -48,7 +49,9 @@ def random_coefficients(rng: random.Random, n: int, lo=0.2, hi=3.0):
 
 
 def random_rational_coefficients(rng: random.Random, n: int, max_num=40, den=8):
-    return tuple(Fraction(rng.randint(1, max_num), den) for _ in range(n))
+    import fractions
+
+    return tuple(fractions.Fraction(rng.randint(1, max_num), den) for _ in range(n))
 
 
 def random_positive_tuple(rng: random.Random, n: int, min_gap=0.2, lo=0.5, hi=20.0):

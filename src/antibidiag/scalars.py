@@ -10,7 +10,6 @@ the rational backend defers them to reporting time.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import BackendUnsupported
 
@@ -74,7 +73,11 @@ class Backend(Record):
 
     def convert(self, x):
         """Coerce a number (or numeric string) into this backend's scalar type."""
-        return Fraction(x) if self.exact else float(x)
+        if not self.exact:
+            return float(x)
+        import fractions
+
+        return fractions.Fraction(x)
 
     def approx_equal(self, x, y) -> bool:
         """Exact equality (rational) or mixed abs/rel band (floating)."""
@@ -96,11 +99,11 @@ class Backend(Record):
 
     @property
     def zero(self):
-        return Fraction(0) if self.exact else 0.0
+        return self.convert(0)
 
     @property
     def one(self):
-        return Fraction(1) if self.exact else 1.0
+        return self.convert(1)
 
 
 def float64(policy: TolerancePolicy | None = None) -> Backend:

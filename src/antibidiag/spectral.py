@@ -119,8 +119,9 @@ def tridiagonal_eigenvalues(diag, off, backend: Backend, near=()):
     bisected down through the exponent range: about 1200 counts for the exact 0
     of diag (0, 0, 0), off (1, 1).
 
-    Raises SquareOutOfRange if a nonzero codiagonal entry squares outside the
-    normal float64 range, where the Sturm pivots lose precision or overflow."""
+    Raises SquareOutOfRange where the Sturm pivots could lose precision or overflow:
+    a nonzero codiagonal squares outside the normal range, or the Gershgorin width
+    ghi - glo is not finite."""
     if backend.exact:
         raise BackendUnsupported("eigensolver needs the floating backend")
     e2 = [0.0]  # the squared codiagonal both pivot loops take
@@ -130,6 +131,8 @@ def tridiagonal_eigenvalues(diag, off, backend: Backend, near=()):
             raise SquareOutOfRange(f"codiagonal entry {b} squares to {b2} in float64")
         e2.append(b2)
     glo, ghi = gershgorin_bounds(diag, off)
+    if not ghi - glo < inf:  # a finite width keeps each a - x finite: no pivot is -inf - -inf
+        raise SquareOutOfRange(f"the band's Gershgorin width {ghi - glo} is not finite in float64")
     n = len(diag)
     lo, hi = [glo] * n, [ghi] * n
 

@@ -13,10 +13,10 @@ seeds 1-3, every command in every format (also at n = 1, and a float64
 forward pass that overflows), edge and error inputs, the accuracy
 ladder, the scaled, near-range, subnormal and graded spectra, ``verify-all``,
 ``roundtrip`` in every format on the spectra with the largest errors,
-plain ``solve`` where its round trip cannot run or finds a wrong result, and
-``--input`` from the JSON and CSV files under ``tests/inputs``.  It runs in
-the repository root, so that those paths and the printed argv are the same
-in every checkout.
+plain ``solve`` where its round trip cannot run or finds a wrong result,
+``--input`` from the JSON and CSV files under ``tests/inputs``, and ``--help``
+for the program and for each command.  It runs in the repository root, so that
+those paths and the printed argv are the same in every checkout.
 """
 
 from __future__ import annotations
@@ -187,6 +187,9 @@ def requests():
         ["forward", "--input", "tests/inputs/a.json"],
         ["sqrt", "--input", "tests/inputs/mus.json"],
     ]
+    # the help texts: the program's and each command's, shared options included
+    reqs += [["--help"]] + [[command, "--help"] for command in
+                            ("solve", "forward", "roundtrip", "sqrt", "signreg", "verify-all")]
     return reqs
 
 

@@ -28,14 +28,40 @@ def run(args):
     return code, out.getvalue()
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # a cold call pays for every import; these two cost about 10 ms, and a bare
-    # isolated interpreter loads neither
+def _fresh(code: str) -> subprocess.CompletedProcess:
+    """``code`` run in a fresh isolated interpreter that finds the package in src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    probe = f"import sys; sys.path.insert(0, {src!r}); import antibidiag.cli; print(*sys.modules)"
-    probed = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True, check=True)
-    loaded = set(probed.stdout.split())
-    assert "antibidiag.cli" in loaded and not loaded & {"dataclasses", "inspect"}
+    probe = f"import sys; sys.path.insert(0, {src!r})\n{code}"
+    return subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True)
+
+
+def test_a_cold_float64_call_loads_no_module_it_does_not_use():
+    # a cold call pays for every import: fractions (with decimal and numbers)
+    # serves only the rational backend and p/q tokens, csv only --format csv,
+    # and a bare isolated interpreter loads none of these six
+    probed = _fresh(
+        "import io, antibidiag.cli as cli\n"
+        "run = lambda *args: cli.main(list(args), out=io.StringIO())\n"
+        "cli.build_parser()\n"
+        "print(run('solve', '--spectrum', '3,-2,1'), run('signreg', '--spectrum', '3,-2,1'), *sys.modules)\n"
+        "print(run('solve', '--backend', 'rational', '--spectrum', '3,-2,1'), *sys.modules)\n"
+    )
+    cold, exact = (line.split() for line in probed.stdout.splitlines())
+    deferred = {"fractions", "decimal", "numbers", "csv", "dataclasses", "inspect"}
+    assert (probed.returncode, cold[:2], exact[0]) == (0, ["0", "0"], "0")
+    assert "antibidiag.cli" in cold and not set(cold) & deferred
+    assert "fractions" in exact  # the probe sees an import once it happens
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--backend", "rational", "--spectrum", "3/2,-1/2"],
+    ["solve", "--spectrum", "3/2,-1/2"],
+    ["solve", "--spectrum", "3,-2,1", "--format", "csv"],
+    ["signreg", "--spectrum", "3,-2,1", "--format", "csv"],
+])
+def test_a_deferred_import_serves_the_first_request_of_a_fresh_interpreter(args):
+    fresh = _fresh(f"import antibidiag.cli as cli\nsys.exit(cli.main({args!r}))")
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (*run(args), "")
 
 
 def test_solve_worked_example():

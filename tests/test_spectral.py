@@ -131,6 +131,21 @@ def test_eigensolve_refuses_a_codiagonal_whose_square_overflows(fb):
 
 
 @pytest.mark.parametrize(
+    "diag, off, width",
+    [((1.7e308, -1.7e308, -1.0), (1.0, 1e150), "inf"), ((1.7e308, -1.7e308), (0.0,), "inf"),
+     ((math.nan, 1.0), (1.0,), "nan")],
+)
+def test_eigensolve_refuses_a_band_whose_gershgorin_width_is_not_finite(fb, monkeypatch, diag, off, width):
+    # a - x overflows to -inf at some x in the interval, and after an exactly
+    # zero pivot -inf - (-inf) is a NaN pivot, which counts as nonnegative: the
+    # first band counts 2, 1, 3 at the float below 1.7e308, at it and above it
+    passes = _count_passes(monkeypatch)
+    with pytest.raises(SquareOutOfRange, match=f"Gershgorin width {width} "):
+        tridiagonal_eigenvalues(list(diag), list(off), fb, near=diag)
+    assert passes == []
+
+
+@pytest.mark.parametrize(
     "diag, off", [((1.5e308, 0.0, 0.0), (8.660254037844386e153, 0.5**0.5)), ((1e308, 0.0), (1e149,))]
 )
 def test_eigensolve_midpoint_stays_finite_near_the_float_range(fb, diag, off):
