@@ -140,7 +140,7 @@ def _parse_inline(text: str, backend: Backend):
 def _load_input(path: Path, backend: Backend, keys):
     """(key, values) for the first of ``keys`` in a JSON document; CSV reads as the last key."""
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8-sig")  # a byte-order mark is not data
         if path.suffix == ".json" or text.lstrip().startswith("{"):
             doc = json.loads(text)
             for key in keys:
@@ -453,7 +453,7 @@ def _battery_sqrt(seed, sizes, cases, backend):
         mus = random_positive_tuple(rng, n)
         res = jacobi_sqrt(PositiveTuple(mus), backend)
         worst = relative_spectrum_error(eigensolve_tridiagonal(res.jacobi, backend, near=mus), mus)
-        if worst > 1e-8:
+        if worst > ROUNDTRIP_TOL:
             return False, f"square spectrum error {worst:.3e} at n={n}"
     return True, "squares are Jacobi with the prescribed spectrum"
 

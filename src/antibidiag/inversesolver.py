@@ -269,7 +269,7 @@ def solve(spectrum: Spectrum, backend: Backend) -> ReconstructionTrace:
         upper, q = q, _level(r[: k + 1], backend)
         chain.append(q)
 
-    chain = CharPolySequence.q_system(chain[::-1], backend, scale)
+    chain = CharPolySequence.of_levels(chain[::-1], backend, scale)
     if math.inf in a_sq:
         raise NonFiniteA("a squared codiagonal entry overflows float64")
     return ReconstructionTrace(spectrum, chain, a1, tuple(a_sq), backend)

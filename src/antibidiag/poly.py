@@ -1,11 +1,12 @@
 """Monic polynomials: construction from roots, symmetric functions, Horner
 evaluation, and one root per sign-change bracket.
 
-A ``MonicPoly`` may carry a parity tag, which its one evaluator, the cached
-Horner closure ``MonicPoly.evaluate``, runs on; the q-system levels that carry
-one hold zeros at their forbidden coefficients as the step computes them
-(``recurrence._level``).  ``roots_bracketed`` bisects each of its brackets
-itself; it is the root finder of the interlacing chain in ``inversesolver``.
+A ``MonicPoly`` reads its parity from its coefficients, and its one evaluator,
+the cached Horner closure ``MonicPoly.evaluate``, runs on it; a q-system level
+q_k, k < n, has the parity of k because it holds zeros at its forbidden
+coefficients as the step computes them (``recurrence._level``).
+``roots_bracketed`` bisects each of its brackets itself; it is the root finder
+of the interlacing chain in ``inversesolver``.
 
 Coefficients are stored dense, constant term first.  Degrees in this package
 stay small (a few dozen), so no sparse or FFT machinery is warranted.
@@ -19,27 +20,25 @@ from itertools import combinations, zip_longest
 from .errors import BackendUnsupported, DuplicateRoots, IndexOutOfRange, NoSignChange
 from .scalars import Backend, Record
 
-EVEN = "even"
-ODD = "odd"
-
 
 class MonicPoly(Record):
-    """Dense monic polynomial; ``coeffs[k]`` multiplies x**k, leading term 1.
-
-    ``parity`` is metadata: "even" forces odd-index coefficients to zero,
-    "odd" the even-index ones, None imposes nothing.
-    """
+    """Dense monic polynomial; ``coeffs[k]`` multiplies x**k, leading term 1."""
 
     coeffs: tuple
-    parity: str | None = None
 
     def __post_init__(self):
         if not self.coeffs:
             raise ValueError("empty coefficient list")
         if self.coeffs[-1] != 1:
             raise ValueError("leading coefficient must be exactly 1")
-        if self.parity not in (None, EVEN, ODD):
-            raise ValueError(f"bad parity tag {self.parity!r}")
+
+    @cached_property
+    def parity(self) -> str | None:
+        """What the coefficients show: "even" when every odd-index one is zero
+        (0.0, -0.0 or 0), else "odd" when every even-index one is, else None."""
+        if not any(self.coeffs[1::2]):
+            return "even"
+        return None if any(self.coeffs[::2]) else "odd"
 
     @property
     def degree(self) -> int:
@@ -49,13 +48,14 @@ class MonicPoly(Record):
     def evaluate(self):
         """x -> p(x) by Horner, a closure over the coefficients it runs on.
 
-        A parity-tagged polynomial is evaluated by Horner in x*x over its
+        A polynomial with a parity is evaluated by Horner in x*x over its
         allowed coefficients (times x when odd), which halves the multiply-adds
         and makes p(-x) = p(x) (even) or -p(x) (odd) hold exactly; the
-        forbidden coefficients are taken as zero, as the tag states.  An
-        untagged polynomial takes plain Horner in x."""
-        cs = self.coeffs if self.parity is None else self.coeffs[self.parity == ODD :: 2]
-        lead, rest, plain, odd = cs[-1], cs[-2::-1], self.parity is None, self.parity == ODD
+        forbidden coefficients it skips are zeros.  Any other polynomial takes
+        plain Horner in x."""
+        plain, odd = self.parity is None, self.parity == "odd"
+        cs = self.coeffs if plain else self.coeffs[odd::2]
+        lead, rest = cs[-1], cs[-2::-1]
 
         def evaluate(x):
             acc, y = lead, x if plain else x * x
@@ -116,10 +116,6 @@ def elementary_symmetric(roots, j: int):
 def poly_eval(p: MonicPoly, x):
     """Horner evaluation: ``p.evaluate(x)``."""
     return p.evaluate(x)
-
-
-def parity_of_degree(k: int) -> str:
-    return EVEN if k % 2 == 0 else ODD
 
 
 def roots_bracketed(p: MonicPoly, brackets, backend: Backend):

@@ -13,9 +13,10 @@ Two systems produce the same top polynomial:
 Both take a positive coefficient vector; the q-system also takes the pair
 (a_1, squared tail), so the exact backend never needs square roots.
 
-How a q-system level is stored (``_level``) and how an output quotient is
-formed (``_ratio``) is decided here, for this forward pass and for the
-backward pass of ``inversesolver.solve``.
+How a level is stored (``_level``), for both forward passes and for the
+backward pass of ``inversesolver.solve``, and how an output quotient is formed
+(``_ratio``) is decided here; p- and q-system levels take the same step
+(``_step``) and are stored alike.
 """
 
 from __future__ import annotations
@@ -25,40 +26,37 @@ from functools import cached_property
 
 from .errors import NonPositiveEntry, SquareOutOfRange
 from .matrixkit import CoefficientVector
-from .poly import MonicPoly, lin_comb, parity_of_degree, shift_up
+from .poly import MonicPoly, lin_comb, shift_up
 from .scalars import Backend, Record, primitive_part
 
 
 class CharPolySequence(Record):
     """polys[k] has degree k; polys[n] is the full characteristic polynomial.
 
-    ``chain`` holds the polys themselves when ``scale`` is None.  An exact
-    q-system keeps integers instead, chain[k] = C_k with
-    q_k(x) = C_k(D x) / (C_k[-1] D**k) for D = scale, and builds its monic
-    rational polys on first access.
+    ``chain`` holds the levels as ``_level`` stores them, for the p- and the
+    q-system alike: monic coefficient tuples (float64, or Fractions) when
+    ``scale`` is None, and on the rational backend integers chain[k] = C_k
+    with q_k(x) = C_k(D x) / (C_k[-1] D**k) for D = scale.  ``polys`` builds
+    the monic polys on first access.
     """
 
     chain: tuple
     scale: int | None = None
 
     @classmethod
-    def q_system(cls, chain, backend: Backend, scale=1) -> CharPolySequence:
-        """The q-system of the levels chain[k], k = 0..n, as ``_level`` stores
-        them: floats become monic polys now; integers (``scale`` D) wait for
-        ``polys``."""
-        return cls(tuple(chain), scale) if backend.exact else cls(_tagged(chain))
+    def of_levels(cls, chain, backend: Backend, scale=1) -> CharPolySequence:
+        """The levels chain[k], k = 0..n, as ``_level`` stores them; integers carry ``scale``."""
+        return cls(tuple(chain), scale if backend.exact else None)
 
     @cached_property
     def polys(self) -> tuple:
-        if self.scale is None:
-            return self.chain
-        import fractions
+        chain, d = self.chain, self.scale
+        if d is not None:
+            import fractions
 
-        d = self.scale
-        return _tagged([
-            tuple(fractions.Fraction(v, c[-1] * d ** (k - j)) for j, v in enumerate(c))
-            for k, c in enumerate(self.chain)
-        ])
+            chain = [tuple(fractions.Fraction(v, c[-1] * d ** (k - j)) for j, v in enumerate(c))
+                     for k, c in enumerate(chain)]
+        return tuple(map(MonicPoly, chain))
 
     @property
     def top(self) -> MonicPoly:
@@ -77,19 +75,14 @@ class CharPolySequence(Record):
         )
 
 
-def _tagged(chain) -> tuple:
-    """Monic q_k of the coefficient tuples, tagged with the parity of k for k < n."""
-    parities = [parity_of_degree(k) for k in range(len(chain) - 1)] + [None]
-    return tuple(map(MonicPoly, chain, parities))
-
-
 def _level(r, backend: Backend) -> tuple:
     """A step's result r as a stored level: on the rational backend the
     integers without their content; in float64 r[:-1] divided by r[-1] > 0
-    under a leading 1.0.  Below q_n, each coefficient the level's parity
-    forbids comes out 0.0 or -0.0 as computed: both operands of the step hold
-    ±0.0 there, and its multipliers are finite (1.0 and -1.0 backward, 1.0
-    and -a^2 forward)."""
+    under a leading 1.0.  Below q_n, each q-system coefficient the parity of
+    its degree forbids comes out 0.0 or -0.0 as computed: both operands of
+    the step hold ±0.0 there, and its multipliers are finite (1.0 and -1.0
+    backward, 1.0 and -a^2 forward); ``MonicPoly.parity`` reads the parity
+    back from those zeros."""
     if backend.exact:
         return primitive_part(r)
     return (*(c / r[-1] for c in r[:-1]), 1.0)
@@ -139,14 +132,14 @@ def _check_positive(a1, tail_sq):
 
 
 def forward_p(a: CoefficientVector, backend: Backend) -> CharPolySequence:
-    """p-system of a positive coefficient vector."""
+    """p-system of a positive coefficient vector, stored as the q-system is:
+    p_1 = (x - a_1) p_0 is the step with v = a_1, as the q-system's top step."""
     a1, tail_sq = _squares(a, backend)
-    one = backend.one
-    polys = [MonicPoly((one,)), MonicPoly((-a1, one))]
-    for k in range(2, a.n + 1):
-        coeffs = lin_comb(shift_up(polys[k - 1].coeffs), polys[k - 2].coeffs, -tail_sq[k - 2])
-        polys.append(MonicPoly(coeffs))
-    return CharPolySequence(tuple(polys))
+    chain = [_level((1,), backend)]
+    chain.append(_level(_step(shift_up(chain[0]), chain[0], a1, backend), backend))
+    for v in tail_sq:
+        chain.append(_level(_step(shift_up(chain[-1]), chain[-2], v, backend), backend))
+    return CharPolySequence.of_levels(chain, backend)
 
 
 def forward_q(a: CoefficientVector, backend: Backend) -> CharPolySequence:
@@ -172,4 +165,4 @@ def forward_q_squared(a1, tail_sq, backend: Backend) -> CharPolySequence:
     if n > 1:
         top = _step(top, chain[n - 2], tail_sq[0], backend)
     chain.append(_level(top, backend))
-    return CharPolySequence.q_system(chain, backend)
+    return CharPolySequence.of_levels(chain, backend)

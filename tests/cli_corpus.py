@@ -7,6 +7,10 @@ every request whose output changed:
 
     python tests/cli_corpus.py > corpus.txt
 
+``tests/corpus.txt`` is its output at this commit, and ``tests/test_corpus.py``
+fails naming each request whose line changed; a change that means to change
+an output regenerates the file with the command above.
+
 It takes no options.  pytest does not collect it (its name does not start
 with ``test_``).  The requests are the benchmark's three workload mixes at
 seeds 1-3, every command in every format (also at n = 1, and a float64
@@ -14,9 +18,10 @@ forward pass that overflows), edge and error inputs, the accuracy
 ladder, the scaled, near-range, subnormal and graded spectra, ``verify-all``,
 ``roundtrip`` in every format on the spectra with the largest errors,
 plain ``solve`` where its round trip cannot run or finds a wrong result,
-``--input`` from the JSON and CSV files under ``tests/inputs``, and ``--help``
-for the program and for each command.  It runs in the repository root, so that
-those paths and the printed argv are the same in every checkout.
+``--input`` from the JSON and CSV files under ``tests/inputs`` (also with a
+byte-order mark), and ``--help`` for the program and for each command.  It
+runs in the repository root, so that those paths and the printed argv are the
+same in every checkout.
 """
 
 from __future__ import annotations
@@ -125,6 +130,8 @@ def requests():
         ["sqrt", "--mus", "1e-200,1e-201"],
         ["sqrt", "--mus", "1e300,1"],
         ["sqrt", "--mus", "3,2.9999999999999996"],
+        ["sqrt", "--mus", "4,1e-20"],  # exit 0 with a spectrum error of 2e-6, unwarned
+        ["sqrt", "--mus", "4,1e-300"],  # and of 1e134
         ["signreg", "--a", "1,2,3,4,5,6,7,8,9,10,11,12,13"],
         ["verify-all", "--sizes", "0"],
         ["verify-all", "--sizes", ""],
@@ -182,6 +189,8 @@ def requests():
         ["solve", "--input", "tests/inputs/spectrum.json"],
         ["solve", "--backend", "rational", "--input", "tests/inputs/spectrum.json"],
         ["solve", "--input", "tests/inputs/spectrum.csv"],
+        ["solve", "--input", "tests/inputs/spectrum-bom.json"],  # a UTF-8 byte-order mark
+        ["solve", "--input", "tests/inputs/spectrum-bom.csv"],
         ["signreg", "--input", "tests/inputs/a.json"],
         ["signreg", "--input", "tests/inputs/spectrum.json"],
         ["forward", "--input", "tests/inputs/a.json"],

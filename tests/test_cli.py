@@ -170,6 +170,16 @@ def test_file_inputs(tmp_path):
     assert code2 == 0 and json.loads(text2)["a_squared"] == json.loads(text)["a_squared"]
 
 
+@pytest.mark.parametrize("suffix", ["csv", "json"])
+@pytest.mark.parametrize("backend", ["float64", "rational"])
+def test_an_input_file_with_a_byte_order_mark_reads_as_without(suffix, backend):
+    inputs = Path(__file__).resolve().parent / "inputs"
+    with_bom, plain = inputs / f"spectrum-bom.{suffix}", inputs / f"spectrum.{suffix}"
+    assert with_bom.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    solved = run(["solve", "--backend", backend, "--input", str(plain)])
+    assert solved[0] == 0 and run(["solve", "--backend", backend, "--input", str(with_bom)]) == solved
+
+
 def test_csv_and_pretty_formats():
     code, text = run(["solve", "--spectrum", "3,-2,1", "--format", "csv"])
     assert code == 0
@@ -329,6 +339,17 @@ def test_sqrt_rejects_a_non_finite_mu_by_its_own_name(capsys, mus, named):
 def test_solve_rejects_a_non_finite_lambda_1_as_non_finite(capsys, spectrum, named):
     assert run(["solve", "--spectrum=" + spectrum]) == (1, "")
     assert f"rejected [NonFiniteValue]: lambda_1 = {named} is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.xfail(strict=True, reason="the sqrt report has no warnings key, so a J whose "
+                   "spectrum is off by more than ROUNDTRIP_TOL exits 0 unwarned")
+@pytest.mark.parametrize("mus", ["4,1e-20", "4,1e-300"])
+def test_sqrt_warns_of_a_spectrum_error_above_the_round_trip_tolerance(mus):
+    # spectrum_error is 1.97e-6 at 1e-20 and 1.36e134 at 1e-300
+    code, text = run(["sqrt", "--mus", mus])
+    assert code == 0
+    report = json.loads(text)
+    assert report["diagnostics"]["spectrum_error"] <= inversesolver.ROUNDTRIP_TOL or report.get("warnings")
 
 
 def test_sqrt_whose_codiagonal_squares_overflow_is_a_breakdown(capsys):

@@ -472,7 +472,7 @@ class TestChecksOnRead:
         qs = inversesolver.ReconstructionTrace.qs.fget
 
         def no_root_at_level_2(trace):
-            return tuple(MonicPoly((1.0, 0.0, 1.0), q.parity) if q.degree == 2 else q for q in qs(trace))
+            return tuple(MonicPoly((1.0, 0.0, 1.0)) if q.degree == 2 else q for q in qs(trace))
 
         monkeypatch.setattr(inversesolver.ReconstructionTrace, "qs", property(no_root_at_level_2))
         trace = solve(validate_spectrum((4.0, -3.0, 2.000001, -2.0)), fb)
@@ -489,7 +489,7 @@ class TestChecksOnRead:
         qs = inversesolver.ReconstructionTrace.qs.fget
 
         def double_root_at_0(trace):
-            return tuple(MonicPoly((0.0, 0.0, 1.0), q.parity) if q.degree == 2 else q for q in qs(trace))
+            return tuple(MonicPoly((0.0, 0.0, 1.0)) if q.degree == 2 else q for q in qs(trace))
 
         monkeypatch.setattr(inversesolver.ReconstructionTrace, "qs", property(double_root_at_0))
         trace = solve(validate_spectrum((4.0, -3.0, 2.0, -1.0)), fb)

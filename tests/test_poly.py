@@ -19,7 +19,6 @@ from antibidiag.errors import (
     NoSignChange,
 )
 from antibidiag import poly
-from antibidiag.poly import parity_of_degree
 from antibidiag.sampling import random_spectrum
 
 from oracles import brute_sigma, expand_roots, horner_reference
@@ -36,13 +35,45 @@ def test_from_roots_degree_one_and_empty(fb):
     assert from_roots((), fb).coeffs == (1.0,)
 
 
-@pytest.mark.parametrize(
-    "coeffs, parity", [((), None), ((1.0, 2.0), None), ((1.0, 1.0), "twin")]
-)
-def test_monic_poly_rejects_a_malformed_polynomial(coeffs, parity):
-    # no coefficients, a leading coefficient other than 1, an unknown parity tag
+@pytest.mark.parametrize("coeffs", [(), (1.0, 2.0)])
+def test_monic_poly_rejects_a_malformed_polynomial(coeffs):
+    # no coefficients, a leading coefficient other than 1
     with pytest.raises(ValueError):
-        MonicPoly(coeffs, parity)
+        MonicPoly(coeffs)
+
+
+@pytest.mark.parametrize(
+    "coeffs, parity",
+    [
+        ((1,), "even"),  # degree 0: no odd-index coefficient
+        ((1.0,), "even"),
+        ((Fraction(1),), "even"),
+        ((0.0, 1.0), "odd"),
+        ((-0.0, 1.0), "odd"),
+        ((0, 1), "odd"),
+        ((-4.0, -0.0, 1.0), "even"),
+        ((-4.0, 0, 1.0), "even"),
+        ((0.0, 0.0, 1.0), "even"),  # x^2: even is read first
+        ((Fraction(-4), Fraction(0), Fraction(3, 7), Fraction(0), Fraction(1)), "even"),
+        ((0.0, -2.5, -0.0, 1.0), "odd"),
+        ((Fraction(0), Fraction(-3, 7), 0, Fraction(1)), "odd"),
+        ((0.5, 1.0), None),  # mixed
+        ((-4.0, 1e-300, 1.0), None),
+        ((Fraction(1, 3), Fraction(0), Fraction(-1, 9), Fraction(1)), None),
+        ((math.nan, 0.0, 1.0), "even"),  # nan is not zero
+        ((-4.0, math.nan, 1.0), None),
+    ],
+)
+def test_parity_is_read_from_the_coefficients(coeffs, parity):
+    p = MonicPoly(coeffs)
+    assert p.parity == parity
+    # a parity skips only zeros, so the value is plain Horner's
+    assert repr(p.evaluate(2.0)) == repr(_plain_horner(coeffs, 2.0))
+
+
+def test_a_mixed_polynomial_evaluates_every_coefficient():
+    # no parity to read, so the 0.5 is not dropped: x + 0.5, not x
+    assert MonicPoly((0.5, 1.0)).evaluate(2.0) == 2.5
 
 
 def test_from_roots_duplicate_rejection(fb, rb):
@@ -169,22 +200,36 @@ def test_parity_eval_agrees_with_plain_horner(fb):
         sym = roots + [-r for r in roots] + [0.0] * (deg % 2)
         # the forbidden coefficients zeroed, as a stored q-system level has them
         coeffs = tuple(0.0 if (deg - k) % 2 else c for k, c in enumerate(from_roots(sym, fb).coeffs))
-        p = MonicPoly(coeffs, parity_of_degree(deg))
-        assert p.parity is not None and p.degree == deg
+        p = MonicPoly(coeffs)
+        assert p.parity == _parity_of_degree(deg) and p.degree == deg
         for _ in range(20):
             x = rng.uniform(-12.0, 12.0)
             scale = sum(abs(c) * abs(x) ** k for k, c in enumerate(p.coeffs))
             assert abs(poly_eval(p, x) - _plain_horner(p.coeffs, x)) <= 1e-12 * scale
             sign = 1.0 if deg % 2 == 0 else -1.0
             assert poly_eval(p, -x) == sign * poly_eval(p, x)
-    q = MonicPoly((Fraction(-4), Fraction(0), Fraction(3, 7), Fraction(0), Fraction(1)), "even")
+    q = MonicPoly((Fraction(-4), Fraction(0), Fraction(3, 7), Fraction(0), Fraction(1)))
+    assert q.parity == "even"
     for x in (Fraction(1, 3), Fraction(-5, 2), Fraction(0)):
         assert poly_eval(q, x) == _plain_horner(q.coeffs, x)
 
 
+def _parity_of_degree(deg):
+    return "even" if deg % 2 == 0 else "odd"
+
+
+def _with_parity(coeffs, parity, zeros):
+    """The coefficients with each one the parity forbids replaced by the zeros
+    in turn; None keeps them all."""
+    if parity is None:
+        return coeffs
+    deg = len(coeffs) - 1
+    return tuple(zeros[k // 2 % len(zeros)] if (deg - k) % 2 else c for k, c in enumerate(coeffs))
+
+
 def _sliced_horner(p, x):
     # the evaluator before each polynomial cached its slices: plain Horner in
-    # x*x over the coefficients a parity tag allows, times x when odd
+    # x*x over the coefficients its parity allows, times x when odd
     if p.parity is None:
         return _plain_horner(p.coeffs, x)
     if p.parity == "even":
@@ -193,15 +238,18 @@ def _sliced_horner(p, x):
 
 
 def test_eval_is_sliced_plain_horner_bit_for_bit():
-    # the tag alone selects the slice: forbidden coefficients are not zeroed here
+    # random coefficients, and the same with the ones the parity of the degree
+    # forbids zeroed (0.0 and -0.0 in float, 0 and Fraction(0) exact)
     rng = random.Random(2025)
     xs = [0.0, -0.0, 1e-200, -3e-170, 1e200, -7e150]
     xs += [rng.uniform(-12.0, 12.0) for _ in range(30)]
     for deg in range(0, 30):
         floats = tuple(rng.uniform(-5.0, 5.0) for _ in range(deg)) + (1.0,)
-        fracs = tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(deg)) + (1,)
-        for tag in (None, parity_of_degree(deg)):
-            p, q = MonicPoly(floats, tag), MonicPoly(fracs, tag)
+        fracs = tuple(Fraction(rng.choice((-1, 1)) * rng.randint(1, 50), rng.randint(1, 9)) for _ in range(deg)) + (1,)
+        for parity in (None, _parity_of_degree(deg)) if deg else ("even",):
+            p = MonicPoly(_with_parity(floats, parity, (0.0, -0.0)))
+            q = MonicPoly(_with_parity(fracs, parity, (0, Fraction(0))))
+            assert p.parity == q.parity == parity
             for _ in range(2):  # the second pass reads the cached slices
                 for x in xs:
                     assert repr(poly_eval(p, x)) == repr(_sliced_horner(p, x))
@@ -214,20 +262,22 @@ def _bits(v):
 
 
 def test_evaluate_is_the_module_level_horner_bit_for_bit():
-    # the closure against the evaluator it replaced, on the three parity tags;
-    # the values include signed zeros, subnormals, overflow and nan
+    # the closure against the evaluator it replaced, on random coefficients and
+    # on the same with the ones the parity of the degree forbids zeroed; the
+    # values include signed zeros, subnormals, overflow and nan
     rng = random.Random(2026)
     tiny = math.ulp(0.0)
     xs = [0.0, -0.0, tiny, -tiny, 3 * tiny, 1e-310, -2.5e-320, 1e200, -1e200, math.nan]
     xs += [math.inf, -math.inf] + [rng.uniform(-12.0, 12.0) for _ in range(20)]
     for deg in range(0, 30):
         coeffs = tuple(rng.uniform(-5.0, 5.0) for _ in range(deg)) + (1.0,)
-        for tag in (None, "even", "odd") if deg else (None, "even"):  # odd needs x**1
-            p = MonicPoly(coeffs, tag)
+        for parity in (None, _parity_of_degree(deg)) if deg else ("even",):
+            p = MonicPoly(_with_parity(coeffs, parity, (0.0, -0.0)))
+            assert p.parity == parity
             for x in xs:
                 want = horner_reference(p, x)
-                assert _bits(p.evaluate(x)) == _bits(want), (deg, tag, x)
-                assert _bits(poly_eval(p, x)) == _bits(want), (deg, tag, x)
+                assert _bits(p.evaluate(x)) == _bits(want), (deg, parity, x)
+                assert _bits(poly_eval(p, x)) == _bits(want), (deg, parity, x)
 
 
 def test_untagged_eval_is_plain_horner(fb):

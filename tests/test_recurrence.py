@@ -44,6 +44,36 @@ def test_forward_p_worked(fb):
         assert g == pytest.approx(w, abs=1e-12)
 
 
+def test_p_levels_have_no_parity_but_p_0(fb, rb):
+    # p_k, k >= 1, carries -a_1 at x**(k-1) beside its leading 1
+    for i in range(20):
+        n = 1 + i % 12
+        for backend, a in (
+            (fb, random_coefficients(case_rng(1, "p-parity", i), n)),
+            (rb, random_rational_coefficients(case_rng(1, "p-parity", i), n)),
+        ):
+            ps = forward_p(CoefficientVector(a), backend).polys
+            assert [p.parity for p in ps] == ["even"] + [None] * n
+
+
+def _fraction_p_system(a):
+    """The p-system as Fraction coefficient tuples, level by level."""
+    one, a1 = Fraction(1), Fraction(a[0])
+    ps = [(one,), (-a1, one)]
+    for v in a[1:]:
+        up, down = (Fraction(0),) + ps[-1], ps[-2] + (Fraction(0),) * 2
+        ps.append(tuple(x - Fraction(v) ** 2 * y for x, y in zip(up, down)))
+    return ps
+
+
+def test_exact_p_levels_are_integers_of_the_fraction_recurrence(rb):
+    for i in range(50):
+        a = random_rational_coefficients(case_rng(2, "p-integers", i), 1 + i % 16)
+        seq = forward_p(CoefficientVector(a), rb)
+        assert seq.scale == 1 and all(type(c) is int for level in seq.chain for c in level)
+        assert [p.coeffs for p in seq.polys] == _fraction_p_system(a)
+
+
 def test_forward_q_worked(fb):
     seq = forward_q(CoefficientVector((2.0, SQ2, SQ3)), fb)
     assert seq.polys[0].coeffs == (1.0,)
@@ -131,7 +161,7 @@ def test_tiny_and_huge_exact_entries_square_exactly(rb):
 def test_exact_residual_check_refuses_perturbed_outputs(rb, n):
     lam = random_rational_spectrum(case_rng(0, "residual", n), n)
     trace = solve(validate_spectrum(lam), rb)
-    qn = CharPolySequence((from_roots(lam, rb),))  # the same q_n, as Fractions
+    qn = CharPolySequence((from_roots(lam, rb).coeffs,))  # the same q_n, as Fractions
 
     def matches(a1, a_sq):
         forward = forward_q_squared(a1, a_sq, rb)

@@ -124,7 +124,7 @@ def _records():
         _Pair(1, (2, 3)),
         TolerancePolicy(),
         float64(),
-        MonicPoly((-2.0, 1.0), None),
+        MonicPoly((-2.0, 1.0)),
         OrderVerdict(2, True, False, True, witness_value=-1.0, witness_rows=(1, 2), witness_cols=(2, 3)),
     )
 
@@ -160,7 +160,7 @@ def test_records_of_another_class_are_never_equal():
 def test_a_record_repr_shows_each_field():
     assert repr(_Pair(1, (2,))) == "_Pair(first=1, second=(2,))"
     assert repr(TolerancePolicy()) == "TolerancePolicy(eq_abs=1e-10, eq_rel=1e-10, root_tol=1e-13)"
-    assert repr(MonicPoly((0.5, 1.0), "odd")) == "MonicPoly(coeffs=(0.5, 1.0), parity='odd')"
+    assert repr(MonicPoly((0.5, 1.0))) == "MonicPoly(coeffs=(0.5, 1.0))"  # parity is not a field
     assert repr(OrderVerdict(1, True, True, True)) == (
         "OrderVerdict(order=1, conforming=True, strict=True, principal_conforming=True, "
         "witness_value=None, witness_rows=None, witness_cols=None)"
@@ -172,7 +172,7 @@ def test_a_record_takes_its_defaults_from_the_class():
     assert TolerancePolicy(1e-3) == TolerancePolicy(1e-3, 1e-10, 1e-13)
     assert Backend("float64", False).policy == TolerancePolicy()
     assert Backend("float64", False).policy is Backend("rational", True).policy  # shared: immutable
-    assert MonicPoly((1,)).parity is None
+    assert MonicPoly((1,)).parity == "even"  # read from the coefficients, as q_0's
     assert OrderVerdict(1, True, True, True).witness_cols is None
 
 
@@ -186,7 +186,7 @@ def test_a_record_takes_its_defaults_from_the_class():
         lambda: _Pair(1, first=1),  # one field twice
         lambda: TolerancePolicy(tol=1e-3),
         lambda: MonicPoly(),
-        lambda: MonicPoly((1,), None, 3),
+        lambda: MonicPoly((1,), "even"),  # parity is not a field
         lambda: OrderVerdict(1, True),
         lambda: OrderVerdict(1, True, True, True, witness=None),
     ],
@@ -205,9 +205,9 @@ def test_a_record_runs_its_post_init_check():
         CoefficientVector(())
     with pytest.raises(NotDecreasing):
         PositiveTuple((1.0, 2.0))
-    for coeffs, parity in (((), None), ((1.0, 2.0), None), ((1.0,), "neither")):
+    for coeffs in ((), (1.0, 2.0)):
         with pytest.raises(ValueError):
-            MonicPoly(coeffs, parity)
+            MonicPoly(coeffs)
 
 
 def test_a_cached_property_caches_on_a_record():
@@ -215,8 +215,9 @@ def test_a_cached_property_caches_on_a_record():
     pair = _Pair(1, (2, 3))
     assert pair.total == 6 and pair.total == 6 and _Pair.calls == [1]
     assert vars(pair)["total"] == 6 and pair == _Pair(1, (2, 3))  # not a field
-    p = MonicPoly((-2.0, 0.0, 1.0), "even")
+    p = MonicPoly((-2.0, 0.0, 1.0))
     assert p.evaluate is p.evaluate and p.evaluate(3.0) == 7.0
+    assert p.parity == "even" and vars(p)["parity"] == "even" and p == MonicPoly((-2.0, 0.0, 1.0))
 
 
 # --- the bisection of roots_bracketed ---
