@@ -177,7 +177,7 @@ class ReconstructionTrace(Record):
         spectrum's products underflowed), then ``middle``, then a minimum
         modulus gap below GAP_WARN_RATIO * lambda_1."""
         n, lam1 = self.spectrum.n, float(self.spectrum.lambdas[0])
-        qn, underflow, small_gap = self.qs[n].coeffs, (), ()
+        qn, underflow, small_gap = self.chain.top.coeffs, (), ()
         j = next((j for j, c in enumerate(qn) if abs(c) < sys.float_info.min), None)
         if j is not None and n > 1:  # q_1 = x - lambda_1 is read off, not reconstructed
             underflow = (

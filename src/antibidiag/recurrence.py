@@ -37,7 +37,7 @@ class CharPolySequence(Record):
     q-system alike: monic coefficient tuples (float64, or Fractions) when
     ``scale`` is None, and on the rational backend integers chain[k] = C_k
     with q_k(x) = C_k(D x) / (C_k[-1] D**k) for D = scale.  ``polys`` builds
-    the monic polys on first access.
+    the monic polys on first access, ``top`` only the last.
     """
 
     chain: tuple
@@ -48,19 +48,21 @@ class CharPolySequence(Record):
         """The levels chain[k], k = 0..n, as ``_level`` stores them; integers carry ``scale``."""
         return cls(tuple(chain), scale if backend.exact else None)
 
-    @cached_property
-    def polys(self) -> tuple:
-        chain, d = self.chain, self.scale
+    def _poly(self, k) -> MonicPoly:
+        c, d = self.chain[k], self.scale
         if d is not None:
             import fractions
 
-            chain = [tuple(fractions.Fraction(v, c[-1] * d ** (k - j)) for j, v in enumerate(c))
-                     for k, c in enumerate(chain)]
-        return tuple(map(MonicPoly, chain))
+            c = tuple(fractions.Fraction(v, c[-1] * d ** (k - j)) for j, v in enumerate(c))
+        return MonicPoly(c)
 
-    @property
+    @cached_property
+    def polys(self) -> tuple:
+        return tuple(map(self._poly, range(len(self.chain))))
+
+    @cached_property
     def top(self) -> MonicPoly:
-        return self.polys[-1]
+        return self._poly(len(self.chain) - 1)
 
     def same_top(self, other: CharPolySequence) -> bool:
         """Whether both sequences end in the same polynomial; two integer

@@ -168,6 +168,10 @@ def requests():
         rng = case_rng(1, f"corpus{n}", 0)
         reqs += [["sqrt", "--mus=" + _join(random_positive_tuple(rng, n))],
                  ["forward", "--eigs", "--a=" + _join(random_coefficients(rng, n))]]
+    for n in (16, 32):  # larger bands: sqrt's seeded eigensolve, forward's unseeded one
+        reqs.append(["sqrt", "--mus=" + _join(random_positive_tuple(case_rng(1, f"corpus{n}", 0), n))])
+    for n in (24, 48, 96):
+        reqs.append(["forward", "--eigs", "--a=" + _join(random_coefficients(case_rng(1, f"corpus{n}", 0), n))])
 
     for seed in ("0", "1"):
         for fmt in ("json", "pretty"):
