@@ -19,6 +19,7 @@ from .inversesolver import (
     jacobi_sqrt,
     solve,
     solve_roundtrip,
+    solve_weights,
     validate_spectrum,
 )
 from .matrixkit import (
@@ -89,5 +90,6 @@ __all__ = [
     "signature_sequence",
     "solve",
     "solve_roundtrip",
+    "solve_weights",
     "validate_spectrum",
 ]

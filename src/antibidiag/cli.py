@@ -28,6 +28,7 @@ from .inversesolver import (
     roundtrip,
     solve,
     solve_roundtrip,
+    solve_weights,
     validate_spectrum,
 )
 from .matrixkit import (
@@ -246,12 +247,24 @@ def _emit(report: dict, fmt: str, out) -> None:
 # --- commands ---
 
 
+def _reconstruct(spectrum, backend):
+    """The weights pass in float64, or the coefficient pass where it breaks
+    down (``NotNormalA``: a value outside the normal float64 range in scaled
+    units); the exact backend runs the coefficient pass."""
+    if not backend.exact:
+        try:
+            return solve_weights(spectrum, backend)
+        except err.NotNormalA:
+            pass
+    return solve(spectrum, backend)
+
+
 def _cmd_solve(args, backend, out) -> int:
     if args.roundtrip and backend.exact:
         raise err.BackendUnsupported("--roundtrip eigensolves the result; use --backend float64")
     _, values = _values_from(args, backend, "spectrum")
     spectrum = validate_spectrum(values)
-    trace, warnings = solve(spectrum, backend), []
+    trace, warnings = _reconstruct(spectrum, backend), []
     result = A = B = None
     if not backend.exact:
         try:
@@ -314,7 +327,7 @@ def _cmd_roundtrip(args, backend, out) -> int:
         )
     _, values = _values_from(args, backend, "spectrum")
     spectrum = validate_spectrum(values)
-    result = solve_roundtrip(spectrum, backend)
+    result = roundtrip(_reconstruct(spectrum, backend))
     report = {
         "input": spectrum.lambdas,
         "a": result.trace.a,

@@ -93,6 +93,10 @@ class NonFiniteA(NumericalBreakdown):
     """A squared codiagonal entry overflowed the floating range."""
 
 
+class NotNormalA(NumericalBreakdown):
+    """The weights pass gave an a_1 or a squared entry that is not a positive normal float64."""
+
+
 class NonFiniteResult(NumericalBreakdown):
     """A float64 result to be reported is inf or NaN."""
 

@@ -10,6 +10,11 @@ cancel exactly; this is the sum-of-squares difference of the positive roots
 of consecutive levels, so it must be strictly positive for any admissible
 spectrum.  At the top, the part of q_n of the parity of n - 1 is -a_1 q_{n-1},
 and the rest of q_n takes the place of q_{k+2} in the first step.
+
+Float64 also has the weights pass, ``solve_weights``: J from its eigenvalues
+and the first components of its eigenvectors, with no polynomial
+coefficients.  The ``solve`` and ``roundtrip`` commands run it, and fall
+back to the coefficient pass ``solve`` where it raises ``NotNormalA``.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .errors import (
     NoSignChange,
     NotAlternating,
     NotDecreasing,
+    NotNormalA,
     NotStrictlyDecreasingModulus,
     TooSmall,
 )
@@ -137,13 +143,16 @@ class ReconstructionTrace(Record):
     """Everything the backward pass produced: the q-system chain, a_1 and the
     squared tail.  In float64 the positive coefficient vector ``a``, the
     per-level root interlacing ``certificates`` and the ``warnings`` are
-    worked out when first read; the exact backend stops at the squares."""
+    worked out when first read; the exact backend stops at the squares.
+    The weights pass has no chain, so no certificates and only the gap note."""
 
     spectrum: Spectrum
-    chain: CharPolySequence  # q_0, ..., q_n
+    chain: CharPolySequence | None  # q_0, ..., q_n
     a1: object
     a_squared: tuple  # (a_2^2, ..., a_n^2)
     backend: Backend
+    structural_residual: float | None = None  # weights pass: max_{k>=2} |alpha_k| / x_1
+    weight_defect: float | None = None  # weights pass: |sum w - 1|
 
     @property
     def qs(self) -> tuple:
@@ -177,7 +186,7 @@ class ReconstructionTrace(Record):
         spectrum's products underflowed), then ``middle``, then a minimum
         modulus gap below GAP_WARN_RATIO * lambda_1."""
         n, lam1 = self.spectrum.n, float(self.spectrum.lambdas[0])
-        qn, underflow, small_gap = self.chain.top.coeffs, (), ()
+        qn, underflow, small_gap = () if self.chain is None else self.chain.top.coeffs, (), ()
         j = next((j for j, c in enumerate(qn) if abs(c) < sys.float_info.min), None)
         if j is not None and n > 1:  # q_1 = x - lambda_1 is read off, not reconstructed
             underflow = (
@@ -206,6 +215,8 @@ class ReconstructionTrace(Record):
         roots do not interlace strictly with those of q_{k+1}, cuts the chain."""
         if self.backend.exact:
             return None, ()
+        if self.chain is None:
+            return None, self.with_notes()
         policy, lam1 = self.backend.policy, float(self.spectrum.lambdas[0])
         width = max(policy.root_tol * min(1.0, lam1), math.ulp(0.0))
         backend = Backend(self.backend.name, False, TolerancePolicy(policy.eq_abs, policy.eq_rel, width))
@@ -273,6 +284,72 @@ def solve(spectrum: Spectrum, backend: Backend) -> ReconstructionTrace:
     if math.inf in a_sq:
         raise NonFiniteA("a squared codiagonal entry overflows float64")
     return ReconstructionTrace(spectrum, chain, a1, tuple(a_sq), backend)
+
+
+def solve_weights(spectrum: Spectrum, backend: Backend) -> ReconstructionTrace:
+    """Float64 reconstruction from the spectral weights, in O(n^2) and with no
+    polynomial coefficients (de Boor & Golub, LAA 21, 1978).
+
+    J is fixed by its eigenvalues and its weights, the squared first
+    components of its unit eigenvectors, w_i = q_{n-1}(lambda_i)/q_n'(lambda_i).
+    By the top step of ``solve`` that is
+    w_i = (lambda_i/sigma_1) prod_{j != i} (lambda_i + lambda_j)/(lambda_i - lambda_j).
+    ``_rkpw`` builds J from them: alpha_1 = a_1 and beta_k = a_{k+1}^2.
+
+    It runs on x = 2^-e lambda, e the exponent of ``math.frexp(lambda_1)``, and
+    scales a_1 by 2^e and each square by 4^e exactly.  The trace carries the
+    structural residual max_{k>=2} |alpha_k|/x_1 and |sum w - 1|, both 0 in
+    exact arithmetic.  Raises NotNormalA where the scaled lambda_n, a_1 or a
+    square is not a positive normal float64.
+    """
+    if backend.exact:
+        raise BackendUnsupported("the weights pass is float64 only")
+    e = math.frexp(spectrum.lambdas[0])[1]
+    x = [math.ldexp(v, -e) for v in spectrum.lambdas]
+    if abs(x[-1]) < sys.float_info.min:  # it would have lost bits
+        raise NotNormalA(f"lambda_{len(x)} scales to the subnormal {x[-1]} beside lambda_1 in [0.5, 1)")
+    sigma1 = math.fsum(x)
+    w = [xi / sigma1 for xi in x]
+    for i, xi in enumerate(x):  # each factor in the order j = 1..n of the product
+        wi = w[i]
+        for j in range(i + 1, len(x)):
+            r = (xi + x[j]) / (xi - x[j])
+            wi *= r
+            w[j] *= -r  # (x_j + x_i)/(x_j - x_i), exactly
+        w[i] = wi
+    alpha, beta = _rkpw(x, w)
+    try:
+        a1, a_sq = math.ldexp(alpha[0], e), tuple(math.ldexp(b, 2 * e) for b in beta[1:])
+    except OverflowError:
+        raise NotNormalA("a_1 or a square overflows float64 once scaled back") from None
+    for k, v in enumerate((a1, *a_sq), start=1):
+        if not sys.float_info.min <= v <= sys.float_info.max:
+            raise NotNormalA(f"{'a_1' if k == 1 else f'a_{k}^2'} = {v} is not a positive normal float64")
+    residual = max(map(abs, alpha[1:]), default=0.0) / x[0]
+    return ReconstructionTrace(spectrum, None, a1, a_sq, backend, residual, abs(beta[0] - 1))
+
+
+def _rkpw(x, w) -> tuple:
+    """(alpha, beta) of the Jacobi matrix of the measure sum w_i delta(x_i), beta_0 =
+    sum w: Gautschi's ``RKPW`` (Orthogonal Polynomials, OUP 2004), the
+    square-root-free update of Gragg & Harrod (Numer. Math. 44, 1984)."""
+    n = len(x)
+    p0, p1 = [x[0]] + [0.0] * (n - 1), [w[0]] + [0.0] * (n - 1)
+    for m in range(1, n):
+        pn, gam, sig, t, xlam = w[m], 1.0, 0.0, 0.0, x[m]
+        for k in range(m + 1):
+            bk = p1[k]
+            rho = bk + pn
+            p1[k], tsig = gam * rho, sig
+            if rho <= 0:
+                gam, sig = 1.0, 0.0
+            else:
+                gam, sig = bk / rho, pn / rho
+            tk = sig * (p0[k] - xlam) - gam * t
+            p0[k] -= tk - t
+            t = tk
+            pn = tsig * bk if sig <= 0 else t * t / sig
+    return p0, p1
 
 
 class RoundtripResult(Record):

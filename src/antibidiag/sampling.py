@@ -14,7 +14,8 @@ def case_rng(seed: int, label: str, index: int) -> random.Random:
     return random.Random(f"{seed}:{label}:{index}")
 
 
-# The largest n that random_moduli can fill at its default gaps and range.
+# The largest n that random_moduli can fill at its default gaps and range;
+# above it random_spectrum narrows its default gap.
 MAX_DEFAULT_N = 99
 
 
@@ -28,8 +29,11 @@ def random_moduli(rng: random.Random, n: int, min_gap=0.1, lo=0.1, hi=10.0):
     return list(reversed(vals))  # descending
 
 
-def random_spectrum(rng: random.Random, n: int, min_gap=0.1, lo=0.1, hi=10.0):
-    """Valid alternating-sign spectrum with well-separated moduli."""
+def random_spectrum(rng: random.Random, n: int, min_gap=None, lo=0.1, hi=10.0):
+    """Valid alternating-sign spectrum with well-separated moduli.  The default
+    gap is 0.1 up to MAX_DEFAULT_N and (hi - lo)/(2n) above it, so any n fills."""
+    if min_gap is None:
+        min_gap = 0.1 if n <= MAX_DEFAULT_N else (hi - lo) / (2 * n)
     mods = random_moduli(rng, n, min_gap, lo, hi)
     return tuple((-1) ** k * m for k, m in enumerate(mods))
 

@@ -144,7 +144,7 @@ def requests():
     for spectrum in near_range + subnormal:
         reqs += [["solve", "--roundtrip", "--spectrum=" + spectrum],
                  ["roundtrip", "--spectrum=" + spectrum]]
-    graded = {  # spectrum: the a that float64 solve returns for it
+    graded = {  # spectrum: the a that the float64 coefficient pass returns for it
         "1,-1e-5,1e-10": "0.9999900001,0.0031622618487405483,3.162293471517151e-08",
         "1,-0.5,1e-9": "0.500000001,0.7071067801258873,3.162277657006102e-05",
         "1,-1e-4,1e-8,-1e-12": "0.9999000099990001,0.009999500037496875,9.999999949995e-07,"
@@ -153,7 +153,7 @@ def requests():
     for spectrum, a in graded.items():
         reqs += [["roundtrip", "--spectrum=" + spectrum], ["forward", "--eigs", "--a=" + a]]
 
-    for n in range(8, 97, 8):  # the accuracy ladder, up to the sampler's largest n
+    for n in range(8, 97, 8):  # the accuracy ladder to n = 96
         for i in range(2):
             reqs.append(["solve", "--roundtrip", "--spectrum=" + _join(
                 random_spectrum(case_rng(1, f"ladder{n}", i), n))])
@@ -177,15 +177,15 @@ def requests():
         for fmt in ("json", "pretty"):
             reqs.append(["verify-all", "--cases", "5", "--seed", seed, "--format", fmt])
 
-    # roundtrip where its error is largest: the f64-roundtrip n = 48 spectra
-    # at seed 1 and the ladder spectrum that solves wrong by 1e-2
+    # roundtrip where the coefficient pass's error was largest: the f64-roundtrip
+    # n = 48 spectra at seed 1 and the ladder spectrum that it solved wrong by 1e-2
     spectra = [r.spectrum for r in WORKLOADS["f64-roundtrip"].requests(1, 100) if r.n == 48]
     ladder64 = random_spectrum(case_rng(11, "ladder64", 22), 64)
     for spectrum in (*spectra, ladder64):
         reqs += _every_format(["roundtrip", "--spectrum=" + _join(spectrum)])
 
     # plain solve where its round trip cannot run (a_2^2 is subnormal) and where
-    # it finds a wrong result
+    # the coefficient pass's result was wrong
     for spectrum in ("1e-150,-1e-160", "1e-155,-5e-156", _join(ladder64)):
         reqs.append(["solve", "--spectrum=" + spectrum])
 

@@ -11,7 +11,16 @@ from types import SimpleNamespace
 
 import pytest
 
-from antibidiag import ReconstructionTrace, cli, errors, inversesolver, solve, spectral, validate_spectrum
+from antibidiag import (
+    ReconstructionTrace,
+    cli,
+    errors,
+    inversesolver,
+    solve,
+    solve_weights,
+    spectral,
+    validate_spectrum,
+)
 from antibidiag.cli import main
 from antibidiag.sampling import (
     MAX_DEFAULT_N,
@@ -228,8 +237,8 @@ def test_verify_all_deterministic():
         (["solve", "--spectrum", "3,-nan"], 1),
         (["solve", "--spectrum", "1e200,-1e199"], 2),  # a_2^2 overflows
         (["forward", "--a", "1e200,1e200,1e200"], 2),  # a_k^2 overflows
-        # roots that float64 cannot separate, though the input is admissible
-        (["solve", "--spectrum", "1.0000000000002,-1.0000000000001,1"], 2),
+        # graded r = 1e-16: a square underflows in both float64 passes
+        (["solve", "--spectrum=" + ",".join(repr((-1e-16) ** k) for k in range(12))], 2),
         (["sqrt", "--mus", "1e-300,1e-301"], 2),
         (["solve", "--spectrum", "1/0,-1"], 3),  # unreadable input
         (["solve", "--spectrum", "1/0,-1", "--backend", "rational"], 3),
@@ -818,57 +827,90 @@ def test_float_csv_and_pretty_texts_are_pinned(capsys, command, name, fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "pretty"])
 def test_float_roundtrip_n48_csv_and_pretty_are_pinned(capsys, fmt):
-    # its round-trip error is 6.2e-8, so every renderer prints the warning
     args = [*_pinned_float_args("roundtrip", "n48"), "--format", fmt]
     _assert_pinned(capsys, args, f"float-roundtrip-n48.{fmt}")
+    # the graded spectrum draws the gap note, so every renderer prints a warning
+    args = ["roundtrip", "--spectrum=1,-1e-4,1e-8,-1e-12", "--format", fmt]
+    _assert_pinned(capsys, args, f"float-roundtrip-graded.{fmt}")
+
+
+def _one_square_off(monkeypatch, factor=1 + 1e-4):
+    """Make the CLI's weights pass return a_2^2 times ``factor``: a wrong a."""
+    solve_weights = cli.solve_weights
+
+    def perturbed(spectrum, backend):
+        t = solve_weights(spectrum, backend)
+        a_sq = (t.a_squared[0] * factor, *t.a_squared[1:])
+        return ReconstructionTrace(t.spectrum, t.chain, t.a1, a_sq, t.backend)
+
+    monkeypatch.setattr(cli, "solve_weights", perturbed)
+
+
+def _roundtrip_error(report):
+    return report["max_error"] if "max_error" in report else report["diagnostics"]["roundtrip_error"]
+
+
+_GAP_NOTE = ("minimum modulus gap 9.999e-09 is below 1e-06 * lambda_1; "
+             "reconstruction is ill-conditioned, consider --backend rational")
 
 
 @pytest.mark.parametrize("command", [["solve", "--roundtrip"], ["roundtrip"]])
 @pytest.mark.parametrize(
-    "spectrum, warnings",
+    "spectrum, notes",
     [
-        # wrong by 1e-2, and the interlacing chain finds nothing on it
-        (",".join(map(repr, random_spectrum(case_rng(11, "ladder64", 22), 64))),
-         ["round-trip error 1.009e-02 exceeds 1e-08"]),
+        # the coefficient pass solved it wrong by 1e-2; the weights pass solves it clean
+        (",".join(map(repr, random_spectrum(case_rng(11, "ladder64", 22), 64))), []),
         # accurate to a few ulps: only the flat gap note
-        ("1,-1e-4,1e-8,-1e-12",
-         ["minimum modulus gap 9.999e-09 is below 1e-06 * lambda_1; "
-          "reconstruction is ill-conditioned, consider --backend rational"]),
+        ("1,-1e-4,1e-8,-1e-12", [_GAP_NOTE]),
         ("3e-9,-2e-9,1e-9", []),
     ],
     ids=["ladder64", "graded", "tiny"],
 )
-def test_round_trip_reports_warn_on_their_measured_error(command, spectrum, warnings):
+def test_round_trip_reports_warn_on_their_measured_error(monkeypatch, command, spectrum, notes):
     code, text = run([*command, "--spectrum=" + spectrum])
-    assert code == 0 and json.loads(text)["warnings"] == warnings
+    report = json.loads(text)
+    assert code == 0 and report["warnings"] == notes and _roundtrip_error(report) <= 1e-14
+    # a wrong a draws the measured error's warning, before the gap note
+    _one_square_off(monkeypatch)
+    code, text = run([*command, "--spectrum=" + spectrum])
+    report = json.loads(text)
+    err = _roundtrip_error(report)
+    assert code == 0 and err > 1e-8
+    assert report["warnings"] == [f"round-trip error {err:.3e} exceeds 1e-08", *notes]
 
 
-def test_plain_solve_warns_on_the_ladder_spectrum_that_solves_wrong():
+def test_plain_solve_warns_on_the_ladder_spectrum_that_solves_wrong(monkeypatch):
     spectrum = "--spectrum=" + ",".join(map(repr, random_spectrum(case_rng(11, "ladder64", 22), 64)))
     code, text = run(["solve", spectrum])
     assert (code, text) == run(["solve", "--roundtrip", spectrum])
-    assert json.loads(text)["warnings"] == ["round-trip error 1.009e-02 exceeds 1e-08"]
+    assert json.loads(text)["warnings"] == []  # the weights pass solves it clean
+    _one_square_off(monkeypatch)
+    code, text = run(["solve", spectrum])
+    assert (code, text) == run(["solve", "--roundtrip", spectrum])
+    err = json.loads(text)["diagnostics"]["roundtrip_error"]
+    assert json.loads(text)["warnings"] == [f"round-trip error {err:.3e} exceeds 1e-08"]
 
 
 @pytest.mark.parametrize("n", [32, 40, 48])
-def test_plain_solve_warns_on_every_result_its_round_trip_finds_wrong(fb, n):
+def test_plain_solve_warns_on_every_result_its_round_trip_finds_wrong(monkeypatch, fb, n):
     """Plain float64 solve warns from its measured round trip: on every result
-    whose round-trip error exceeds 1e-8 (3, 17 and 20 of the 20 spectra at
-    n = 32, 40 and 48, on all of which the interlacing chain is silent), and
-    on the others only as the chain's own warnings did."""
-    wrong = 0
-    for i in range(20):
-        lam = random_spectrum(case_rng(1, "silent", i), n)
+    whose round-trip error exceeds 1e-8, and on the others only with the
+    trace's own notes.  The weights pass solves all 20 spectra at each n
+    clean (the coefficient pass solved 3, 17 and 20 of them wrong at n = 32,
+    40 and 48), so a perturbed a_2^2 supplies the wrong results."""
+    spectra = [random_spectrum(case_rng(1, "silent", i), n) for i in range(20)]
+    for lam in spectra:
+        code, text = run(["solve", "--spectrum=" + ",".join(map(repr, lam))])
+        report = json.loads(text)
+        assert code == 0 and report["diagnostics"]["roundtrip_error"] <= 1e-14
+        assert report["warnings"] == list(solve_weights(validate_spectrum(lam), fb).warnings)
+    _one_square_off(monkeypatch)
+    for lam in spectra:
         code, text = run(["solve", "--spectrum=" + ",".join(map(repr, lam))])
         report = json.loads(text)
         err = report["diagnostics"]["roundtrip_error"]
-        assert code == 0
-        if err > 1e-8:
-            wrong += 1
-            assert f"round-trip error {err:.3e} exceeds 1e-08" in report["warnings"]
-        else:
-            assert set(report["warnings"]) <= set(solve(validate_spectrum(lam), fb).warnings)
-    assert wrong  # the sizes are chosen so that the coefficient pass goes wrong on some
+        assert code == 0 and err > 1e-8
+        assert f"round-trip error {err:.3e} exceeds 1e-08" in report["warnings"]
 
 
 @pytest.mark.parametrize("command", [["solve"], ["solve", "--roundtrip"]])
@@ -886,6 +928,33 @@ def test_solve_reports_a_when_the_round_trip_cannot_run(capsys, command, spectru
     assert failed.startswith("the round trip could not run: codiagonal entry ")
     assert failed.endswith(f" squares to {square} in float64")
     assert run(["roundtrip", "--spectrum=" + spectrum]) == (2, "")  # its whole report is the round trip
+
+
+# spectrum: (exit status of solve, of solve --roundtrip, of roundtrip; roundtrip's stderr label)
+_WEIGHTS_BREAKDOWNS = {
+    "1e200,-1,0.5": (0, 0, 0, ""),  # squares span more than the float range in scaled units
+    "1.5e308,-1,0.5": (0, 0, 0, ""),
+    "1e308,-1e307,1": (2, 2, 2, "NonPositiveA"),  # a_2^2 overflows float64 itself
+    "1e-150,-1e-160": (0, 0, 2, "SquareOutOfRange"),  # a_2^2 is subnormal
+    "1e-155,-5e-156": (0, 0, 2, "SquareOutOfRange"),
+}
+
+
+@pytest.mark.parametrize("spectrum", list(_WEIGHTS_BREAKDOWNS))
+def test_where_the_weights_pass_breaks_down_the_coefficient_pass_answers(monkeypatch, capsys, fb, spectrum):
+    with pytest.raises(errors.NotNormalA):
+        solve_weights(validate_spectrum(map(float, spectrum.split(","))), fb)
+    *codes, label = _WEIGHTS_BREAKDOWNS[spectrum]
+    commands = [["solve"], ["solve", "--roundtrip"], ["roundtrip"]]
+    texts = [(*run([*c, "--spectrum=" + spectrum]), capsys.readouterr().err) for c in commands]
+    assert [code for code, _, _ in texts] == codes
+    assert texts[-1][2].startswith(f"numerical breakdown [{label}]: " if label else "")
+
+    def coefficient_pass_only(spectrum, backend):
+        raise errors.NotNormalA("off")
+
+    monkeypatch.setattr(cli, "solve_weights", coefficient_pass_only)
+    assert texts == [(*run([*c, "--spectrum=" + spectrum]), capsys.readouterr().err) for c in commands]
 
 
 def test_solve_runs_the_backward_pass_once_when_the_round_trip_cannot_run(monkeypatch):

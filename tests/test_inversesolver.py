@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import random
 import sys
@@ -38,6 +39,7 @@ from antibidiag.errors import (
     NonPositiveLead,
     NotAlternating,
     NotDecreasing,
+    NotNormalA,
     NotStrictlyDecreasingModulus,
     TooSmall,
 )
@@ -726,3 +728,127 @@ def test_integer_pass_matches_reference_on_wide_rational_spectra(rb, n):
         assert got[0] == "(" and got == TestSingleStepPass._reference(lam, rb)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+class TestSolveWeights:
+    """The float64 weights pass against the rational backend on the same
+    floats: the forward error of a_1 and of the squares a_k^2."""
+
+    EPS = sys.float_info.epsilon
+    # moduli clustered within 2 %: kappa, the condition of the map lambda -> a, is 1.9e4
+    CLUSTERED_N9 = (
+        1.2072398806977585e-24, -1.199225999748773e-24, 1.1931644164887257e-24,
+        -1.1903492465520538e-24, 1.188205735016449e-24, -1.1849582329345341e-24,
+        1.1848839742476698e-24, -1.1841980306467614e-24, 1.1815996220244675e-24,
+    )
+    NEAR_TRIPLE = (1.0000000000002, -1.0000000000001, 1.0)
+    GRADED = [(1e-2, 10), (1e-2, 20), (1e-4, 10), (1e-4, 20), (1e-8, 10), (1e-8, 20), (0.5, 60)]
+
+    @staticmethod
+    def _forward_error(lam, trace, rb):
+        exact = solve(validate_spectrum(tuple(map(Fraction, lam))), rb)
+        pairs = zip((trace.a1, *trace.a_squared), (exact.a1, *exact.a_squared))
+        return max(abs(Fraction(got) - want) / want for got, want in pairs)
+
+    def _check(self, lam, fb, rb, bound, kappa=1):
+        trace = inversesolver.solve_weights(validate_spectrum(lam), fb)
+        assert self._forward_error(lam, trace, rb) <= bound
+        # the rounding checks: alpha_k = 0 for k >= 2 and sum w = 1 in exact arithmetic
+        assert trace.structural_residual <= 4 * kappa * len(lam) * self.EPS
+        assert trace.weight_defect <= 4 * len(lam) * self.EPS
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_spectra(self, fb, rb, seed):
+        for n in range(8, 49, 8):
+            self._check(random_spectrum(case_rng(seed, f"weights{n}", 0), n), fb, rb, 1e-13)
+
+    @pytest.mark.parametrize("r, n", GRADED)
+    def test_graded_spectra(self, fb, rb, r, n):
+        # the coefficient pass breaks down on all but the n = 10 ones at r = 1e-2 and 1e-4
+        self._check(tuple((-r) ** k for k in range(n)), fb, rb, 1e-13)
+
+    @pytest.mark.parametrize("lam", [CLUSTERED_N9, NEAR_TRIPLE], ids=["clustered9", "near-triple"])
+    def test_clustered_spectra_within_kappa_times_eps(self, fb, rb, lam):
+        # kappa * 1e-15 and at most 2e-11, with the condition estimate
+        # kappa = 2 + max_i sum_{j != i} 2|l_i l_j| / |l_i^2 - l_j^2|: 1.9e4 and 2e13
+        kappa = 2 + max(
+            sum(2 * abs(x * y) / abs(x * x - y * y) for j, y in enumerate(lam) if j != i)
+            for i, x in enumerate(lam)
+        )
+        self._check(lam, fb, rb, min(kappa * 1e-15, 2e-11), kappa)
+
+    @staticmethod
+    def _reference(lam):
+        """(a_1, a_2^2, ..., a_n^2): each weight as one product in the order
+        j = 1..n, then the RKPW core as Gautschi prints it."""
+        e = math.frexp(lam[0])[1]
+        x = [math.ldexp(v, -e) for v in lam]
+        w = [
+            math.prod(((xi + xj) / (xi - xj) for j, xj in enumerate(x) if j != i), start=xi / math.fsum(x))
+            for i, xi in enumerate(x)
+        ]
+        n = len(x)
+        p0, p1 = [x[0]] + [0.0] * (n - 1), [w[0]] + [0.0] * (n - 1)
+        for m in range(1, n):
+            pn, gam, sig, t, xlam = w[m], 1.0, 0.0, 0.0, x[m]
+            for k in range(m + 1):
+                rho = p1[k] + pn
+                tmp, tsig = gam * rho, sig
+                gam, sig = (1.0, 0.0) if rho <= 0 else (p1[k] / rho, pn / rho)
+                tk = sig * (p0[k] - xlam) - gam * t
+                p0[k] -= tk - t
+                t = tk
+                pn = tsig * p1[k] if sig <= 0 else t * t / sig
+                p1[k] = tmp
+        return (math.ldexp(p0[0], e), *(math.ldexp(b, 2 * e) for b in p1[1:]))
+
+    def test_the_pass_is_the_reference_bit_for_bit(self, fb):
+        spectra = [random_spectrum(case_rng(1, f"weights{n}", 0), n) for n in (1, 2, 3, 8, 48, 128)]
+        spectra += [tuple((-r) ** k for k in range(n)) for r, n in self.GRADED]
+        for lam in (*spectra, self.CLUSTERED_N9, self.NEAR_TRIPLE):
+            trace = inversesolver.solve_weights(validate_spectrum(lam), fb)
+            assert (trace.a1, *trace.a_squared) == self._reference(lam)
+
+    @pytest.mark.parametrize("k", [1, -1, 64, -64, 500, -500])
+    def test_a_power_of_two_scales_a_exactly(self, fb, k):
+        spectra = [random_spectrum(case_rng(1, f"pow2-{n}", 0), n) for n in (1, 2, 8, 24, 48)]
+        spectra += [tuple((-r) ** j for j in range(n)) for r, n in self.GRADED]
+        tested = 0
+        for lam in spectra:
+            scaled = tuple(math.ldexp(v, k) for v in lam)
+            base = inversesolver.solve_weights(validate_spectrum(lam), fb)
+            want = (math.ldexp(base.a1, k), *(math.ldexp(v, 2 * k) for v in base.a_squared))
+            if not all(sys.float_info.min <= abs(v) <= sys.float_info.max for v in (*scaled, *want)):
+                continue
+            got = inversesolver.solve_weights(validate_spectrum(scaled), fb)
+            assert (got.a1, *got.a_squared) == want
+            tested += 1
+        assert tested >= 5  # the random spectra at least
+
+    def test_the_trace_has_no_chain_and_only_the_gap_note(self, fb):
+        trace = inversesolver.solve_weights(validate_spectrum((1.0, -1e-4, 1e-8, -1e-12)), fb)
+        assert trace.chain is None and trace.certificates is None
+        assert len(trace.warnings) == 1 and trace.warnings[0].startswith("minimum modulus gap ")
+        assert trace.coefficient_vector.a == trace.a
+        assert inversesolver.solve_weights(validate_spectrum((3.0, -2.0, 1.0)), fb).warnings == ()
+        assert inversesolver.solve_weights(validate_spectrum((2.5,)), fb).a == (2.5,)
+
+    def test_the_rational_backend_is_refused(self, rb):
+        with pytest.raises(BackendUnsupported):
+            inversesolver.solve_weights(validate_spectrum((3, -2, 1)), rb)
+
+    @pytest.mark.parametrize(
+        "lam",
+        [(1e200, -1.0, 0.5), (1e308, -1e307, 1.0), (1e-150, -1e-160), (1e300, -1e-20)],
+    )
+    def test_a_square_outside_the_normal_range_is_a_named_breakdown(self, fb, lam):
+        with pytest.raises(NotNormalA):
+            inversesolver.solve_weights(validate_spectrum(lam), fb)
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_the_command_line_round_trip_is_clean_through_n_256(self, n):
+        lam = random_spectrum(case_rng(1, "weights-gate", n), n)
+        out = io.StringIO()
+        assert main(["roundtrip", "--spectrum=" + ",".join(map(repr, lam))], out=out) == 0
+        report = json.loads(out.getvalue())
+        assert report["max_error"] <= 1e-14 and report["warnings"] == []
