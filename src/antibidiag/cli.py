@@ -17,6 +17,7 @@ import json
 import math
 import re
 import sys
+from itertools import islice
 from pathlib import Path
 
 from . import errors as err
@@ -33,10 +34,12 @@ from .inversesolver import (
 )
 from .matrixkit import (
     CoefficientVector,
+    RowWindows,
+    antibidiagonal_windows,
     build_antibidiagonal,
     build_antidiagonal_unit,
-    build_jacobi_special,
     jacobi_tridiagonal,
+    jacobi_windows,
     matmul,
 )
 from .poly import poly_eval
@@ -183,6 +186,8 @@ def _walk(report: dict, path=()):
 
 
 def _finite(value) -> bool:
+    if isinstance(value, RowWindows):
+        value = [c for _, cells in value.windows for c in cells]
     if isinstance(value, (list, tuple)):
         return all(map(_finite, value))
     return not isinstance(value, float) or math.isfinite(value)
@@ -199,16 +204,47 @@ def _pretty(v) -> str:
     return f"{v:.12g}" if isinstance(v, float) else str(v)
 
 
+_dumps = functools.partial(json.dumps, allow_nan=False, default=_fraction)
+
+
+def _windows_json(m: RowWindows) -> str:
+    """``_dumps(m.rows)`` byte for byte, without the rows: each row is runs of
+    the zero's JSON around its stored entries', which one call encodes."""
+    cells = iter(_dumps([c for _, row in m.windows for c in row])[1:-1].split(", "))
+    z = _dumps(m.zero)
+    lead, trail = z + ", ", ", " + z
+    rows = (
+        "[" + lead * i + ", ".join(islice(cells, len(row))) + trail * (m.n - i - len(row)) + "]"
+        for i, row in m.windows
+    )
+    return "[" + ", ".join(rows) + "]"
+
+
+def _json(report: dict) -> str:
+    """``_dumps(report)``, a top-level matrix given as ``RowWindows`` written
+    by ``_windows_json``; a report with none is one ``_dumps`` call."""
+    if not any(isinstance(v, RowWindows) for v in report.values()):
+        return _dumps(report)
+    items = (_dumps(k) + ": " + (_windows_json if isinstance(v, RowWindows) else _dumps)(v)
+             for k, v in report.items())
+    return "{" + ", ".join(items) + "}"
+
+
 def _emit(report: dict, fmt: str, out) -> None:
     """Write a report of plain values (floats, Fractions, tuples, a matrix as
-    its row tuples): as JSON, each Fraction its string; as CSV, keys dotted
-    and a matrix one row per row; or as indented text, floats .12g and
-    matrices right-aligned.  A float that is inf or NaN is a breakdown."""
+    its row tuples or, at the top level, its ``RowWindows``): as JSON, each
+    Fraction its string and a windowed matrix the bytes of its rows; as CSV,
+    keys dotted and a matrix one row per row; or as indented text, floats .12g
+    and matrices right-aligned.  CSV and text expand the windows to rows first.
+    A float that is inf or NaN is a breakdown, named by its first key in walk
+    order."""
+    if fmt != "json":
+        report = {k: v.rows if isinstance(v, RowWindows) else v for k, v in report.items()}
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # exact values outgrow the int-to-str digit limit
     try:
         try:
-            text = json.dumps(report, allow_nan=False, default=_fraction)
+            text = _json(report)
         except ValueError:
             key = next(".".join(path) for path, v in _walk(report) if not _finite(v))
             raise err.NonFiniteResult(f"{key} holds inf or NaN in float64") from None
@@ -277,8 +313,7 @@ def _cmd_solve(args, backend, out) -> int:
         max_residual = "0" if forward.same_top(trace.chain) else "1"
     else:
         cv = trace.coefficient_vector
-        A = build_antibidiagonal(cv, backend).entries
-        B = build_jacobi_special(cv, backend).entries
+        A, B = antibidiagonal_windows(cv, backend), jacobi_windows(cv, backend)
         max_residual = max(abs(poly_eval(forward.top, lam)) for lam in spectrum.lambdas)
         if not math.isfinite(max_residual):
             max_residual = None

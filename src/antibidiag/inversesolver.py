@@ -255,7 +255,7 @@ def solve(spectrum: Spectrum, backend: Backend) -> ReconstructionTrace:
 
     Raises NonPositiveA if a_1 or a squared entry fails to be positive
     (invalid input or catastrophic roundoff) and NonFiniteA if a squared
-    entry overflows float64.
+    entry overflows float64 or comes out NaN from an overflowed coefficient.
     """
     lam = tuple(backend.convert(v) for v in spectrum.lambdas)
     n = len(lam)
@@ -274,6 +274,8 @@ def solve(spectrum: Spectrum, backend: Backend) -> ReconstructionTrace:
     for k in range(n - 2, -1, -1):
         r = lin_comb(shift_up(q), upper, -q[-1], upper[-1])
         asq = _ratio(r[k], q[-1] * upper[-1] * scale**2, backend)  # a_{n-k}^2
+        if asq != asq:  # NaN, as from inf - inf: a coefficient overflowed
+            raise NonFiniteA(f"a_{n - k}^2 = {asq}: a coefficient overflowed float64")
         if not asq > 0:
             raise NonPositiveA(f"a_{n - k}^2 = {asq} is not positive")
         a_sq.append(asq)

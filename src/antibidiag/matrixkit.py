@@ -1,10 +1,14 @@
 """Structured matrices: anti-bidiagonal, the special Jacobi subclass, the
 antidiagonal unit, plus dense minors, products, and sign normalization.
 
-Each structured matrix is built from its index rule.  In the anti-bidiagonal
-matrix the nonzeros sit where i + j is n + 1 or n + 2 (1-based) and the entry
-there is a_{|i-j|+1}; its flip J*A by the antidiagonal unit J is therefore
-upper bidiagonal, nonzero exactly where j - i is 0 or 1.
+Each structured matrix is built from its index rule.  The anti-bidiagonal
+matrix and the special Jacobi matrix read theirs off as row windows
+(``RowWindows``: per row its leading zeros and its 1-3 stored entries), which
+their dense builders expand and the command line renders.  In the
+anti-bidiagonal matrix the nonzeros sit where i + j is n + 1 or n + 2
+(1-based) and the entry there is a_{|i-j|+1}; its flip J*A by the
+antidiagonal unit J is therefore upper bidiagonal, nonzero exactly where
+j - i is 0 or 1.
 
 Index sets and the rules are 1-based, matching the a_1..a_n labelling of the
 structures; storage is 0-based tuples.
@@ -47,18 +51,34 @@ class StructuredMatrix(Record):
         return [sum(v * v for v in row) ** 0.5 for row in self.entries]
 
 
-def build_antibidiagonal(a: CoefficientVector, backend: Backend) -> StructuredMatrix:
+class RowWindows(Record):
+    """An n x n matrix by rows: row i is ``windows[i] = (lead, cells)``, that is
+    ``lead`` zeros, the stored entries ``cells``, then zeros to width n."""
+
+    n: int
+    windows: tuple
+    zero: object
+
+    @property
+    def rows(self) -> tuple:
+        """The dense row tuples."""
+        z, n = self.zero, self.n
+        return tuple((z,) * lead + cells + (z,) * (n - lead - len(cells)) for lead, cells in self.windows)
+
+
+def antibidiagonal_windows(a: CoefficientVector, backend: Backend) -> RowWindows:
     """The symmetric matrix whose nonzeros fill the two central antidiagonals:
     entry (i, j), 1-based, is a_{|i-j|+1} where i + j is n + 1 or n + 2, so
     row 1 = (0,..,0,a_n), row 2 = (0,..,0,a_{n-2},a_{n-1}), ..."""
     n = a.n
     v = [backend.convert(x) for x in a.a]  # 0-based: row i holds j = n-1-i and n-i
-    rows = [[backend.zero] * n for _ in range(n)]
-    for i, row in enumerate(rows):
-        row[n - 1 - i] = v[abs(2 * i - n + 1)]
-        if i:
-            row[n - i] = v[abs(2 * i - n)]
-    return StructuredMatrix(n, tuple(map(tuple, rows)))
+    rest = ((n - 1 - i, (v[abs(2 * i - n + 1)], v[abs(2 * i - n)])) for i in range(1, n))
+    return RowWindows(n, ((n - 1, (v[n - 1],)), *rest), backend.zero)
+
+
+def build_antibidiagonal(a: CoefficientVector, backend: Backend) -> StructuredMatrix:
+    """``antibidiagonal_windows`` as dense rows."""
+    return StructuredMatrix(a.n, antibidiagonal_windows(a, backend).rows)
 
 
 def jacobi_tridiagonal(a: CoefficientVector, backend: Backend):
@@ -68,15 +88,17 @@ def jacobi_tridiagonal(a: CoefficientVector, backend: Backend):
     return v[:1] + [backend.zero] * (a.n - 1), v[1:]
 
 
-def build_jacobi_special(a: CoefficientVector, backend: Backend) -> StructuredMatrix:
+def jacobi_windows(a: CoefficientVector, backend: Backend) -> RowWindows:
     """Tridiagonal matrix with diagonal (a_1, 0, ..., 0) and codiagonal a_2..a_n:
     entry (i, j), 1-based, is a_{max(i,j)} where |i - j| = 1 or i = j = 1."""
     diag, off = jacobi_tridiagonal(a, backend)
-    rows = [[backend.zero] * a.n for _ in diag]
-    rows[0][0] = diag[0]
-    for i, b in enumerate(off):
-        rows[i][i + 1] = rows[i + 1][i] = b
-    return StructuredMatrix(a.n, tuple(map(tuple, rows)))
+    windows = ((max(i - 1, 0), (*off[i - 1 : i], d, *off[i : i + 1])) for i, d in enumerate(diag))
+    return RowWindows(a.n, tuple(windows), backend.zero)
+
+
+def build_jacobi_special(a: CoefficientVector, backend: Backend) -> StructuredMatrix:
+    """``jacobi_windows`` as dense rows."""
+    return StructuredMatrix(a.n, jacobi_windows(a, backend).rows)
 
 
 def build_antidiagonal_unit(n: int, backend: Backend) -> StructuredMatrix:

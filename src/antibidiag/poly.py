@@ -8,8 +8,10 @@ coefficients as the step computes them (``recurrence._level``).
 ``roots_bracketed`` bisects each of its brackets itself; it is the root finder
 of the interlacing chain in ``inversesolver``.
 
-Coefficients are stored dense, constant term first.  Degrees in this package
-stay small (a few dozen), so no sparse or FFT machinery is warranted.
+Coefficients are stored dense, constant term first.  Degrees run to the
+spectrum's size n, which the float64 commands take into the hundreds; every
+use here is a three-term step, a product of linear factors or a Horner pass,
+each O(n) per level or per point, so no sparse or FFT machinery is warranted.
 """
 
 from __future__ import annotations

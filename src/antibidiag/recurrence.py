@@ -16,13 +16,15 @@ Both take a positive coefficient vector; the q-system also takes the pair
 How a level is stored (``_level``), for both forward passes and for the
 backward pass of ``inversesolver.solve``, and how an output quotient is formed
 (``_ratio``) is decided here; p- and q-system levels take the same step
-(``_step``) and are stored alike.
+(``_next``) and are stored alike.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
+from itertools import repeat
+from operator import mul, sub
 
 from .errors import NonPositiveEntry, SquareOutOfRange
 from .matrixkit import CoefficientVector
@@ -100,9 +102,7 @@ def _ratio(num, den, backend: Backend):
 
 
 def _step(p, u, v, backend: Backend) -> tuple:
-    """A multiple of p/p[-1] - v u/u[-1]; in float64 the difference itself."""
-    if not backend.exact:
-        return lin_comb(p, u, -v * p[-1], u[-1])
+    """An integer multiple of p/p[-1] - v u/u[-1], for the rational backend."""
     s, t = backend.convert(v).as_integer_ratio()
     s, t = s * p[-1], t * u[-1]
     g = math.gcd(s, t)  # two scalars: cheaper than the content it spares
@@ -133,14 +133,32 @@ def _check_positive(a1, tail_sq):
         raise SquareOutOfRange("(a_1, a_2^2, ..., a_n^2) holds inf")
 
 
+def _minus(r: list, v, u) -> list:
+    """r - v u in place, u no longer than r: one list update."""
+    r[: len(u)] = map(sub, r, map(mul, repeat(v), u))
+    return r
+
+
+def _next(p, u, v, backend: Backend) -> tuple:
+    """The level x p - v u after the levels p and u, as ``_level`` stores it.
+
+    In float64, where p and u end in 1.0 and v is finite, it is one list
+    update, bit for bit the generic ``_level(lin_comb(shift_up(p), u, -v))``:
+    1.0 * c is c, c + (-v) d is c - v d, ``lin_comb``'s zero pad adds -0.0,
+    which leaves c as it is, and the division by the leading 1.0 leaves c too."""
+    if backend.exact:
+        return _level(_step(shift_up(p), u, v, backend), backend)
+    return tuple(_minus([0.0, *p], v, u))
+
+
 def forward_p(a: CoefficientVector, backend: Backend) -> CharPolySequence:
     """p-system of a positive coefficient vector, stored as the q-system is:
     p_1 = (x - a_1) p_0 is the step with v = a_1, as the q-system's top step."""
     a1, tail_sq = _squares(a, backend)
     chain = [_level((1,), backend)]
-    chain.append(_level(_step(shift_up(chain[0]), chain[0], a1, backend), backend))
+    chain.append(_next(chain[0], chain[0], a1, backend))
     for v in tail_sq:
-        chain.append(_level(_step(shift_up(chain[-1]), chain[-2], v, backend), backend))
+        chain.append(_next(chain[-1], chain[-2], v, backend))
     return CharPolySequence.of_levels(chain, backend)
 
 
@@ -159,12 +177,15 @@ def forward_q_squared(a1, tail_sq, backend: Backend) -> CharPolySequence:
     n = 1 + len(tail_sq)
     chain = [_level(c, backend) for c in [(1,), (0, 1)][:n]]
     for k in range(2, n):
-        r = _step(shift_up(chain[k - 1]), chain[k - 2], tail_sq[n - k], backend)
-        chain.append(_level(r, backend))
+        chain.append(_next(chain[k - 1], chain[k - 2], tail_sq[n - k], backend))
     # (x - a_1) q_{n-1} first, then - a_2^2 q_{n-2}: the rounding of this
     # order is what max_residual reports.
-    top = _step(shift_up(chain[n - 1]), chain[n - 1], a1, backend)
-    if n > 1:
-        top = _step(top, chain[n - 2], tail_sq[0], backend)
-    chain.append(_level(top, backend))
+    if backend.exact:
+        top = _step(shift_up(chain[n - 1]), chain[n - 1], a1, backend)
+        if n > 1:
+            top = _step(top, chain[n - 2], tail_sq[0], backend)
+        chain.append(_level(top, backend))
+    else:  # two list updates, bit for bit as in ``_next``
+        top = _minus([0.0, *chain[n - 1]], a1, chain[n - 1])
+        chain.append(tuple(_minus(top, tail_sq[0], chain[n - 2]) if n > 1 else top))
     return CharPolySequence.of_levels(chain, backend)

@@ -19,9 +19,10 @@ ladder, the scaled, near-range, subnormal and graded spectra, ``verify-all``,
 ``roundtrip`` in every format on the spectra with the largest errors,
 plain ``solve`` where its round trip cannot run or finds a wrong result,
 ``--input`` from the JSON and CSV files under ``tests/inputs`` (also with a
-byte-order mark), and ``--help`` for the program and for each command.  It
-runs in the repository root, so that those paths and the printed argv are the
-same in every checkout.
+byte-order mark), ``--help`` for the program and for each command, and
+float64 ``solve`` in CSV and text at n = 24 and 48.  It runs in the
+repository root, so that those paths and the printed argv are the same in
+every checkout.
 """
 
 from __future__ import annotations
@@ -203,6 +204,11 @@ def requests():
     # the help texts: the program's and each command's, shared options included
     reqs += [["--help"]] + [[command, "--help"] for command in
                             ("solve", "forward", "roundtrip", "sqrt", "signreg", "verify-all")]
+    # float64 solve's matrices expanded to rows, long zero runs included: the
+    # f64-roundtrip n = 24 and n = 48 spectra at seed 1, in csv and pretty
+    for r in WORKLOADS["f64-roundtrip"].requests(1, 100):
+        if r.n in (24, 48):
+            reqs += [["solve", "--spectrum=" + _join(r.spectrum), "--format", fmt] for fmt in ("csv", "pretty")]
     return reqs
 
 

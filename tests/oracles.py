@@ -15,13 +15,16 @@ two-algorithm ``determinant_reference`` and the graph-search
 ``poly``, which uses the library's ``poly_eval``, ``interlacing_chain_reference``,
 the float64 interlacing chain that took every root to the chain width, and
 ``horner_reference``, the module-level evaluator that ``poly_eval`` was before
-each polynomial built its own Horner closure.
+each polynomial built its own Horner closure, and ``forward_q_float_reference``
+and ``forward_p_float_reference``, the float64 forward chains by the generic
+step (``lin_comb`` of the shifted level, then ``_level``'s division) that the
+one-list-update step replaced.
 ``sparse_grid`` draws the random sparse matrices that the determinant and
 sign-regularity tests compare against these oracles.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 
 def brute_sigma(values, j):
@@ -594,6 +597,45 @@ def interlacing_chain_reference(trace, finder):
             "reconstruction is ill-conditioned, consider --backend rational"
         )
     return tuple(certs), tuple(warns)
+
+
+def _lin_comb_float_reference(c1, c2, v):
+    """c2[-1] c1 - v c1[-1] c2, padded with c1's leading coefficient times 0."""
+    z, s, t = c1[-1] * 0, -v * c1[-1], c2[-1]
+    return tuple(t * a + s * b for a, b in zip_longest(c1, c2, fillvalue=z))
+
+
+def _level_float_reference(r):
+    return (*(c / r[-1] for c in r[:-1]), 1.0)
+
+
+def float_step_reference(p, u, v):
+    """The float64 level x p - v u as first computed: the generic ``lin_comb``
+    on p shifted up a degree, then divided by its leading coefficient."""
+    return _level_float_reference(_lin_comb_float_reference((p[-1] * 0, *p), u, v))
+
+
+def forward_q_float_reference(a1, tail_sq):
+    """The float64 q-system levels q_0..q_n by the generic step; the top is
+    (x - a_1) q_{n-1}, then minus a_2^2 q_{n-2}, then divided."""
+    n = 1 + len(tail_sq)
+    chain = [(1.0,), (0.0, 1.0)][:n]
+    for k in range(2, n):
+        chain.append(float_step_reference(chain[k - 1], chain[k - 2], tail_sq[n - k]))
+    q = chain[n - 1]
+    top = _lin_comb_float_reference((q[-1] * 0, *q), q, a1)
+    if n > 1:
+        top = _lin_comb_float_reference(top, chain[n - 2], tail_sq[0])
+    return chain + [_level_float_reference(top)]
+
+
+def forward_p_float_reference(a1, tail_sq):
+    """The float64 p-system levels p_0..p_n by the generic step."""
+    chain = [(1.0,)]
+    chain.append(float_step_reference(chain[0], chain[0], a1))
+    for v in tail_sq:
+        chain.append(float_step_reference(chain[-1], chain[-2], v))
+    return chain
 
 
 def horner_reference(p, x):

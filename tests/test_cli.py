@@ -934,7 +934,7 @@ def test_solve_reports_a_when_the_round_trip_cannot_run(capsys, command, spectru
 _WEIGHTS_BREAKDOWNS = {
     "1e200,-1,0.5": (0, 0, 0, ""),  # squares span more than the float range in scaled units
     "1.5e308,-1,0.5": (0, 0, 0, ""),
-    "1e308,-1e307,1": (2, 2, 2, "NonPositiveA"),  # a_2^2 overflows float64 itself
+    "1e308,-1e307,1": (2, 2, 2, "NonFiniteA"),  # a_2^2 overflows float64 itself
     "1e-150,-1e-160": (0, 0, 2, "SquareOutOfRange"),  # a_2^2 is subnormal
     "1e-155,-5e-156": (0, 0, 2, "SquareOutOfRange"),
 }

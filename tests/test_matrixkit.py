@@ -1,3 +1,5 @@
+import io
+import json
 import math
 import random
 from fractions import Fraction
@@ -10,6 +12,7 @@ from antibidiag import (
     build_antibidiagonal,
     build_antidiagonal_unit,
     build_jacobi_special,
+    cli,
     matmul,
     minor,
     sign_normalize,
@@ -17,11 +20,20 @@ from antibidiag import (
 from antibidiag.errors import (
     EmptyInput,
     NonFiniteEntry,
+    NonFiniteResult,
     NonPositiveEntry,
     SizeMismatch,
     StructuralZero,
 )
-from antibidiag.matrixkit import StructuredMatrix, conjugate_signs, determinant, jacobi_tridiagonal
+from antibidiag.matrixkit import (
+    RowWindows,
+    StructuredMatrix,
+    antibidiagonal_windows,
+    conjugate_signs,
+    determinant,
+    jacobi_tridiagonal,
+    jacobi_windows,
+)
 from antibidiag.sampling import random_coefficients, random_rational_coefficients
 
 from oracles import (
@@ -343,3 +355,34 @@ def test_non_finite_entries_rejected():
         with pytest.raises(NonFiniteEntry):
             cv(1.0, bad)
     assert CoefficientVector((Fraction(1, 3), Fraction(10**400))).n == 2
+
+
+def _window_vectors(rng):
+    """a for n = 1..64, each entry 10**e for e uniform in [-300, 300] or a subnormal."""
+    for n in range(1, 65):
+        yield tuple(rng.choice((5e-324, 1e-310)) if rng.random() < 0.1 else 10 ** rng.uniform(-300, 300)
+                    for _ in range(n))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_row_windows_expand_to_the_slot_map_and_write_the_json_of_their_rows(fb, seed):
+    for a in _window_vectors(random.Random(seed)):
+        A, B = antibidiagonal_windows(cv(*a), fb), jacobi_windows(cv(*a), fb)
+        assert A.rows == build_antibidiagonal_reference(a, fb)
+        assert B.rows == build_jacobi_special_reference(a, fb)
+        assert all(1 <= len(cells) <= 3 for M in (A, B) for _, cells in M.windows)
+        report = {"a": a, "antibidiagonal": A, "jacobi": B, "diagnostics": {"max_residual": 0.5}}
+        dense = {**report, "antibidiagonal": A.rows, "jacobi": B.rows}
+        assert cli._windows_json(A) == json.dumps(A.rows)
+        out = io.StringIO()
+        cli._emit(report, "json", out)
+        assert out.getvalue() == json.dumps(dense) + "\n"
+
+
+def test_a_nan_in_a_windowed_matrix_is_named_in_every_format(fb):
+    A = antibidiagonal_windows(cv(1.0, 2.0, 3.0), fb)
+    bad = RowWindows(3, ((0, (1.0, 2.0)), (0, (2.0, 0.0, math.nan)), (1, (3.0, 0.0))), 0.0)
+    report = {"a": (1.0,), "antibidiagonal": A, "jacobi": bad, "warnings": [math.inf]}
+    for fmt in ("json", "csv", "pretty"):
+        with pytest.raises(NonFiniteResult, match=r"^jacobi holds inf or NaN in float64$"):
+            cli._emit(report, fmt, io.StringIO())

@@ -17,6 +17,7 @@ from antibidiag import (
     validate_spectrum,
 )
 from antibidiag.errors import AntibidiagError, NonPositiveEntry, SquareOutOfRange
+from antibidiag.recurrence import _next
 from antibidiag.sampling import (
     case_rng,
     random_coefficients,
@@ -25,7 +26,12 @@ from antibidiag.sampling import (
     random_spectrum,
 )
 
-from oracles import charpoly_cofactor
+from oracles import (
+    charpoly_cofactor,
+    float_step_reference,
+    forward_p_float_reference,
+    forward_q_float_reference,
+)
 
 SQ2, SQ3 = math.sqrt(2.0), math.sqrt(3.0)
 
@@ -220,3 +226,45 @@ def test_forward_levels_hold_zeros_where_their_parity_forbids(fb, e):
         n = 2 + i % 30
         a = [v * 10.0**e for v in random_coefficients(case_rng(1, "parity", i), n)]
         _assert_parity_clean(forward_q(CoefficientVector(a), fb))
+
+
+def _hex(chain):
+    return [[float.hex(c) for c in level] for level in chain]
+
+
+_OVERFLOWING = [(1e100,) * n for n in (4, 5, 8, 13)] + [(1e100, 1e100, 1.0, 1e100, 1e100, 1e-3, 1e100)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_float_chains_take_the_generic_step_bit_for_bit(fb, seed):
+    rng = random.Random(seed)
+    vectors = [tuple(10 ** rng.uniform(-3, 3) for _ in range(n)) for n in range(1, 49)] + _OVERFLOWING
+    for a in vectors:
+        a1, tail_sq = a[0], tuple(v * v for v in a[1:])
+        q = _hex(forward_q_squared(a1, tail_sq, fb).chain)
+        p = _hex(forward_p(CoefficientVector(a), fb).chain)
+        assert q == _hex(forward_q_float_reference(a1, tail_sq)), a
+        assert p == _hex(forward_p_float_reference(a1, tail_sq)), a
+
+
+def test_overflowing_chains_reach_inf(fb):
+    for a in _OVERFLOWING[1:]:
+        a1, tail_sq = a[0], tuple(v * v for v in a[1:])
+        for chain in (forward_q_squared(a1, tail_sq, fb).chain, forward_p(CoefficientVector(a), fb).chain):
+            assert any(math.isinf(c) for level in chain for c in level), a
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_float_step_carries_inf_nan_and_signed_zeros_as_the_generic_step(fb, seed):
+    rng = random.Random(seed)
+    pool = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-310, 1e308, -1e308]
+
+    def coeff():
+        return rng.choice(pool) if rng.random() < 0.5 else rng.uniform(-10, 10)
+
+    for _ in range(300):
+        k = rng.randint(0, 6)
+        p = (*(coeff() for _ in range(k)), 1.0)
+        u = p if rng.random() < 0.2 else (*(coeff() for _ in range(k - 1)), 1.0)[-max(k, 1):]
+        v = rng.choice([10 ** rng.uniform(-300, 300), 5e-324, 1.7e308])
+        assert _hex([_next(p, u, v, fb)]) == _hex([float_step_reference(p, u, v)]), (p, u, v)
