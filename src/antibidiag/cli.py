@@ -42,7 +42,6 @@ from .matrixkit import (
     jacobi_windows,
     matmul,
 )
-from .poly import poly_eval
 from .recurrence import forward_p, forward_q, forward_q_squared
 from .sampling import (
     MAX_DEFAULT_N,
@@ -300,24 +299,21 @@ def _cmd_solve(args, backend, out) -> int:
         raise err.BackendUnsupported("--roundtrip eigensolves the result; use --backend float64")
     _, values = _values_from(args, backend, "spectrum")
     spectrum = validate_spectrum(values)
-    trace, warnings = _reconstruct(spectrum, backend), []
+    trace, warnings = _reconstruct(spectrum, backend), ()
     result = A = B = None
     if not backend.exact:
         try:
             result = roundtrip(trace)
-            warnings = list(result.warnings)
+            warnings = result.warnings
         except err.SquareOutOfRange as exc:  # J's band cannot be eigensolved; a is still reported
-            warnings = list(trace.with_notes(f"the round trip could not run: {exc}"))
-    forward = forward_q_squared(trace.a1, trace.a_squared, backend)
-    if backend.exact:
-        max_residual = "0" if forward.same_top(trace.chain) else "1"
-    else:
+            warnings = trace.with_notes(f"the round trip could not run: {exc}")
+    if backend.exact:  # the integer forward pass against the backward pass's q_n
+        same = forward_q_squared(trace.a1, trace.a_squared, backend).same_top(trace.chain)
+        residuals = {"max_residual": "0" if same else "1"}
+    else:  # the weights pass's own residuals; null where the coefficient pass ran
         cv = trace.coefficient_vector
         A, B = antibidiagonal_windows(cv, backend), jacobi_windows(cv, backend)
-        max_residual = max(abs(poly_eval(forward.top, lam)) for lam in spectrum.lambdas)
-        if not math.isfinite(max_residual):
-            max_residual = None
-            warnings.append("the unscaled residual overflowed float64; max_residual is null")
+        residuals = {"structural_residual": trace.structural_residual, "weight_defect": trace.weight_defect}
     report = {
         "input": spectrum.lambdas,
         "a": trace.a,
@@ -325,7 +321,7 @@ def _cmd_solve(args, backend, out) -> int:
         "antibidiagonal": A,
         "jacobi": B,
         "diagnostics": {
-            "max_residual": max_residual,
+            **residuals,
             "roundtrip_error": None if result is None else result.max_error,
             "min_modulus_gap": spectrum.min_modulus_gap(),
         },

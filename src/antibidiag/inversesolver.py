@@ -46,8 +46,8 @@ from .matrixkit import (
     jacobi_tridiagonal,
     matmul,
 )
-from .poly import elementary_symmetric, from_roots, lin_comb, roots_bracketed, shift_up
-from .recurrence import CharPolySequence, _level, _ratio
+from .poly import elementary_symmetric, from_roots, roots_bracketed
+from .recurrence import CharPolySequence, _level, _minus, _ratio
 from .scalars import Backend, Record, TolerancePolicy
 from .spectral import interlaces, relative_spectrum_error, tridiagonal_eigenvalues
 
@@ -272,7 +272,7 @@ def solve(spectrum: Spectrum, backend: Backend) -> ReconstructionTrace:
     chain = [qn, q]  # descending degree
     a_sq = []
     for k in range(n - 2, -1, -1):
-        r = lin_comb(shift_up(q), upper, -q[-1], upper[-1])
+        r = _minus([q[-1] * 0, *q], q[-1], upper, upper[-1])
         asq = _ratio(r[k], q[-1] * upper[-1] * scale**2, backend)  # a_{n-k}^2
         if asq != asq:  # NaN, as from inf - inf: a coefficient overflowed
             raise NonFiniteA(f"a_{n - k}^2 = {asq}: a coefficient overflowed float64")

@@ -10,14 +10,15 @@ of the interlacing chain in ``inversesolver``.
 
 Coefficients are stored dense, constant term first.  Degrees run to the
 spectrum's size n, which the float64 commands take into the hundreds; every
-use here is a three-term step, a product of linear factors or a Horner pass,
-each O(n) per level or per point, so no sparse or FFT machinery is warranted.
+use of them is a three-term step (``recurrence._minus``), a product of linear
+factors or a Horner pass, each O(n) per level or per point, so no sparse or
+FFT machinery is warranted.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations, zip_longest
+from itertools import combinations
 
 from .errors import BackendUnsupported, DuplicateRoots, IndexOutOfRange, NoSignChange
 from .scalars import Backend, Record
@@ -153,24 +154,3 @@ def roots_bracketed(p: MonicPoly, brackets, backend: Backend):
                 lo = x
         out.append(lo if lo == hi else 0.5 * lo + 0.5 * hi)
     return tuple(sorted(out))
-
-
-# --- raw coefficient helpers shared by the recurrence and solver modules ---
-
-
-def shift_up(coeffs):
-    """Multiply by x, padding with the leading coefficient times 0 (as ``lin_comb``)."""
-    return (coeffs[-1] * 0,) + tuple(coeffs)
-
-
-def lin_comb(c1, c2, s, t=1):
-    """t*c1 + s*c2, aligning lengths (shorter padded with zeros).
-
-    The three-term step x*q - v*u passes c1 = x*q, c2 = u, t = u[-1] and
-    s = -v*q[-1] (for v = p/r on integers, t = r*u[-1] and s = -p*q[-1]): a
-    multiple of the step on q/q[-1] and u/u[-1] that keeps integers integers.
-    On monic float64 q and u it is the step itself, bit for bit: 1.0*a is a,
-    and a + (-v)*b is a - v*b.  The pad is c1's leading coefficient times 0:
-    a low coefficient may have overflowed to inf, and inf * 0 is NaN."""
-    z = c1[-1] * 0
-    return tuple(t * a + s * b for a, b in zip_longest(c1, c2, fillvalue=z))

@@ -16,7 +16,8 @@ Both take a positive coefficient vector; the q-system also takes the pair
 How a level is stored (``_level``), for both forward passes and for the
 backward pass of ``inversesolver.solve``, and how an output quotient is formed
 (``_ratio``) is decided here; p- and q-system levels take the same step
-(``_next``) and are stored alike.
+(``_next``) and are stored alike.  Every three-term step of every pass, on
+both backends, is one list update, ``_minus``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from operator import mul, sub
 
 from .errors import NonPositiveEntry, SquareOutOfRange
 from .matrixkit import CoefficientVector
-from .poly import MonicPoly, lin_comb, shift_up
+from .poly import MonicPoly
 from .scalars import Backend, Record, primitive_part
 
 
@@ -101,12 +102,16 @@ def _ratio(num, den, backend: Backend):
     return fractions.Fraction(num, den)
 
 
-def _step(p, u, v, backend: Backend) -> tuple:
-    """An integer multiple of p/p[-1] - v u/u[-1], for the rational backend."""
+def _step(r: list, u, v, backend: Backend) -> list:
+    """r - v u in place, r a level times x: in float64, where r and u end in
+    1.0, the plain update; on the rational backend an integer multiple of
+    r/r[-1] - v u/u[-1]."""
+    if not backend.exact:
+        return _minus(r, v, u)
     s, t = backend.convert(v).as_integer_ratio()
-    s, t = s * p[-1], t * u[-1]
+    s, t = s * r[-1], t * u[-1]
     g = math.gcd(s, t)  # two scalars: cheaper than the content it spares
-    return lin_comb(p, u, -(s // g), t // g)
+    return _minus(r, s // g, u, t // g)
 
 
 def _squares(a: CoefficientVector, backend: Backend):
@@ -133,8 +138,12 @@ def _check_positive(a1, tail_sq):
         raise SquareOutOfRange("(a_1, a_2^2, ..., a_n^2) holds inf")
 
 
-def _minus(r: list, v, u) -> list:
-    """r - v u in place, u no longer than r: one list update."""
+def _minus(r: list, v, u, t=1) -> list:
+    """t r - v u in place, u no longer than r: the three-term step of every
+    pass.  The t products are skipped when t is 1, which leaves r as t r
+    would, 1.0 * c being c."""
+    if t != 1:
+        r[:] = map(mul, repeat(t), r)
     r[: len(u)] = map(sub, r, map(mul, repeat(v), u))
     return r
 
@@ -142,12 +151,10 @@ def _minus(r: list, v, u) -> list:
 def _next(p, u, v, backend: Backend) -> tuple:
     """The level x p - v u after the levels p and u, as ``_level`` stores it.
 
-    In float64, where p and u end in 1.0 and v is finite, it is one list
-    update, bit for bit the generic ``_level(lin_comb(shift_up(p), u, -v))``:
-    1.0 * c is c, c + (-v) d is c - v d, ``lin_comb``'s zero pad adds -0.0,
-    which leaves c as it is, and the division by the leading 1.0 leaves c too."""
+    In float64, where p and u end in 1.0 and v is finite, it is the update
+    alone: the division by the leading 1.0 would leave each c as it is."""
     if backend.exact:
-        return _level(_step(shift_up(p), u, v, backend), backend)
+        return _level(_step([0, *p], u, v, backend), backend)
     return tuple(_minus([0.0, *p], v, u))
 
 
@@ -178,14 +185,11 @@ def forward_q_squared(a1, tail_sq, backend: Backend) -> CharPolySequence:
     chain = [_level(c, backend) for c in [(1,), (0, 1)][:n]]
     for k in range(2, n):
         chain.append(_next(chain[k - 1], chain[k - 2], tail_sq[n - k], backend))
-    # (x - a_1) q_{n-1} first, then - a_2^2 q_{n-2}: the rounding of this
-    # order is what max_residual reports.
-    if backend.exact:
-        top = _step(shift_up(chain[n - 1]), chain[n - 1], a1, backend)
-        if n > 1:
-            top = _step(top, chain[n - 2], tail_sq[0], backend)
-        chain.append(_level(top, backend))
-    else:  # two list updates, bit for bit as in ``_next``
-        top = _minus([0.0, *chain[n - 1]], a1, chain[n - 1])
-        chain.append(tuple(_minus(top, tail_sq[0], chain[n - 2]) if n > 1 else top))
+    # (x - a_1) q_{n-1} first, then - a_2^2 q_{n-2}: in float64 this order
+    # fixes the rounding of the forward command's q_coeffs.
+    q = chain[n - 1]
+    top = _step([q[-1] * 0, *q], q, a1, backend)
+    if n > 1:
+        top = _step(top, chain[n - 2], tail_sq[0], backend)
+    chain.append(_level(top, backend))
     return CharPolySequence.of_levels(chain, backend)

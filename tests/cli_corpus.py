@@ -74,6 +74,7 @@ def requests():
         ["solve", "--roundtrip", "--spectrum", "3,-2,1"],
         ["solve", "--backend", "rational", "--spectrum", "3,-2,1"],
         ["solve", "--backend", "rational", "--spectrum", "3/2,-1,1/3,-1/4"],
+        # the coefficient pass's fallback: null residuals in every renderer
         ["solve", "--spectrum", "1e200,-1,0.5"],
         ["solve", "--roundtrip", "--spectrum", "1.5e308,-1,0.5"],
         ["forward", "--a", "2,1,3"],

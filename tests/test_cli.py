@@ -524,17 +524,39 @@ def test_an_arithmetic_error_escaping_a_command_is_a_breakdown(monkeypatch, caps
     assert capsys.readouterr().err == f"numerical breakdown [{type(exc).__name__}]: {exc}\n"
 
 
-@pytest.mark.parametrize(
-    "args", [["solve", "--spectrum=1e200,-1,0.5"], ["solve", "--roundtrip", "--spectrum=1.5e308,-1,0.5"]]
-)
-def test_an_overflowed_residual_reads_null_in_valid_json(args):
+def _strict_json(text):
     def refuse(name):
         raise ValueError(f"{name} is not a JSON value (RFC 8259)")
 
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "args", [["solve", "--spectrum=1e200,-1,0.5"], ["solve", "--roundtrip", "--spectrum=1.5e308,-1,0.5"]]
+)
+def test_where_the_coefficient_pass_answers_the_residuals_read_null(args):
+    # the weights pass breaks down on these spectra, so it leaves no residuals;
+    # the report stays valid JSON and warns only of the gap
     code, text = run(args)
-    report = json.loads(text, parse_constant=refuse)
-    assert code == 0 and report["diagnostics"]["max_residual"] is None
-    assert report["warnings"][-1] == "the unscaled residual overflowed float64; max_residual is null"
+    report = _strict_json(text)
+    assert code == 0
+    assert report["diagnostics"]["structural_residual"] is None
+    assert report["diagnostics"]["weight_defect"] is None
+    assert report["warnings"] == [
+        "minimum modulus gap 5.000e-01 is below 1e-06 * lambda_1; "
+        "reconstruction is ill-conditioned, consider --backend rational"
+    ]
+
+
+def test_an_accurate_solve_at_n_400_reports_finite_residuals_and_no_warning():
+    # the residuals are scaled: an unscaled max |q_n(lambda)| grows like
+    # |lambda|^n and overflows float64 from n of about 310
+    spectrum = ",".join(map(repr, random_spectrum(case_rng(1, "sweep400", 0), 400)))
+    code, text = run(["solve", "--spectrum=" + spectrum])
+    report = _strict_json(text)
+    diagnostics = report["diagnostics"]
+    assert code == 0 and report["warnings"] == [] and diagnostics["roundtrip_error"] <= 1e-14
+    assert math.isfinite(diagnostics["structural_residual"]) and math.isfinite(diagnostics["weight_defect"])
 
 
 def test_rational_exponent_literals_obey_the_int_str_digit_limit(capsys):
@@ -694,7 +716,7 @@ _PINNED_FLOAT_SPECTRA = {
 @pytest.mark.parametrize("fmt", ["json", "pretty"])
 @pytest.mark.parametrize("name", list(_PINNED_FLOAT_SPECTRA))
 def test_float_solve_text_is_pinned(capsys, name, fmt):
-    # a and jacobi carry the backward pass's rounding, max_residual the forward pass's
+    # a and jacobi carry the weights pass's rounding, and so do its two residuals
     args = ["solve", "--roundtrip", "--spectrum=" + _PINNED_FLOAT_SPECTRA[name], "--format", fmt]
     _assert_pinned(capsys, args, f"float-solve-{name}.{fmt}")
 
@@ -901,9 +923,13 @@ def test_plain_solve_warns_on_every_result_its_round_trip_finds_wrong(monkeypatc
     spectra = [random_spectrum(case_rng(1, "silent", i), n) for i in range(20)]
     for lam in spectra:
         code, text = run(["solve", "--spectrum=" + ",".join(map(repr, lam))])
-        report = json.loads(text)
-        assert code == 0 and report["diagnostics"]["roundtrip_error"] <= 1e-14
-        assert report["warnings"] == list(solve_weights(validate_spectrum(lam), fb).warnings)
+        report, trace = json.loads(text), solve_weights(validate_spectrum(lam), fb)
+        diagnostics = report["diagnostics"]
+        assert code == 0 and diagnostics["roundtrip_error"] <= 1e-14
+        assert report["warnings"] == list(trace.warnings)
+        # the report's residuals are the trace's, bit for bit
+        reported = (diagnostics["structural_residual"], diagnostics["weight_defect"])
+        assert list(map(float.hex, reported)) == list(map(float.hex, (trace.structural_residual, trace.weight_defect)))
     _one_square_off(monkeypatch)
     for lam in spectra:
         code, text = run(["solve", "--spectrum=" + ",".join(map(repr, lam))])

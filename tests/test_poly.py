@@ -285,20 +285,3 @@ def test_untagged_eval_is_plain_horner(fb):
     assert p.parity is None
     for x in (-3.3, 0.1, 2.7):
         assert poly_eval(p, x) == _plain_horner(p.coeffs, x)
-
-
-def test_lin_comb_pads_with_a_zero_of_the_leading_coefficient():
-    # a low coefficient that has overflowed to inf must not make the pad, and
-    # with it the leading coefficient, NaN (inf * 0 is NaN)
-    r = poly.lin_comb((math.inf, 0.0, 1.0), (5.0,), -2.0)
-    assert r == (math.inf, 0.0, 1.0)
-    assert math.copysign(1.0, r[1]) == 1.0
-    assert poly.lin_comb((3, 0, 1), (5,), -2, 3) == (-1, 0, 3)
-
-
-def test_shift_up_pads_with_a_zero_of_the_leading_coefficient():
-    # an inf constant coefficient must not make the new constant term NaN
-    r = poly.shift_up((math.inf, 0.0, 1.0))
-    assert r == (0.0, math.inf, 0.0, 1.0)
-    assert math.copysign(1.0, r[0]) == 1.0
-    assert poly.shift_up((-3, 0, 1)) == (0, -3, 0, 1)

@@ -17,7 +17,7 @@ from antibidiag import (
     validate_spectrum,
 )
 from antibidiag.errors import AntibidiagError, NonPositiveEntry, SquareOutOfRange
-from antibidiag.recurrence import _next
+from antibidiag.recurrence import _minus, _next
 from antibidiag.sampling import (
     case_rng,
     random_coefficients,
@@ -252,6 +252,14 @@ def test_overflowing_chains_reach_inf(fb):
         a1, tail_sq = a[0], tuple(v * v for v in a[1:])
         for chain in (forward_q_squared(a1, tail_sq, fb).chain, forward_p(CoefficientVector(a), fb).chain):
             assert any(math.isinf(c) for level in chain for c in level), a
+
+
+def test_minus_updates_the_shifted_level_in_place():
+    # t r - v u over u's length, t r past it; an inf low coefficient cannot
+    # reach the leading coefficient, which the update leaves as t r[-1]
+    r = [0.0, math.inf, 0.0, 1.0]
+    assert _minus(r, 2.0, (5.0,)) is r and r == [-10.0, math.inf, 0.0, 1.0]
+    assert _minus([0, -3, 0, 1], 2, (5, 0, 1), 3) == [-10, -9, -2, 3]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
