@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import re
 import sys
-from itertools import islice
 from pathlib import Path
 
 from . import errors as err
@@ -184,9 +184,15 @@ def _walk(report: dict, path=()):
             yield from _walk(value, (*path, key))
 
 
+def _cells(m: RowWindows) -> tuple:
+    """m's zero, where a row leaves room for it, then its stored entries row by row."""
+    zero = (m.zero,) * any(len(row) < m.n for _, row in m.windows)
+    return (*zero, *(c for _, row in m.windows for c in row))
+
+
 def _finite(value) -> bool:
     if isinstance(value, RowWindows):
-        value = [c for _, cells in value.windows for c in cells]
+        value = _cells(value)
     if isinstance(value, (list, tuple)):
         return all(map(_finite, value))
     return not isinstance(value, float) or math.isfinite(value)
@@ -203,28 +209,57 @@ def _pretty(v) -> str:
     return f"{v:.12g}" if isinstance(v, float) else str(v)
 
 
+def _csv_line(fields) -> str:
+    """The fields as one line of the csv module's writer, without its terminator."""
+    import csv
+
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(fields)
+    return buf.getvalue()
+
+
 _dumps = functools.partial(json.dumps, allow_nan=False, default=_fraction)
 
 
-def _windows_json(m: RowWindows) -> str:
-    """``_dumps(m.rows)`` byte for byte, without the rows: each row is runs of
-    the zero's JSON around its stored entries', which one call encodes."""
-    cells = iter(_dumps([c for _, row in m.windows for c in row])[1:-1].split(", "))
-    z = _dumps(m.zero)
-    lead, trail = z + ", ", ", " + z
-    rows = (
-        "[" + lead * i + ", ".join(islice(cells, len(row))) + trail * (m.n - i - len(row)) + "]"
-        for i, row in m.windows
-    )
-    return "[" + ", ".join(rows) + "]"
+def _json_texts(values) -> list:
+    """Each value's JSON, from one encoder call."""
+    return _dumps(values)[1:-1].split(", ")
+
+
+def _texts(cells, encode) -> dict:
+    """The text of each distinct cell, ``encode`` taking the list of them to
+    the list of their texts, keyed by ``id``: a value held in several cells,
+    as a_k is in A and J, is written once, and equal cells of another sign or
+    type (0.0 and -0.0, 1 and 1.0) keep their own texts."""
+    distinct = {id(c): c for c in cells}
+    return dict(zip(distinct, encode(list(distinct.values()))))
+
+
+def _window_rows(m: RowWindows, texts: dict, sep: str) -> list:
+    """Each row of m as its cells' ``texts`` joined by ``sep``: runs of the
+    zero's text around its stored entries' (a row holds at least one)."""
+    z = texts.get(id(m.zero), "")  # absent where no row has room for it
+    lead, trail, text = z + sep, sep + z, texts.__getitem__
+    return [f"{lead * i}{sep.join(map(text, map(id, row)))}{trail * (m.n - i - len(row))}"
+            for i, row in m.windows]
+
+
+def _windows_json(m: RowWindows, texts=None) -> str:
+    """``_dumps(m.rows)`` byte for byte, without the rows, from the JSON
+    ``texts`` of its cells (by default m's own, from one encoder call)."""
+    rows = _window_rows(m, texts or _texts(_cells(m), _json_texts), ", ")
+    return "[[" + "], [".join(rows) + "]]" if rows else "[]"
 
 
 def _json(report: dict) -> str:
     """``_dumps(report)``, a top-level matrix given as ``RowWindows`` written
-    by ``_windows_json``; a report with none is one ``_dumps`` call."""
-    if not any(isinstance(v, RowWindows) for v in report.values()):
+    by ``_windows_json`` from one text per distinct cell of all of them; a
+    report with none is one ``_dumps`` call."""
+    ms = [v for v in report.values() if isinstance(v, RowWindows)]
+    if not ms:
         return _dumps(report)
-    items = (_dumps(k) + ": " + (_windows_json if isinstance(v, RowWindows) else _dumps)(v)
+    texts = _texts([c for m in ms for c in _cells(m)], _json_texts)
+    items = (_dumps(k) + ": " + (_windows_json(v, texts) if isinstance(v, RowWindows) else _dumps(v))
              for k, v in report.items())
     return "{" + ", ".join(items) + "}"
 
@@ -234,11 +269,10 @@ def _emit(report: dict, fmt: str, out) -> None:
     its row tuples or, at the top level, its ``RowWindows``): as JSON, each
     Fraction its string and a windowed matrix the bytes of its rows; as CSV,
     keys dotted and a matrix one row per row; or as indented text, floats .12g
-    and matrices right-aligned.  CSV and text expand the windows to rows first.
-    A float that is inf or NaN is a breakdown, named by its first key in walk
-    order."""
-    if fmt != "json":
-        report = {k: v.rows if isinstance(v, RowWindows) else v for k, v in report.items()}
+    and matrices right-aligned.  Every format writes a matrix from one text per
+    distinct cell (``_window_rows``; a dense one reads as windows of its full
+    rows).  A float that is inf or NaN is a breakdown, named by its first key
+    in walk order."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # exact values outgrow the int-to-str digit limit
     try:
@@ -252,27 +286,31 @@ def _emit(report: dict, fmt: str, out) -> None:
             return
         lines = []
         for path, v in _walk(report):
+            if isinstance(v, (list, tuple)) and v and isinstance(v[0], (list, tuple)):
+                v = RowWindows(len(v[0]), tuple((0, tuple(row)) for row in v), None)
             leaf = v if isinstance(v, (list, tuple)) else (v,)
-            matrix = leaf and isinstance(leaf[0], (list, tuple))
+            matrix = isinstance(v, RowWindows)
             if fmt == "csv":
                 key = ".".join(path)
                 if matrix:
-                    lines += ([f"{key}.row{i}", *map(str, row)] for i, row in enumerate(v, start=1))
+                    texts = _texts(_cells(v), lambda vs: [_csv_line([str(c)]) for c in vs])
+                    rows = enumerate(_window_rows(v, texts, ","), start=1)
+                    lines += (_csv_line([f"{key}.row{i}"]) + "," + row for i, row in rows)
                 elif not isinstance(v, dict):
-                    lines.append([key, *map(str, leaf)])
+                    lines.append(_csv_line([key, *map(str, leaf)]))
                 continue
             pad = "  " * (len(path) - 1)
             if isinstance(v, dict) or matrix:
                 lines.append(f"{pad}{path[-1]}:")
             if matrix:
-                cells = [[_pretty(c) for c in row] for row in v]
-                width = max(len(c) for row in cells for c in row)
-                lines += (f"{pad}  [ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in cells)
+                texts = _texts(_cells(v), lambda vs: list(map(_pretty, vs)))
+                width = max(map(len, texts.values()))
+                texts = {k: t.rjust(width) for k, t in texts.items()}
+                lines += (f"{pad}  [ " + row + " ]" for row in _window_rows(v, texts, "  "))
             elif not isinstance(v, dict):
                 lines.append(f"{pad}{path[-1]}: " + ", ".join(map(_pretty, leaf)))
         if fmt == "csv":
-            import csv
-            csv.writer(out, lineterminator="\n").writerows(lines)
+            out.writelines(line + "\n" for line in lines)
         else:
             print("\n".join(lines), file=out)
     finally:

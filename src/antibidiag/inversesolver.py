@@ -165,8 +165,9 @@ class ReconstructionTrace(Record):
             return None
         return (self.a1,) + tuple(map(self.backend.sqrt, self.a_squared))
 
-    @property
+    @cached_property
     def coefficient_vector(self) -> CoefficientVector:
+        """``a`` as a CoefficientVector, built and validated once per trace."""
         if self.a is None:
             raise BackendUnsupported("square roots unavailable in the exact backend")
         return CoefficientVector(self.a)

@@ -6,6 +6,7 @@ the class-plus power by the Gantmacher-Krein theorem, and a Cauchy-Binet check.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from itertools import combinations
 from math import comb, inf, nan, nextafter, ulp
 
@@ -98,11 +99,13 @@ def tridiagonal_eigenvalues(diag, off, backend: Backend, near=()):
     Dhillon & Ren, ETNA 3, 1995), so this is a property of the float band alone:
     neither the seeds nor ``root_tol`` change it.
 
-    A count memory keeps bounds lo[j] <= lambda_j < hi[j]: a Sturm count c at
-    x lowers hi[j] to x for j < c and raises lo[j] to x for j >= c.  Eigenvalue k
-    starts at the k-th smallest seed in ``near`` if that lies in (lo[k], hi[k]),
-    else at the midpoint once bisection leaves no other eigenvalue in it.  Newton
-    steps (``_newton_step``) are taken while they land in (lo[k], hi[k]) and halve
+    The count memory is one list of probe points xs, ascending from [glo, ghi],
+    and their Sturm counts cs, ascending from [0, n] as the count is monotone:
+    eigenvalue k lies in its bracket [xs[i-1], xs[i]) for i = bisect_right(cs, k),
+    and a count inside that bracket is inserted at i.  Eigenvalue k starts at the
+    k-th smallest seed in ``near`` if that lies in its bracket, else at the
+    midpoint once bisection leaves no other eigenvalue in it.  Newton
+    steps (``_newton_step``) are taken while they land in the bracket and halve
     the last, until one is at most 2**-30 |t| (the next would be below an ulp) or
     none is defined; a step not taken is a count at t and at the float next to
     the end it crossed, then a bisection.  From the Newton point t the count walks
@@ -126,43 +129,39 @@ def tridiagonal_eigenvalues(diag, off, backend: Backend, near=()):
     if not ghi - glo < inf:  # a finite width keeps each a - x finite: no pivot is -inf - -inf
         raise SquareOutOfRange(f"the band's Gershgorin width {ghi - glo} is not finite in float64")
     n = len(diag)
-    lo, hi = [glo] * n, [ghi] * n
+    xs, cs = [glo, ghi], [0, n]  # probe points and their counts, both ascending
 
-    def note(x, c):
-        j = c - 1  # lo and hi are nondecreasing in j: the bounds that move are runs from c
-        while j >= 0 and x < hi[j]:
-            hi[j], j = x, j - 1
-        j = c
-        while j < n and lo[j] < x:
-            lo[j], j = x, j + 1
-
-    def count(x):  # a Sturm count at x, where it can move a bound of eigenvalue k
-        if lo[k] < x < hi[k]:
+    def count(x):  # a Sturm count at x, where it can narrow the bracket of eigenvalue k
+        nonlocal i
+        if xs[i - 1] < x < xs[i]:
             c = sturm_count(diag, e2, x)
-            note(x or 0.0, c)  # -0.0 counts as 0.0 does, and is stored as 0.0
+            xs.insert(i, x or 0.0)  # -0.0 counts as 0.0 does, and is stored as 0.0
+            cs.insert(i, c)
+            i += c <= k
             return c
 
     def mid():
-        return 0.5 * lo[k] + 0.5 * hi[k]
+        return 0.5 * xs[i - 1] + 0.5 * xs[i]
 
     seeds, out = sorted(near)[:n], []
     for k in range(n):
+        i = bisect_right(cs, k)  # eigenvalue k lies in [xs[i-1], xs[i])
         t = seeds[k] if k < len(seeds) else nan
-        if not lo[k] < t < hi[k]:  # no seed: bisect until no other eigenvalue shares k's bracket
-            while (k and lo[k] < hi[k - 1] or k + 1 < n and lo[k + 1] < hi[k]) and count(mid()) is not None:
+        if not xs[i - 1] < t < xs[i]:  # no seed: bisect until no other eigenvalue shares k's bracket
+            while (cs[i - 1] < k or cs[i] > k + 1) and count(mid()) is not None:
                 pass
             t = mid()
         step = inf
-        while lo[k] < t < hi[k]:
+        while xs[i - 1] < t < xs[i]:
             x = _newton_step(diag, e2, t)
-            if lo[k] < x < hi[k] and abs(x - t) < 0.5 * step:  # Newton converges: take the step
+            if xs[i - 1] < x < xs[i] and abs(x - t) < 0.5 * step:  # Newton converges: take the step
                 t, step = x, abs(x - t)
                 if step <= 2.0**-30 * abs(t):  # the next step would be below an ulp
                     break
             elif x != x:  # no step from t: finish there
                 break
             else:  # count at t, probe the float next to the end the step crossed, bisect
-                end = lo[k] if x <= lo[k] else hi[k] if x >= hi[k] else nan
+                end = xs[i - 1] if x <= xs[i - 1] else xs[i] if x >= xs[i] else nan
                 count(t)
                 count(nextafter(end, t))
                 t, step = mid(), inf
@@ -170,10 +169,10 @@ def tridiagonal_eigenvalues(diag, off, backend: Backend, near=()):
         up, top = c is not None and c <= k, 2.0**52 * u
         while c is not None and (c <= k) == up and u <= top:  # walk out until the count steps
             c, u = count(t + u if up else t - u), 2 * u
-        count(nextafter(hi[k] if up else lo[k], t))  # the float next to the far end
+        count(nextafter(xs[i] if up else xs[i - 1], t))  # the float next to the far end
         while count(m := mid()) is not None:
             pass
-        out.append(m if lo[k] < hi[k] else lo[k])  # c*I: 0.5*c + 0.5*c rounds a subnormal
+        out.append(m if xs[i - 1] < xs[i] else xs[i - 1])  # c*I: 0.5*c + 0.5*c rounds a subnormal
     return tuple(out)
 
 

@@ -548,6 +548,23 @@ def test_where_the_coefficient_pass_answers_the_residuals_read_null(args):
     ]
 
 
+def test_a_float64_solve_report_takes_as_many_encoder_calls_at_any_size(monkeypatch):
+    # the windowed matrices' cells are encoded in one call, not one per cell
+    # or per row: the count of calls does not grow with n
+    reports, calls = [], []
+    emit, dumps = cli._emit, cli._dumps
+    monkeypatch.setattr(cli, "_emit", lambda report, *_: reports.append(report))
+    for n in (8, 256):
+        run(["solve", "--spectrum=" + ",".join(map(repr, random_spectrum(case_rng(1, "encoder", n), n)))])
+    monkeypatch.setattr(cli, "_dumps", lambda *args, **kw: calls.append(1) or dumps(*args, **kw))
+    counts = []
+    for report in reports:
+        calls.clear()
+        emit(report, "json", io.StringIO())
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def test_an_accurate_solve_at_n_400_reports_finite_residuals_and_no_warning():
     # the residuals are scaled: an unscaled max |q_n(lambda)| grows like
     # |lambda|^n and overflows float64 from n of about 310

@@ -834,6 +834,7 @@ class TestSolveWeights:
         assert trace.chain is None and trace.certificates is None
         assert len(trace.warnings) == 1 and trace.warnings[0].startswith("minimum modulus gap ")
         assert trace.coefficient_vector.a == trace.a
+        assert trace.coefficient_vector is trace.coefficient_vector  # built and validated once
         assert inversesolver.solve_weights(validate_spectrum((3.0, -2.0, 1.0)), fb).warnings == ()
         assert inversesolver.solve_weights(validate_spectrum((2.5,)), fb).a == (2.5,)
 

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -364,6 +365,33 @@ def _window_vectors(rng):
                     for _ in range(n))
 
 
+def _dense_text(matrices: dict, fmt: str) -> str:
+    """The report of ``matrices`` (key -> RowWindows) as its dense rows make it,
+    cell by cell: JSON by ``json.dumps``, CSV by the csv module's writer, and
+    pretty as every cell's .12g right-aligned to the widest."""
+    dense = {key: m.rows for key, m in matrices.items()}
+    if fmt == "json":
+        return json.dumps(dense) + "\n"
+    out = io.StringIO()
+    if fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        for key, rows in dense.items():
+            writer.writerows([f"{key}.row{i}", *map(str, row)] for i, row in enumerate(rows, start=1))
+        return out.getvalue()
+    lines = []
+    for key, rows in dense.items():
+        cells = [[cli._pretty(c) for c in row] for row in rows]
+        width = max(len(c) for row in cells for c in row)
+        lines += [f"{key}:", *("  [ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in cells)]
+    return "\n".join(lines) + "\n"
+
+
+def _emitted(report: dict, fmt: str) -> str:
+    out = io.StringIO()
+    cli._emit(report, fmt, out)
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_row_windows_expand_to_the_slot_map_and_write_the_json_of_their_rows(fb, seed):
     for a in _window_vectors(random.Random(seed)):
@@ -374,9 +402,22 @@ def test_row_windows_expand_to_the_slot_map_and_write_the_json_of_their_rows(fb,
         report = {"a": a, "antibidiagonal": A, "jacobi": B, "diagnostics": {"max_residual": 0.5}}
         dense = {**report, "antibidiagonal": A.rows, "jacobi": B.rows}
         assert cli._windows_json(A) == json.dumps(A.rows)
-        out = io.StringIO()
-        cli._emit(report, "json", out)
-        assert out.getvalue() == json.dumps(dense) + "\n"
+        assert _emitted(report, "json") == json.dumps(dense) + "\n"
+        for fmt in ("csv", "pretty"):  # the windows against the dense rows, and against each cell's text
+            assert _emitted(report, fmt) == _emitted(dense, fmt)
+            assert _emitted({"antibidiagonal": A, "jacobi": B}, fmt) == _dense_text({"antibidiagonal": A, "jacobi": B}, fmt)
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+def test_row_windows_keep_the_text_of_each_cell(fmt, zero):
+    # 0.0 == -0.0 and 1 == 1.0, but each is written as itself; 5e-324 and 1e300 are the extremes
+    m = RowWindows(5, ((4, (1e300,)), (0, (-0.0, 0.0, 5e-324)), (1, (0.0, -0.0)), (2, (5e-324, 1, 1.0)),
+                       (0, (1.0, 1, -0.0, zero, 1e300))), zero)
+    one = RowWindows(1, ((0, (-0.0,)),), 0.0)  # no row has room for the zero, so it is never written
+    matrices = {"m": m, "one": one}
+    assert _emitted(matrices, fmt) == _dense_text(matrices, fmt)
+    assert cli._windows_json(m) == json.dumps(m.rows)
 
 
 def test_a_nan_in_a_windowed_matrix_is_named_in_every_format(fb):
