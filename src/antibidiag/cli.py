@@ -346,7 +346,7 @@ def _cmd_solve(args, backend, out) -> int:
         except err.SquareOutOfRange as exc:  # J's band cannot be eigensolved; a is still reported
             warnings = trace.with_notes(f"the round trip could not run: {exc}")
     if backend.exact:  # the integer forward pass against the backward pass's q_n
-        same = forward_q_squared(trace.a1, trace.a_squared, backend).same_top(trace.chain)
+        same = forward_q_squared(trace.a1, trace.a_squared, backend, like=trace.chain).same_top(trace.chain)
         residuals = {"max_residual": "0" if same else "1"}
     else:  # the weights pass's own residuals; null where the coefficient pass ran
         cv = trace.coefficient_vector

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import cached_property
+from operator import truediv
 
 from .errors import (
     BackendUnsupported,
@@ -47,7 +48,7 @@ from .matrixkit import (
     matmul,
 )
 from .poly import elementary_symmetric, from_roots, roots_bracketed
-from .recurrence import CharPolySequence, _level, _minus, _ratio
+from .recurrence import CharPolySequence, _level, _minus
 from .scalars import Backend, Record, TolerancePolicy
 from .spectral import interlaces, relative_spectrum_error, tridiagonal_eigenvalues
 
@@ -260,12 +261,14 @@ def solve(spectrum: Spectrum, backend: Backend) -> ReconstructionTrace:
     """
     lam = tuple(backend.convert(v) for v in spectrum.lambdas)
     n = len(lam)
-    scale, roots = 1, lam
+    scale, roots, ratio = 1, lam, truediv  # ratio: an output quotient
     if backend.exact:
-        scale = math.lcm(*(v.denominator for v in lam))
+        import fractions
+
+        scale, ratio = math.lcm(*(v.denominator for v in lam)), fractions.Fraction
         roots = [v.numerator * (scale // v.denominator) for v in lam]
     qn = from_roots(roots, backend).coeffs
-    a1 = _ratio(-qn[n - 1], scale, backend)  # sigma_1
+    a1 = ratio(-qn[n - 1], scale)  # sigma_1
     if not a1 > 0:
         raise NonPositiveA(f"a_1 = sigma_1 = {a1} is not positive")
     upper = tuple(c if (n - k) % 2 == 0 else 0 for k, c in enumerate(qn))
@@ -274,7 +277,7 @@ def solve(spectrum: Spectrum, backend: Backend) -> ReconstructionTrace:
     a_sq = []
     for k in range(n - 2, -1, -1):
         r = _minus([q[-1] * 0, *q], q[-1], upper, upper[-1])
-        asq = _ratio(r[k], q[-1] * upper[-1] * scale**2, backend)  # a_{n-k}^2
+        asq = ratio(r[k], q[-1] * upper[-1] * scale**2)  # a_{n-k}^2
         if asq != asq:  # NaN, as from inf - inf: a coefficient overflowed
             raise NonFiniteA(f"a_{n - k}^2 = {asq}: a coefficient overflowed float64")
         if not asq > 0:

@@ -14,10 +14,11 @@ Both take a positive coefficient vector; the q-system also takes the pair
 (a_1, squared tail), so the exact backend never needs square roots.
 
 How a level is stored (``_level``), for both forward passes and for the
-backward pass of ``inversesolver.solve``, and how an output quotient is formed
-(``_ratio``) is decided here; p- and q-system levels take the same step
-(``_next``) and are stored alike.  Every three-term step of every pass, on
-both backends, is one list update, ``_minus``.
+backward pass of ``inversesolver.solve``, is decided here; p- and q-system
+levels take the same step (``_next``) and are stored alike.  Every
+three-term step of every pass, on both backends, is one list update,
+``_minus``.  The exact q-system pass can take the backward pass's levels
+where one gcd-free identity proves that its step reaches them (``_proves``).
 """
 
 from __future__ import annotations
@@ -93,15 +94,6 @@ def _level(r, backend: Backend) -> tuple:
     return (*(c / r[-1] for c in r[:-1]), 1.0)
 
 
-def _ratio(num, den, backend: Backend):
-    """num / den as an output scalar: one Fraction on the rational backend."""
-    if not backend.exact:
-        return num / den
-    import fractions
-
-    return fractions.Fraction(num, den)
-
-
 def _step(r: list, u, v, backend: Backend) -> list:
     """r - v u in place, r a level times x: in float64, where r and u end in
     1.0, the plain update; on the rational backend an integer multiple of
@@ -158,6 +150,24 @@ def _next(p, u, v, backend: Backend) -> tuple:
     return tuple(_minus([0.0, *p], v, u))
 
 
+def _proves(p, u, b, hint) -> bool:
+    """Whether the exact step x p - b u after the integer levels p and u
+    reaches the level ``hint``, whose lead must be positive, without a gcd.
+
+    With f = p[-1], f_u = u[-1] and l = hint[-1], the step's monic level is
+    hint/l if and only if l x p - g u = f hint for g = b l f / f_u, which is
+    then an integer, u being primitive.  g is read off the coefficient of
+    x^(k-2), k the degree of hint: g f_u = l p[k-3] - f hint[k-2], with
+    p[-1] taken as 0 at k = 2.  Then g must match b = s/t, and the identity
+    hold on every coefficient, that one included."""
+    f, fu, lead = p[-1], u[-1], hint[-1]
+    if lead <= 0 or len(hint) != len(p) + 1:
+        return False
+    g = (lead * (p[-3] if len(p) > 2 else 0) - f * hint[-3]) // fu
+    s, t = b.as_integer_ratio()
+    return s * lead * f == g * t * fu and _minus([0, *p], g, u, lead) == [*map(mul, repeat(f), hint)]
+
+
 def forward_p(a: CoefficientVector, backend: Backend) -> CharPolySequence:
     """p-system of a positive coefficient vector, stored as the q-system is:
     p_1 = (x - a_1) p_0 is the step with v = a_1, as the q-system's top step."""
@@ -174,17 +184,29 @@ def forward_q(a: CoefficientVector, backend: Backend) -> CharPolySequence:
     return forward_q_squared(a1, tail, backend)
 
 
-def forward_q_squared(a1, tail_sq, backend: Backend) -> CharPolySequence:
+def forward_q_squared(a1, tail_sq, backend: Backend, like: CharPolySequence | None = None) -> CharPolySequence:
     """q-system from a_1 and the squared tail (a_2^2, ..., a_n^2).
 
     The exact backend carries integers P_k with q_k = P_k / P_k[-1], so the
     pass forms no Fraction: with a^2 = s/t the step is
-    t P_{k-2}[-1] x P_{k-1} - s P_{k-1}[-1] P_{k-2}."""
+    t P_{k-2}[-1] x P_{k-1} - s P_{k-1}[-1] P_{k-2}.
+
+    ``like``, an integer chain of n + 1 levels and scale D such as the
+    backward pass's, puts the exact pass in its units, y = D x: it runs on
+    D a_1 and D^2 a_k^2, and takes like's level k, 2 <= k <= n-1, where
+    ``_proves`` shows that the step reaches it, which spares that level's
+    content gcd; elsewhere it takes the step.  ``polys`` and ``top`` are the
+    plain pass's whatever ``like`` holds."""
     _check_positive(a1, tail_sq)
     n = 1 + len(tail_sq)
+    hints, d = (), 1
+    if backend.exact and like is not None and like.scale is not None and len(like.chain) == n + 1:
+        hints, d = like.chain, like.scale
+        a1, tail_sq = backend.convert(a1) * d, tuple(backend.convert(v) * d**2 for v in tail_sq)
     chain = [_level(c, backend) for c in [(1,), (0, 1)][:n]]
     for k in range(2, n):
-        chain.append(_next(chain[k - 1], chain[k - 2], tail_sq[n - k], backend))
+        p, u, v = chain[k - 1], chain[k - 2], tail_sq[n - k]
+        chain.append(hints[k] if hints and _proves(p, u, v, hints[k]) else _next(p, u, v, backend))
     # (x - a_1) q_{n-1} first, then - a_2^2 q_{n-2}: in float64 this order
     # fixes the rounding of the forward command's q_coeffs.
     q = chain[n - 1]
@@ -192,4 +214,4 @@ def forward_q_squared(a1, tail_sq, backend: Backend) -> CharPolySequence:
     if n > 1:
         top = _step(top, chain[n - 2], tail_sq[0], backend)
     chain.append(_level(top, backend))
-    return CharPolySequence.of_levels(chain, backend)
+    return CharPolySequence.of_levels(chain, backend, d)

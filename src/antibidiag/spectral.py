@@ -9,6 +9,7 @@ import sys
 from bisect import bisect_right
 from itertools import combinations
 from math import comb, inf, nan, nextafter, ulp
+from operator import add, sub
 
 from .errors import (
     BackendUnsupported,
@@ -58,12 +59,11 @@ def sturm_count(diag, e2, x: float) -> int:
 
 
 def gershgorin_bounds(diag, off):
-    lo = hi = diag[0]
-    for i in range(len(diag)):
-        r = (abs(off[i - 1]) if i > 0 else 0.0) + (abs(off[i]) if i < len(off) else 0.0)
-        lo = min(lo, diag[i] - r)
-        hi = max(hi, diag[i] + r)
-    return lo, hi
+    """min and max of diag_i -+ (|off_{i-1}| + |off_i|), the missing ends 0.0,
+    each fold starting from diag[0]."""
+    b = [0.0, *map(abs, off), 0.0]
+    r = [*map(add, b, b[1:])]
+    return min(diag[0], *map(sub, diag, r)), max(diag[0], *map(add, diag, r))
 
 
 def _newton_step(diag, e2, t):

@@ -16,6 +16,7 @@ from antibidiag import (
     cli,
     errors,
     inversesolver,
+    recurrence,
     solve,
     solve_weights,
     spectral,
@@ -829,6 +830,23 @@ def test_rational_solve_reports_a_residual_when_a_square_is_off(monkeypatch):
     code, text = run(["solve", "--backend", "rational", "--spectrum", "3,-2,1"])
     assert code == 0
     assert json.loads(text)["diagnostics"]["max_residual"] == "1"
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_a_rational_solve_takes_no_content_gcd_of_a_level_it_proves(monkeypatch, n):
+    # n in the backward pass, then q_0, q_1 and q_n of the forward check: its
+    # levels 2..n-1 are the backward pass's, proved without a gcd
+    primitive_part, contents = recurrence.primitive_part, []
+
+    def counted(ints):
+        contents.append(len(ints))
+        return primitive_part(ints)
+
+    monkeypatch.setattr(recurrence, "primitive_part", counted)
+    lam = random_rational_spectrum(case_rng(0, "gcd", n), n)
+    code, text = run(["solve", "--backend", "rational", "--spectrum=" + ",".join(map(str, lam))])
+    assert code == 0 and json.loads(text)["diagnostics"]["max_residual"] == "0"
+    assert len(contents) == n + 3, contents
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])

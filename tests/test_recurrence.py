@@ -173,6 +173,9 @@ def test_exact_residual_check_refuses_perturbed_outputs(rb, n):
         forward = forward_q_squared(a1, a_sq, rb)
         # the integer comparison and the Fraction one agree
         assert forward.same_top(trace.chain) == forward.same_top(qn)
+        # and the pass hinted by the backward pass's levels gives the same verdict
+        hinted = forward_q_squared(a1, a_sq, rb, like=trace.chain)
+        assert hinted.same_top(trace.chain) == forward.same_top(trace.chain)
         return forward.same_top(trace.chain)
 
     assert matches(trace.a1, trace.a_squared)
@@ -181,6 +184,62 @@ def test_exact_residual_check_refuses_perturbed_outputs(rb, n):
         a_sq = list(trace.a_squared)
         a_sq[j] += Fraction(1, 10**9)
         assert not matches(trace.a1, tuple(a_sq)), j
+
+
+def _hint_case(rb, n):
+    """A rational trace of size n and the plain forward pass from its outputs."""
+    trace = solve(validate_spectrum(random_rational_spectrum(case_rng(0, "hint", n), n)), rb)
+    return trace, forward_q_squared(trace.a1, trace.a_squared, rb)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 48])
+def test_the_hinted_forward_pass_takes_the_backward_levels_it_proves(rb, n):
+    trace, plain = _hint_case(rb, n)
+    hinted = forward_q_squared(trace.a1, trace.a_squared, rb, like=trace.chain)
+    assert hinted.scale == trace.chain.scale
+    assert all(hinted.chain[k] is trace.chain.chain[k] for k in range(2, n))
+    assert hinted.polys == plain.polys and hinted.top == plain.top
+    assert hinted.same_top(trace.chain) and plain.same_top(trace.chain)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 48])
+def test_a_wrong_hint_changes_no_forward_level(rb, n):
+    trace, plain = _hint_case(rb, n)
+    levels, scale = trace.chain.chain, trace.chain.scale
+    k = min(n, max(2, n // 2))  # a level the pass would take, where n >= 3
+    level, j = levels[k], max(k - 2, 0)  # j: the coefficient that g is read from
+
+    def with_level(new):
+        return CharPolySequence(levels[:k] + (new,) + levels[k + 1 :], scale)
+
+    other = solve(validate_spectrum(random_rational_spectrum(case_rng(1, "hint", n), n)), rb).chain
+    likes = {
+        "own": trace.chain,
+        "other spectrum": other,
+        "coefficient k-2 + 1": with_level(level[:j] + (level[j] + 1,) + level[j + 1 :]),
+        "coefficient 0 + 1": with_level((level[0] + 1, *level[1:])),
+        "doubled": with_level(tuple(2 * c for c in level)),
+        "negated": with_level(tuple(-c for c in level)),
+        "two degrees short": with_level(level[2:]),
+    }
+    for name, like in likes.items():
+        hinted = forward_q_squared(trace.a1, trace.a_squared, rb, like=like)
+        assert hinted.polys == plain.polys, name
+        assert all(c[-1] > 0 for c in hinted.chain), name  # as every pass stores a level
+        assert hinted.same_top(trace.chain) == plain.same_top(trace.chain), name
+        assert hinted.same_top(other) == plain.same_top(other), name
+
+
+def test_a_hint_of_another_kind_is_ignored(rb, fb):
+    trace, plain = _hint_case(rb, 5)
+    float_chain = solve(trace.spectrum, fb).chain  # scale None
+    shorter = _hint_case(rb, 4)[0].chain
+    for like in (float_chain, shorter, None):
+        hinted = forward_q_squared(trace.a1, trace.a_squared, rb, like=like)
+        assert hinted.chain == plain.chain and hinted.scale == 1
+    a1, tail_sq = float(trace.a1), tuple(map(float, trace.a_squared))
+    floats = forward_q_squared(a1, tail_sq, fb)
+    assert forward_q_squared(a1, tail_sq, fb, like=trace.chain) == floats
 
 
 # --- float levels keep their parity as the step computes them ---

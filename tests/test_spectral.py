@@ -180,6 +180,32 @@ def test_eigensolve_roots_kill_charpoly(fb):
             assert abs(poly_eval(p, lam)) <= 1e-8 * scale
 
 
+def _gershgorin_loop(diag, off):
+    """The row-by-row Gershgorin fold, one abs per neighbour, as a reference."""
+    lo = hi = diag[0]
+    for i in range(len(diag)):
+        r = (abs(off[i - 1]) if i > 0 else 0.0) + (abs(off[i]) if i < len(off) else 0.0)
+        lo = min(lo, diag[i] - r)
+        hi = max(hi, diag[i] + r)
+    return lo, hi
+
+
+def test_gershgorin_bounds_are_the_row_loop_bit_for_bit():
+    rng = random.Random(37)
+    odd = (0.0, -0.0, 5e-324, -1e-310, 1e308, -1.7e308, math.inf, -math.inf, math.nan)
+    for trial in range(400):
+        n = 1 + trial % 12
+        scale = 10.0 ** rng.randint(-300, 300)
+        diag = [rng.uniform(-1, 1) * scale for _ in range(n)]
+        off = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-300, 300) for _ in range(n - 1)]
+        if trial % 4 == 0:  # signed zeros, subnormals, overflow and NaN, in either list
+            for band in (diag, off):
+                for i in rng.sample(range(len(band)), min(2, len(band))):
+                    band[i] = rng.choice(odd)
+        got, want = gershgorin_bounds(diag, off), _gershgorin_loop(diag, off)
+        assert list(map(float.hex, got)) == list(map(float.hex, want)), (diag, off)
+
+
 def test_sturm_count_monotone_and_bounds():
     rng = random.Random(32)
     diag = [rng.uniform(-3, 3) for _ in range(8)]
